@@ -45,7 +45,6 @@ from rieszlab.analysis import (
     curvature_c2,
     norm_sweep,
     joint_norm_experiment,
-    kernel_for,
 )
 from rieszlab.generators import (
     gen_plane,

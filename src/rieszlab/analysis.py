@@ -8,8 +8,8 @@ problem into a plain Euclidean one for the symmetrized matrix
 
     B[(i, a), j] = sqrt(w_i) K_a(x_i - x_j) sqrt(w_j),
 
-so the norm is the top singular value of B.  Power iteration runs on B^T B;
-a dense decomposition of B serves as the oracle for moderate N.
+so the norm is the top singular value of B.  Lanczos (scipy's eigsh) runs on
+B^T B; a dense decomposition of B serves as the oracle for moderate N.
 """
 
 from __future__ import annotations
@@ -18,13 +18,16 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, aslinearoperator, eigsh
 
 from rieszlab.measure import DiscreteMeasure, _safe_resolution
-from rieszlab.kernels import TRUNCATED, KernelConfig, _kernel_block, kernel_sum
+from rieszlab.kernels import TRUNCATED, KernelConfig, _kernel_block, adjoint_sum, kernel_sum
+
+_RANDOM_START_SEED = 20240817
 
 
 class NonConvergenceError(RuntimeError):
-    """Power iteration ran out of iterations; carries the last estimate."""
+    """The norm solver ran out of products; carries the best lower bound seen."""
 
     def __init__(self, message: str, estimate: "NormEstimate"):
         super().__init__(message)
@@ -35,9 +38,11 @@ class NonConvergenceError(RuntimeError):
 class NormEstimate:
     """Operator-norm estimate together with the run that produced it.
 
-    `witness` is the final scalar iterate f: the value equals |Rf| / |f| in
-    the weighted norms, so every estimate is a certified lower bound for the
-    true operator norm.
+    `witness` is the scalar density f = v / sqrt(w) of the returned unit
+    vector v: the value equals |Bv| = |Rf| / |f| in the weighted norms, so
+    every estimate is a certified lower bound for the true operator norm.
+    `iterations` counts B^T B products (one forward and one adjoint pass
+    each) and `residual` is |B^T B v - value**2 v| / value**2.
     """
 
     value: float
@@ -80,68 +85,26 @@ def _build_symmetrized_matrix(mu: DiscreteMeasure, cfg: KernelConfig, chunk: int
     return out
 
 
-def _make_applies(mu: DiscreteMeasure, cfg: KernelConfig, dense_cache_cap: int):
-    """Forward/adjoint matvecs for B, dense-cached when affordable."""
+def _symmetrized_operator(mu: DiscreteMeasure, cfg: KernelConfig, dense_cache_cap: int) -> LinearOperator:
+    """B as a LinearOperator: the dense cache while N*N*d <= dense_cache_cap,
+    chunked direct sums above that."""
     n_pts, d = len(mu), mu.ambient_dim
-    sw = np.sqrt(mu.weights)
     if n_pts * n_pts * d <= dense_cache_cap:
-        mat = _build_symmetrized_matrix(mu, cfg)
-        return (lambda u: mat @ u), (lambda v: mat.T @ v)
+        return aslinearoperator(_build_symmetrized_matrix(mu, cfg))
+    sw = np.sqrt(mu.weights)
 
-    def forward(u: np.ndarray) -> np.ndarray:
-        field = kernel_sum(mu.points, sw * u, cfg, mu.points)
-        return (field * sw[:, None]).ravel()
+    def matvec(u: np.ndarray) -> np.ndarray:
+        return (kernel_sum(mu.points, sw * u.ravel(), cfg, mu.points) * sw[:, None]).ravel()
 
-    def adjoint(v: np.ndarray) -> np.ndarray:
+    def rmatvec(v: np.ndarray) -> np.ndarray:
         # (B^T v)_j = sqrt(w_j) sum_i K(x_i - x_j) . (sqrt(w_i) V_i)
-        field = v.reshape(n_pts, d) * sw[:, None]
-        out = np.zeros(n_pts)
-        chunk = 128
-        for t0 in range(0, n_pts, chunk):
-            tblk = mu.points[t0 : t0 + chunk]
-            acc = np.zeros(tblk.shape[0])
-            for s0 in range(0, n_pts, 16384):
-                sblk = mu.points[s0 : s0 + 16384]
-                ker = _kernel_block(sblk, tblk, cfg)  # K(x_i - x_j), i source row
-                acc += np.einsum("itd,id->t", ker, field[s0 : s0 + sblk.shape[0]])
-            out[t0 : t0 + tblk.shape[0]] = acc
-        return out * sw
+        return sw * adjoint_sum(mu.points, v.reshape(n_pts, d) * sw[:, None], cfg, mu.points)
 
-    return forward, adjoint
+    return LinearOperator((n_pts * d, n_pts), matvec=matvec, rmatvec=rmatvec, dtype=float)
 
 
-def _power_iteration(forward, adjoint, u0: np.ndarray, tol: float, max_iter: int):
-    """Top singular value of B via iteration on B^T B.
-
-    Converged when the relative change of the estimate drops below tol on two
-    consecutive iterations (a single small step can be pseudo-convergence).
-    Returns (sigma, iterations, residual, final unit iterate u, converged).
-    """
-    nrm = float(np.linalg.norm(u0))
-    if nrm == 0.0:
-        raise ValueError("zero start vector")
-    u = u0 / nrm
-    sigma_prev = -1.0
-    sigma = 0.0
-    rel = np.inf
-    hits = 0
-    for it in range(1, max_iter + 1):
-        v = forward(u)
-        sigma = float(np.linalg.norm(v))
-        rel = abs(sigma - sigma_prev) / max(sigma, 1e-300)
-        if rel < tol:
-            hits += 1
-            if hits >= 2 or sigma == 0.0:
-                return sigma, it, rel, u, True
-        else:
-            hits = 0
-        sigma_prev = sigma
-        w = adjoint(v)
-        wn = float(np.linalg.norm(w))
-        if wn == 0.0:
-            return sigma, it, 0.0, u, True  # operator annihilates the iterate
-        u = w / wn
-    return sigma, max_iter, rel, u, False
+class _BudgetExhausted(Exception):
+    pass
 
 
 def operator_norm(
@@ -149,44 +112,58 @@ def operator_norm(
     cfg: KernelConfig,
     tol: float = 1e-6,
     max_iter: int = 500,
-    second_start_seed: int = 20240817,
     dense_cache_cap: int = 60_000_000,
 ) -> NormEstimate:
-    """Largest singular value of the transform on L2(mu) by power iteration.
+    """Largest singular value of the transform on L2(mu) by Lanczos on B^T B.
 
-    Runs twice, from the deterministic all-ones density and from a fixed-seed
-    random start (guards against a start orthogonal to the top singular
-    space), and reports the larger estimate.  Raises NonConvergenceError with
-    the best estimate attached if either run fails to settle.
+    ARPACK's eigsh (k=1, largest algebraic) runs from u0 = sqrt(w), to the
+    relative tolerance tol.  max_iter caps the number of B^T B products;
+    when it runs out, NonConvergenceError carries the best |Bu| / |u| seen,
+    which is a lower bound.  A start that B^T B annihilates is retried once
+    from a fixed-seed random vector; the norm is 0 only if that vanishes too.
     """
     if len(mu) < 2:
         raise ValueError("operator_norm needs at least two support points")
     if not 0.0 < tol < 0.1:
         raise ValueError("tol must lie in (0, 0.1)")
+    n_pts = len(mu)
     sw = np.sqrt(mu.weights)
-    forward, adjoint = _make_applies(mu, cfg, dense_cache_cap)
+    op = _symmetrized_operator(mu, cfg, dense_cache_cap)
+    count = 0
+    best = [0.0, None, 0.0]  # |Bu| for unit u, that u, its relative residual
 
-    starts = [sw * np.ones(len(mu))]
-    rng = np.random.default_rng(second_start_seed)
-    starts.append(rng.standard_normal(len(mu)))
+    def gram(u: np.ndarray) -> np.ndarray:
+        nonlocal count
+        if count >= max_iter:
+            raise _BudgetExhausted
+        count += 1
+        unorm = float(np.linalg.norm(u))
+        u = u.ravel() / unorm
+        bu = op.matvec(u)
+        out = op.rmatvec(bu)
+        sigma = float(np.linalg.norm(bu))
+        if best[1] is None or sigma > best[0]:
+            res = float(np.linalg.norm(out - sigma**2 * u)) / sigma**2 if sigma > 0.0 else 0.0
+            best[:] = [sigma, u, res]
+        return out * unorm
 
-    best: tuple[float, int, float, np.ndarray] | None = None
-    total_iters = 0
-    for u0 in starts:
-        sigma, iters, rel, u, ok = _power_iteration(forward, adjoint, u0, tol, max_iter)
-        total_iters += iters
-        if best is None or sigma > best[0]:
-            best = (sigma, iters, rel, u)
-        if not ok:
-            est = NormEstimate(
-                best[0], total_iters, best[2], cfg.epsilon, "power-iteration",
-                witness=best[3] / sw,
-            )
-            raise NonConvergenceError(
-                f"power iteration did not converge in {max_iter} iterations", est
-            )
-    sigma, _, rel, u = best
-    return NormEstimate(sigma, total_iters, rel, cfg.epsilon, "power-iteration", witness=u / sw)
+    gram_op = LinearOperator((n_pts, n_pts), matvec=gram, dtype=float)
+    starts = (sw, np.random.default_rng(_RANDOM_START_SEED).standard_normal(n_pts))
+    try:
+        for u0 in starts:
+            try:
+                _, vecs = eigsh(gram_op, k=1, which="LA", v0=u0, tol=tol, maxiter=max_iter)
+            except ArpackError as exc:
+                # only a start that B^T B annihilates is retried
+                if isinstance(exc, ArpackNoConvergence) or best[0] > 0.0:
+                    raise
+                continue
+            gram(vecs[:, 0])
+            break
+    except (_BudgetExhausted, ArpackNoConvergence):
+        est = NormEstimate(best[0], count, best[2], cfg.epsilon, "lanczos", witness=best[1] / sw)
+        raise NonConvergenceError(f"Lanczos did not converge within {max_iter} products", est) from None
+    return NormEstimate(best[0], count, best[2], cfg.epsilon, "lanczos", witness=best[1] / sw)
 
 
 def dense_operator_norm(mu: DiscreteMeasure, cfg: KernelConfig) -> NormEstimate:
@@ -194,8 +171,7 @@ def dense_operator_norm(mu: DiscreteMeasure, cfg: KernelConfig) -> NormEstimate:
     if len(mu) < 2:
         raise ValueError("dense_operator_norm needs at least two support points")
     mat = _build_symmetrized_matrix(mu, cfg)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    _, _, vt = np.linalg.svd(mat, full_matrices=False)
+    _, svals, vt = np.linalg.svd(mat, full_matrices=False)
     witness = vt[0] / np.sqrt(mu.weights)
     return NormEstimate(float(svals[0]), 1, 0.0, cfg.epsilon, "dense-decomposition", witness)
 
@@ -210,17 +186,7 @@ def adjoint_apply(mu: DiscreteMeasure, cfg: KernelConfig, field, targets=None) -
     if vals.shape != (len(mu), mu.ambient_dim):
         raise ValueError("field must align with the measure's points")
     pts = np.atleast_2d(mu.points if targets is None else np.asarray(targets, dtype=float))
-    fw = vals * mu.weights[:, None]
-    out = np.zeros(pts.shape[0])
-    for t0 in range(0, pts.shape[0], 128):
-        tblk = pts[t0 : t0 + 128]
-        acc = np.zeros(tblk.shape[0])
-        for s0 in range(0, len(mu), 16384):
-            sblk = mu.points[s0 : s0 + 16384]
-            ker = _kernel_block(sblk, tblk, cfg)  # (source, target, d) = K(x_i - x_j)
-            acc += np.einsum("std,sd->t", ker, fw[s0 : s0 + sblk.shape[0]])
-        out[t0 : t0 + tblk.shape[0]] = acc
-    return out
+    return adjoint_sum(mu.points, vals * mu.weights[:, None], cfg, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +344,7 @@ def merge_measures(mu: DiscreteMeasure, sigma: DiscreteMeasure) -> DiscreteMeasu
 def _norm_or_zero(mu: DiscreteMeasure, cfg: KernelConfig, tol: float, max_iter: int) -> NormEstimate:
     # single-point measures carry no pairwise interaction: the transform is 0
     if len(mu) < 2:
-        return NormEstimate(0.0, 0, 0.0, cfg.epsilon, "power-iteration")
+        return NormEstimate(0.0, 0, 0.0, cfg.epsilon, "lanczos")
     return operator_norm(mu, cfg, tol=tol, max_iter=max_iter)
 
 
@@ -397,9 +363,3 @@ def joint_norm_experiment(
         _norm_or_zero(merged, cfg, tol, max_iter),
         merged,
     )
-
-
-def kernel_for(mu: DiscreteMeasure, epsilon: float | None = None, mode: str = TRUNCATED) -> KernelConfig:
-    """KernelConfig matched to a measure: n from the measure, eps default 4h."""
-    eps = 4.0 * mu.resolution_h if epsilon is None else float(epsilon)
-    return KernelConfig(mu.hausdorff_dim, eps, mode)

@@ -339,10 +339,7 @@ def _cmd_bench(args) -> int:
             riesz_apply(mu, f, cfg, mu.points)
             direct_times.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            if args.exact:
-                riesz_apply(mu, f, cfg, mu.points)
-            else:
-                treecode_apply(mu, f, cfg, tree, params, mu.points)
+            treecode_apply(mu, f, cfg, tree, params, mu.points)
             tree_times.append(time.perf_counter() - t0)
         dmed = float(np.median(direct_times))
         tmed = float(np.median(tree_times))
@@ -355,7 +352,6 @@ def _cmd_bench(args) -> int:
             "leaf_cap": args.leaf_cap,
             "repeats": args.repeats,
             "mode": args.mode,
-            "exact": args.exact,
         },
     )
     _artifact(
@@ -372,7 +368,6 @@ def _cmd_bench(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rieszlab", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS worker threads")
     parser.add_argument("--config", default=None,
                         help="JSON file whose keys (kebab- or snake-case) override flags")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -410,8 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True)
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--mode", choices=["truncated", "regularized"], default="truncated")
-        p.add_argument("--method", choices=["power-iteration", "dense-decomposition"],
-                       default="power-iteration")
+        p.add_argument("--method", choices=["lanczos", "dense-decomposition"], default="lanczos")
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--max-iter", type=int, default=500)
         p.add_argument("--output", required=True)
@@ -467,7 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--leaf-cap", type=int, default=32)
     bn.add_argument("--repeats", type=int, default=5)
     bn.add_argument("--mode", choices=["truncated", "regularized"], default="truncated")
-    bn.add_argument("--exact", action="store_true", help="force direct summation comparison")
     bn.add_argument("--output", required=True)
     bn.set_defaults(func=_cmd_bench)
 
@@ -488,9 +481,6 @@ def _apply_config_file(args) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         if args.config:
             _apply_config_file(args)

@@ -138,6 +138,37 @@ def kernel_sum(
     return out
 
 
+def adjoint_sum(
+    points: np.ndarray,
+    fields: np.ndarray,
+    cfg: KernelConfig,
+    targets: np.ndarray,
+    target_chunk: int = 128,
+    source_chunk: int = 16384,
+) -> np.ndarray:
+    """Sum_j K(y_j - t) . fields_j at each target t.
+
+    Adjoint of kernel_sum: fields is the already-multiplied (N, d) array
+    F * w, so <kernel_sum(Y, f, T), F> = <f, adjoint_sum(T, F, Y)>.  Same
+    chunking and fixed accumulation order as kernel_sum.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    fields = np.asarray(fields, dtype=float)
+    out = np.zeros(targets.shape[0])
+    for t0 in range(0, targets.shape[0], target_chunk):
+        tblk = targets[t0 : t0 + target_chunk]
+        acc = np.zeros(tblk.shape[0])
+        for s0 in range(0, points.shape[0], source_chunk):
+            sblk = points[s0 : s0 + source_chunk]
+            diff = sblk[None, :, :] - tblk[:, None, :]
+            r2 = np.einsum("tsd,tsd->ts", diff, diff)
+            dots = np.einsum("tsd,sd->ts", diff, fields[s0 : s0 + source_chunk])
+            acc += np.einsum("ts,ts->t", _coef_from_r2(r2, cfg), dots)
+        out[t0 : t0 + tblk.shape[0]] = acc
+    return out
+
+
 def riesz_apply(
     mu: DiscreteMeasure,
     f,
@@ -176,9 +207,11 @@ def maximal_function(mu: DiscreteMeasure, f, x, grid: ScaleGrid) -> float:
     return float(np.max(sums[occupied] / masses[occupied]))
 
 
-def _maximal_all(mu: DiscreteMeasure, f: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Maximal averages of |f| at every support point over the given radii."""
-    masses = ball_masses(mu, mu.points, radii)
+def _maximal_all(mu: DiscreteMeasure, f: np.ndarray, radii: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Maximal averages of |f| at every support point over the given radii.
+
+    `masses` must be ball_masses(mu, mu.points, radii).
+    """
     sums = ball_masses(mu, mu.points, radii, values=np.abs(f) * mu.weights)
     ratios = np.where(masses > 0.0, sums / np.where(masses > 0.0, masses, 1.0), 0.0)
     return ratios.max(axis=1)
@@ -223,7 +256,7 @@ def truncation_gap_check(
     masses = ball_masses(mu, mu.points, radii)
     ratios = masses / radii[None, :] ** mu.hausdorff_dim
     growth = float(ratios.max())
-    maximal = _maximal_all(mu, f, radii)
+    maximal = _maximal_all(mu, f, radii, masses)
     bounds = growth * maximal
 
     scale = max(float(bounds.max()), float(gaps.max()), 1.0)

@@ -93,6 +93,19 @@ class DiscreteMeasure:
             object.__setattr__(self, "_kdtree", tree)
         return tree
 
+    @property
+    def diameter(self) -> float:
+        """Maximum pairwise distance (0 for N = 1), computed once and cached."""
+        diam = self.__dict__.get("_diameter")
+        if diam is None:
+            best = 0.0
+            for i0 in range(0, len(self), 1024):
+                diff = self.points[i0 : i0 + 1024, None, :] - self.points[None, :, :]
+                best = max(best, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
+            diam = float(np.sqrt(best))
+            object.__setattr__(self, "_diameter", diam)
+        return diam
+
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.points.min(axis=0), self.points.max(axis=0)
 
@@ -256,18 +269,9 @@ def restrict(mu: DiscreteMeasure, keep) -> DiscreteMeasure:
     )
 
 
-def support_diameter(mu: DiscreteMeasure, chunk: int = 1024) -> float:
+def support_diameter(mu: DiscreteMeasure) -> float:
     """Maximum pairwise distance between support points (0 for N = 1)."""
-    pts = mu.points
-    if pts.shape[0] == 1:
-        return 0.0
-    best = 0.0
-    for i0 in range(0, pts.shape[0], chunk):
-        blk = pts[i0 : i0 + chunk]
-        diff = blk[:, None, :] - pts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        best = max(best, float(d2.max()))
-    return float(np.sqrt(best))
+    return mu.diameter
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,7 @@ def test_criterion_6_treecode_certification(corpus):
     cfg = KernelConfig(1, 4 * big.resolution_h, TRUNCATED)
     params = TreecodeParams(opening_angle=0.3, leaf_cap=32)
     tree = build_tree(big, params)
-    treecode_apply(big, f, cfg, tree, params, big.points[:16])  # warm the JIT
+    treecode_apply(big, f, cfg, tree, params, big.points[:16])  # warm-up call, kept out of the timing
     t_tree0 = time.perf_counter()
     treecode_apply(big, f, cfg, tree, params, big.points)
     t_tree = time.perf_counter() - t_tree0

@@ -4,6 +4,7 @@ import pytest
 import rieszlab as rl
 from rieszlab.analysis import (
     NonConvergenceError,
+    _build_symmetrized_matrix,
     adjoint_apply,
     curvature_c2,
     curvature_c2_naive,
@@ -14,7 +15,7 @@ from rieszlab.analysis import (
     norm_sweep,
     operator_norm,
 )
-from rieszlab.kernels import TRUNCATED, KernelConfig, VectorField, riesz_apply
+from rieszlab.kernels import REGULARIZED, TRUNCATED, KernelConfig, VectorField, riesz_apply
 from rieszlab.measure import DiscreteMeasure
 
 
@@ -78,6 +79,25 @@ def test_matrix_free_path_matches_dense(four_corners_3):
     dense = dense_operator_norm(four_corners_3, cfg).value
     power = operator_norm(four_corners_3, cfg, tol=1e-10, max_iter=2000, dense_cache_cap=0)
     assert power.value == pytest.approx(dense, rel=1e-8)
+
+
+@pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
+def test_lanczos_residual_is_true_and_within_tol(mode):
+    # 1024 points exceed the 20-vector Lanczos basis, so tol decides when
+    # the solver stops; the residual is recomputed from the dense matrix
+    mu = rl.gen_segment(1024)
+    cfg = KernelConfig(1, 4 * mu.resolution_h, mode)
+    mat = _build_symmetrized_matrix(mu, cfg)
+    dense = dense_operator_norm(mu, cfg).value
+    for tol in (1e-4, 1e-7, 1e-10):
+        est = operator_norm(mu, cfg, tol=tol, max_iter=2000)
+        v = est.witness * np.sqrt(mu.weights)
+        v /= np.linalg.norm(v)
+        residual = np.linalg.norm(mat.T @ (mat @ v) - est.value**2 * v) / est.value**2
+        assert est.residual == pytest.approx(residual, rel=1e-6, abs=1e-13)
+        assert est.residual <= tol
+        assert est.value <= dense * (1 + 1e-12)
+    assert est.value == pytest.approx(dense, rel=1e-12)
 
 
 def test_norm_zero_operator():
