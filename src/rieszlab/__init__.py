@@ -10,6 +10,7 @@ cover.  A treecode accelerates kernel summation for large supports.
 from rieszlab.measure import (
     DiscreteMeasure,
     ScaleGrid,
+    SpatialTree,
     EmptySelectionError,
     total_mass,
     ball_mass,
@@ -56,7 +57,6 @@ from rieszlab.generators import (
     DecayTrendWarning,
 )
 from rieszlab.treecode import (
-    SpatialTree,
     TreecodeParams,
     build_tree,
     treecode_apply,

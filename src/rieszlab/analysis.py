@@ -15,7 +15,6 @@ B^T B; a dense decomposition of B serves as the oracle for moderate N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, aslinearoperator, eigsh
@@ -283,19 +282,6 @@ def curvature_c2(
         rel = stderr / value if value > 0.0 else 0.0
         return CurvatureEstimate(value, int(vals.size), "sampled", rel_stderr=rel)
     raise ValueError(f"unknown curvature mode {mode!r}")
-
-
-def curvature_c2_naive(mu: DiscreteMeasure) -> float:
-    """Brute-force oracle: loop over all ordered distinct triples."""
-    n_pts = len(mu)
-    total = 0.0
-    for i, j, k in permutations(range(n_pts), 3):
-        try:
-            kappa = menger_curvature(mu.points[i], mu.points[j], mu.points[k])
-        except ValueError:
-            continue  # repeated coordinates are excluded
-        total += kappa**2 * mu.weights[i] * mu.weights[j] * mu.weights[k]
-    return total
 
 
 # ---------------------------------------------------------------------------

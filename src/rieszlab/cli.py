@@ -4,8 +4,9 @@ One command writes one artifact file (CSV with '#'-prefixed header lines:
 tool version, config echo with every resolved parameter, input hash), plus a
 result directory for `construct`.  Outputs are written atomically (temp file
 in the target directory, then rename), so a failing run leaves no partial
-artifact.  Exit codes: 0 success, 2 parameter validation failure, 3
-numerical non-convergence, 4 I/O failure.
+artifact.  Exit codes: 0 success, 1 internal error (a defect, reported with
+its traceback), 2 parameter validation failure (ValueError, which every
+domain error subclasses), 3 numerical non-convergence, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import os
 import sys
 import tempfile
 import time
+import traceback
 from dataclasses import dataclass, field
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_IO = 4
@@ -485,17 +488,21 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config_file(args)
         return args.func(args)
-    except (FileNotFoundError, OSError) as exc:
+    except OSError as exc:
         print(f"rieszlab: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        print(f"rieszlab: invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except Exception as exc:
         from rieszlab.analysis import NonConvergenceError
 
         if isinstance(exc, NonConvergenceError):
             print(f"rieszlab: non-convergence: {exc}", file=sys.stderr)
             return EXIT_NONCONVERGENCE
-        print(f"rieszlab: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        traceback.print_exc()
+        print(f"rieszlab: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

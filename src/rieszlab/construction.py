@@ -35,6 +35,7 @@ from rieszlab.measure import (
     DiscreteMeasure,
     ScaleGrid,
     _safe_resolution,
+    ball_mass,
     ball_masses,
     ad_constants,
     restrict,
@@ -769,13 +770,6 @@ class VerificationReport:
         }
 
 
-def _ball_mass_around(measure: DiscreteMeasure | None, center: np.ndarray, r: float) -> float:
-    if measure is None:
-        return 0.0
-    idx = measure.kdtree.query_ball_point(center, r)
-    return float(np.sum(measure.weights[idx])) if idx else 0.0
-
-
 def verify_construction(
     result: ConstructionResult,
     grid: ScaleGrid | None = None,
@@ -810,8 +804,9 @@ def verify_construction(
     floor_pass = bool(c_lo >= floor)
 
     worst_rel = 0.0
+    proxy = result.proxy_measure
     for i, patch in enumerate(result.patches):
-        nu_mass = _ball_mass_around(result.proxy_measure, result.cover.center_points[i], patch.radius)
+        nu_mass = 0.0 if proxy is None else ball_mass(proxy, result.cover.center_points[i], patch.radius)
         rel = abs(nu_mass - patch.total_weight) / patch.total_weight
         worst_rel = max(worst_rel, rel)
     matching_pass = bool(worst_rel <= matching_tol)
@@ -851,10 +846,8 @@ def verify_construction(
     for _ in range(n_queries):
         center = lo - 0.1 * span + rng.random(mu.ambient_dim) * 1.2 * span
         r = float(np.exp(rng.uniform(np.log(4.0 * mu.resolution_h), np.log(diam))))
-        mass_mu = _ball_mass_around(mu, center, r)
-        mass_family = sum(
-            _ball_mass_around(m.regularized_measure, center, r) for m in members
-        )
+        mass_mu = ball_mass(mu, center, r)
+        mass_family = sum(ball_mass(m.regularized_measure, center, r) for m in members)
         worst_dom = max(worst_dom, mass_mu - mass_family)
     total = total_mass(mu)
     dom_pass = bool(worst_dom <= 1e-12 * total)

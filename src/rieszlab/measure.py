@@ -15,7 +15,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
+
+_BALL_LEAF_CAP = 8  # points per leaf of the tree cached for ball sums
+_CENTER_CHUNK = 1024  # centers per ball-sum walk, which bounds its pair lists
+_LEAF_BLOCK = 1 << 18  # padded (center, point) entries per block of leaf pairs
 
 
 class EmptySelectionError(ValueError):
@@ -94,13 +98,33 @@ class DiscreteMeasure:
         return tree
 
     @property
+    def ball_tree(self) -> "SpatialTree":
+        """Median-split tree for ball sums, built lazily and cached."""
+        tree = self.__dict__.get("_ball_tree")
+        if tree is None:
+            tree = _build_spatial_tree(self, _BALL_LEAF_CAP)
+            object.__setattr__(self, "_ball_tree", tree)
+        return tree
+
+    @property
     def diameter(self) -> float:
-        """Maximum pairwise distance (0 for N = 1), computed once and cached."""
+        """Maximum pairwise distance (0 for N = 1), computed once and cached.
+
+        A farthest pair lies on the convex hull, so the dense max runs over
+        the hull vertices and the points Qhull keeps as coplanar with a facet
+        (within its roundoff of the hull).  Supports Qhull cannot hull
+        (collinear, flat in d = 3, N <= d) are searched in full.
+        """
         diam = self.__dict__.get("_diameter")
         if diam is None:
+            try:
+                hull = ConvexHull(self.points, qhull_options="Qc")
+                candidates = self.points[np.union1d(hull.vertices, hull.coplanar[:, 0])]
+            except QhullError:
+                candidates = self.points
             best = 0.0
-            for i0 in range(0, len(self), 1024):
-                diff = self.points[i0 : i0 + 1024, None, :] - self.points[None, :, :]
+            for i0 in range(0, len(candidates), 1024):
+                diff = candidates[i0 : i0 + 1024, None, :] - candidates[None, :, :]
                 best = max(best, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
             diam = float(np.sqrt(best))
             object.__setattr__(self, "_diameter", diam)
@@ -154,31 +178,57 @@ def ball_masses(
     centers: np.ndarray,
     radii: np.ndarray,
     values: np.ndarray | None = None,
-    chunk: int = 256,
 ) -> np.ndarray:
     """Closed-ball sums over a grid of centers and radii.
 
     Returns a (len(centers), len(radii)) array of sums of `values` (the
-    weights when values is None) inside each ball.  Distances from each
-    center are sorted once, so the cost per center is one O(N log N) pass
-    regardless of how many radii are queried.  Summation order is fixed by
-    the sort, which makes the output deterministic.
+    weights when values is None) inside each ball.  One walk over the
+    cached `ball_tree` serves every radius at once.  A node whose distance
+    range [dmin, dmax] from the center holds no radius r with
+    dmin <= r < dmax is inside exactly the balls of radius >= dmax, so its
+    sum is binned at the first such radius; any other node is opened, and
+    the points of an opened leaf are binned by their own distance.  The
+    bins are then accumulated over the sorted radii.  dmin and dmax come
+    from the node's box corners with the same rounded arithmetic as the
+    point distances, so every point meets the closed-ball rule dist <= r
+    exactly as it would alone.  Summation order is fixed by the walk, which
+    makes the output deterministic.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    radii = np.asarray(radii, dtype=float)
+    radii = np.asarray(radii, dtype=float).ravel()
     vals = mu.weights if values is None else np.asarray(values, dtype=float)
+    order = np.argsort(radii, kind="stable")
+    sorted_radii = radii[order]
+    n_bins = radii.size + 1  # the last bin holds what lies beyond every radius
+    tree = mu.ball_tree
+    vals = vals[tree.perm]
+    sums = _node_sums(tree, vals)
+    is_leaf = tree.left < 0
+    width = int((tree.end - tree.start)[is_leaf].max())
     out = np.empty((centers.shape[0], radii.size))
-    pts = mu.points
-    for i0 in range(0, centers.shape[0], chunk):
-        blk = centers[i0 : i0 + chunk]
-        diff = blk[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        order = np.argsort(dist, axis=1, kind="stable")
-        dist_sorted = np.take_along_axis(dist, order, axis=1)
-        cums = np.cumsum(vals[order], axis=1)
-        for row in range(blk.shape[0]):
-            pos = np.searchsorted(dist_sorted[row], radii, side="right")
-            out[i0 + row] = np.where(pos > 0, cums[row][np.maximum(pos - 1, 0)], 0.0)
+    for c0 in range(0, centers.shape[0], _CENTER_CHUNK):
+        blk = centers[c0 : c0 + _CENTER_CHUNK]
+        acc = np.zeros(blk.shape[0] * n_bins)
+
+        def visit(ctr, node):
+            c = blk[ctr]
+            dmin2, dmax2 = _box_dist2(tree, node, c)
+            first_in = np.searchsorted(sorted_radii, np.sqrt(dmin2))
+            first_all = np.searchsorted(sorted_radii, np.sqrt(dmax2))
+            whole = first_in == first_all
+            keys = ctr[whole] * n_bins + first_all[whole]
+            acc[:] += np.bincount(keys, weights=sums[node[whole]], minlength=acc.size)
+            leaves = np.flatnonzero(~whole & is_leaf[node])
+            for rows, idx, valid in _leaf_blocks(tree, node[leaves], width):
+                diff = c[leaves[rows], None, :] - tree.points[idx]
+                dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+                keys = ctr[leaves[rows], None] * n_bins + np.searchsorted(sorted_radii, dist)
+                weights = np.where(valid, vals[idx], 0.0)
+                acc[:] += np.bincount(keys.ravel(), weights=weights.ravel(), minlength=acc.size)
+            return np.flatnonzero(~whole & ~is_leaf[node])
+
+        tree.walk(blk.shape[0], visit)
+        out[c0 : c0 + blk.shape[0], order] = np.cumsum(acc.reshape(-1, n_bins)[:, :-1], axis=1)
     return out
 
 
@@ -272,6 +322,164 @@ def restrict(mu: DiscreteMeasure, keep) -> DiscreteMeasure:
 def support_diameter(mu: DiscreteMeasure) -> float:
     """Maximum pairwise distance between support points (0 for N = 1)."""
     return mu.diameter
+
+
+# ---------------------------------------------------------------------------
+# median-split spatial tree
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SpatialTree:
+    """Flat-array hierarchy of axis-aligned boxes over a measure's support.
+
+    Nodes are numbered in depth-first order, so a node's points are the
+    contiguous range [start, end) of the tree order and the leaves, taken
+    by id, partition it from left to right.
+    """
+
+    perm: np.ndarray  # (N,) permutation: tree order -> original index
+    points: np.ndarray  # (N, d) points in tree order
+    weights: np.ndarray  # (N,) weights in tree order
+    start: np.ndarray  # (M,) first point of each node (tree order)
+    end: np.ndarray  # (M,) one past the last point
+    left: np.ndarray  # (M,) child ids, -1 for leaves
+    right: np.ndarray
+    box_lo: np.ndarray  # (M, d) per-axis minimum over the node's points
+    box_hi: np.ndarray  # (M, d) per-axis maximum
+    centroid: np.ndarray  # (M, d) weight centroid
+    radius: np.ndarray  # (M,) max distance centroid -> box corner
+    node_weight: np.ndarray  # (M,)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.start.size
+
+    def is_leaf(self, node: int) -> bool:
+        return self.left[node] < 0
+
+    def walk(self, count: int, visit) -> None:
+        """Walk (query, node) pairs level by level, from the root for each of
+        `count` queries.
+
+        visit(queries, nodes) handles one level of pairs and returns the
+        indices of the pairs to open; their children form the next level.
+        Each query's pairs keep the order of its own walk.
+        """
+        query = np.arange(count)
+        node = np.zeros(count, dtype=np.int64)
+        while query.size:
+            split = visit(query, node)
+            query = np.repeat(query[split], 2)
+            node = np.column_stack([self.left[node[split]], self.right[node[split]]]).ravel()
+
+
+def _build_spatial_tree(mu: DiscreteMeasure, leaf_cap: int) -> SpatialTree:
+    """Median-split tree, deterministic for a fixed input order."""
+    pts = mu.points
+    n_pts = pts.shape[0]
+    perm = np.arange(n_pts)
+
+    start, end, left, right = [], [], [], []
+    box_lo, box_hi, centroid, radius, node_weight = [], [], [], [], []
+
+    def add_node(lo: int, hi: int) -> int:
+        node = len(start)
+        start.append(lo)
+        end.append(hi)
+        left.append(-1)
+        right.append(-1)
+        sub = pts[perm[lo:hi]]
+        w = mu.weights[perm[lo:hi]]
+        lo_c, hi_c = sub.min(axis=0), sub.max(axis=0)
+        wc = (sub * w[:, None]).sum(axis=0) / w.sum()
+        box_lo.append(lo_c)
+        box_hi.append(hi_c)
+        centroid.append(wc)
+        radius.append(float(np.linalg.norm(np.maximum(wc - lo_c, hi_c - wc))))
+        node_weight.append(float(w.sum()))
+        return node
+
+    stack = [(add_node(0, n_pts), 0, n_pts)]
+    while stack:
+        node, lo, hi = stack.pop()
+        count = hi - lo
+        extent = box_hi[node] - box_lo[node]
+        if count <= leaf_cap or float(np.max(extent)) == 0.0:
+            continue  # leaf (zero-extent nodes cannot be split spatially)
+        axis = int(np.argmax(extent))
+        order = np.argsort(pts[perm[lo:hi], axis], kind="stable")
+        perm[lo:hi] = perm[lo:hi][order]
+        mid = lo + count // 2
+        lid = add_node(lo, mid)
+        rid = add_node(mid, hi)
+        left[node], right[node] = lid, rid
+        stack.append((rid, mid, hi))
+        stack.append((lid, lo, mid))
+
+    return SpatialTree(
+        perm=perm,
+        points=np.ascontiguousarray(pts[perm]),
+        weights=np.ascontiguousarray(mu.weights[perm]),
+        start=np.asarray(start, dtype=np.int64),
+        end=np.asarray(end, dtype=np.int64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        box_lo=np.asarray(box_lo),
+        box_hi=np.asarray(box_hi),
+        centroid=np.asarray(centroid),
+        radius=np.asarray(radius),
+        node_weight=np.asarray(node_weight),
+    )
+
+
+def _box_dist2(tree: SpatialTree, nodes: np.ndarray, queries: np.ndarray):
+    """Least and greatest squared distance from each query to its node's box.
+
+    The box is tight, so per axis its nearest and farthest coordinates are
+    coordinates of the node's points, and every rounded operation on the
+    way is monotone; so for each point y of the node the squared distance
+    computed as in a direct sum, einsum(q - y, q - y), lies in
+    [dmin2, dmax2].
+    """
+    below = tree.box_lo[nodes] - queries
+    above = queries - tree.box_hi[nodes]
+    near = np.maximum(np.maximum(below, above), 0.0)
+    far = np.minimum(below, above)  # minus the per-axis max(q - lo, hi - q), exactly
+    return np.einsum("pd,pd->p", near, near), np.einsum("pd,pd->p", far, far)
+
+
+def _leaf_blocks(tree: SpatialTree, leaves: np.ndarray, width: int):
+    """Yield (rows, idx, valid) over blocks of the given leaves.
+
+    rows is a slice of `leaves`, and idx the (rows, width) array of the
+    tree-order point indices of those leaves, padded with each leaf's first
+    point where valid is False.  A block holds at most _LEAF_BLOCK entries.
+    """
+    offsets = np.arange(width)
+    rows_per_block = max(1, _LEAF_BLOCK // width)
+    for p0 in range(0, leaves.size, rows_per_block):
+        rows = slice(p0, p0 + rows_per_block)
+        first = tree.start[leaves[rows], None]
+        idx = first + offsets
+        valid = idx < tree.end[leaves[rows], None]
+        yield rows, np.where(valid, idx, first), valid
+
+
+def _node_sums(tree: SpatialTree, vals: np.ndarray) -> np.ndarray:
+    """Per-node sums of vals (in tree order), by an upward pass over the children."""
+    is_leaf = tree.left < 0
+    sums = np.empty(tree.n_nodes)
+    leaves = np.flatnonzero(is_leaf)
+    sums[leaves] = np.add.reduceat(vals, tree.start[leaves])
+    level, inner_levels = np.zeros(1, dtype=np.int64), []
+    while level.size:
+        inner = level[~is_leaf[level]]
+        inner_levels.append(inner)
+        level = np.concatenate([tree.left[inner], tree.right[inner]])
+    for inner in reversed(inner_levels):
+        sums[inner] = sums[tree.left[inner]] + sums[tree.right[inner]]
+    return sums
 
 
 # ---------------------------------------------------------------------------

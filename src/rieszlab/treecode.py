@@ -1,10 +1,11 @@
 """Hierarchical treecode acceleration of the kernel summation.
 
-KD-style median-split tree over the support with tight per-node bounding
-boxes.  Far nodes (radius / distance below the opening angle) contribute a
-truncated far-field expansion: a single monopole evaluation at the weighted
-centroid in the generic case, or a power series of configurable order for
-the planar n=1 kernel, which maps to the complex function 1/(z - zeta).
+The tree is measure.SpatialTree, the median-split tree with tight per-node
+bounding boxes that ball sums walk too.  Far nodes (radius / distance below
+the opening angle) contribute a truncated far-field expansion: a single
+monopole evaluation at the weighted centroid in the generic case, or a power
+series of configurable order for the planar n=1 kernel, which maps to the
+complex function 1/(z - zeta).
 
 Interaction with the eps-truncation:
 
@@ -32,11 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rieszlab.measure import DiscreteMeasure
+from rieszlab.measure import DiscreteMeasure, SpatialTree, _box_dist2, _build_spatial_tree, _leaf_blocks
 from rieszlab.kernels import TRUNCATED, KernelConfig, _coef_from_r2, _inv_power, riesz_apply
 
 _TARGET_CHUNK = 4096  # targets per traversal chunk
-_LEAF_BLOCK = 1 << 18  # padded (target, source) entries per near-leaf block
 
 
 @dataclass(frozen=True)
@@ -58,90 +58,9 @@ class TreecodeParams:
         object.__setattr__(self, "expansion_order", int(self.expansion_order))
 
 
-@dataclass(frozen=True)
-class SpatialTree:
-    """Flat-array hierarchy of axis-aligned boxes over a measure's support."""
-
-    perm: np.ndarray  # (N,) permutation: tree order -> original index
-    points: np.ndarray  # (N, d) points in tree order
-    weights: np.ndarray  # (N,) weights in tree order
-    start: np.ndarray  # (M,) first point of each node (tree order)
-    end: np.ndarray  # (M,) one past the last point
-    left: np.ndarray  # (M,) child ids, -1 for leaves
-    right: np.ndarray
-    box_center: np.ndarray  # (M, d)
-    box_half: np.ndarray  # (M, d) per-axis half extents
-    centroid: np.ndarray  # (M, d) weight centroid
-    radius: np.ndarray  # (M,) max distance centroid -> box corner
-    node_weight: np.ndarray  # (M,)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.start.size
-
-    def is_leaf(self, node: int) -> bool:
-        return self.left[node] < 0
-
-
 def build_tree(mu: DiscreteMeasure, params: TreecodeParams) -> SpatialTree:
-    """Median-split tree, deterministic for a fixed input order."""
-    pts = mu.points
-    n_pts = pts.shape[0]
-    perm = np.arange(n_pts)
-
-    start, end, left, right = [], [], [], []
-    box_center, box_half, centroid, radius, node_weight = [], [], [], [], []
-
-    def add_node(lo: int, hi: int) -> int:
-        node = len(start)
-        start.append(lo)
-        end.append(hi)
-        left.append(-1)
-        right.append(-1)
-        sub = pts[perm[lo:hi]]
-        w = mu.weights[perm[lo:hi]]
-        lo_c, hi_c = sub.min(axis=0), sub.max(axis=0)
-        c = 0.5 * (lo_c + hi_c)
-        half = 0.5 * (hi_c - lo_c)
-        wc = (sub * w[:, None]).sum(axis=0) / w.sum()
-        box_center.append(c)
-        box_half.append(half)
-        centroid.append(wc)
-        radius.append(float(np.linalg.norm(np.abs(wc - c) + half)))
-        node_weight.append(float(w.sum()))
-        return node
-
-    stack = [(add_node(0, n_pts), 0, n_pts)]
-    while stack:
-        node, lo, hi = stack.pop()
-        count = hi - lo
-        half = box_half[node]
-        if count <= params.leaf_cap or float(np.max(half)) == 0.0:
-            continue  # leaf (zero-extent nodes cannot be split spatially)
-        axis = int(np.argmax(half))
-        order = np.argsort(pts[perm[lo:hi], axis], kind="stable")
-        perm[lo:hi] = perm[lo:hi][order]
-        mid = lo + count // 2
-        lid = add_node(lo, mid)
-        rid = add_node(mid, hi)
-        left[node], right[node] = lid, rid
-        stack.append((rid, mid, hi))
-        stack.append((lid, lo, mid))
-
-    return SpatialTree(
-        perm=perm,
-        points=np.ascontiguousarray(pts[perm]),
-        weights=np.ascontiguousarray(mu.weights[perm]),
-        start=np.asarray(start, dtype=np.int64),
-        end=np.asarray(end, dtype=np.int64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        box_center=np.asarray(box_center),
-        box_half=np.asarray(box_half),
-        centroid=np.asarray(centroid),
-        radius=np.asarray(radius),
-        node_weight=np.asarray(node_weight),
-    )
+    """Median-split tree with params.leaf_cap points per leaf."""
+    return _build_spatial_tree(mu, params.leaf_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -227,28 +146,21 @@ def _accumulate(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
         out[:, a] += np.bincount(rows, weights=values[:, a], minlength=out.shape[0])
 
 
-def _leaf_blocks(tree, fw, cfg, width, targets, leaves) -> np.ndarray:
+def _near_leaves(tree, fw, cfg, width, targets, leaves) -> np.ndarray:
     """Direct sums of fw * K(t - y) over each (target, leaf) pair.
 
     Leaves are padded to the widest leaf with zero weights; r2 and the eps
     comparison are computed exactly as in kernels.kernel_sum.
     """
     out = np.empty(targets.shape)
-    offsets = np.arange(width)
-    rows_per_block = max(1, _LEAF_BLOCK // width)
-    for p0 in range(0, leaves.size, rows_per_block):
-        blk = leaves[p0 : p0 + rows_per_block]
-        idx = tree.start[blk, None] + offsets
-        valid = idx < tree.end[blk, None]
-        idx = np.where(valid, idx, tree.start[blk, None])
-        diff = targets[p0 : p0 + blk.size, None, :] - tree.points[idx]
+    for rows, idx, valid in _leaf_blocks(tree, leaves, width):
+        diff = targets[rows, None, :] - tree.points[idx]
         r2 = np.einsum("tsd,tsd->ts", diff, diff)
         cw = _coef_from_r2(r2, cfg) * np.where(valid, fw[idx], 0.0)
-        rows = np.repeat(np.arange(blk.size), width)
+        count = idx.shape[0]
+        pair = np.repeat(np.arange(count), width)
         for a in range(targets.shape[1]):
-            out[p0 : p0 + blk.size, a] = np.bincount(
-                rows, weights=(diff[:, :, a] * cw).ravel(), minlength=blk.size
-            )
+            out[rows, a] = np.bincount(pair, weights=(diff[:, :, a] * cw).ravel(), minlength=count)
     return out
 
 
@@ -263,14 +175,12 @@ def _traverse(tree, fw, s0, m1, cfg, theta, far, targets) -> np.ndarray:
     is_leaf = tree.left < 0
     width = int((tree.end - tree.start)[is_leaf].max())
     out = np.zeros(targets.shape)
-    tgt = np.arange(targets.shape[0])
-    node = np.zeros(targets.shape[0], dtype=np.int64)
-    while tgt.size:
+
+    def visit(tgt, node):
         t = targets[tgt]
-        gap = np.abs(t - tree.box_center[node])
-        half = tree.box_half[node]
-        dmax2 = ((gap + half) ** 2).sum(axis=1)
-        dmin2 = (np.maximum(gap - half, 0.0) ** 2).sum(axis=1)
+        # squared distance bounds rounded like the leaf sums' r2, so that
+        # inside and beyond eps agree with the direct r2 > eps2 cut
+        dmin2, dmax2 = _box_dist2(tree, node, t)
         rel = t - tree.centroid[node]
         inside = dmax2 <= eps2
         if not truncated:
@@ -285,10 +195,10 @@ def _traverse(tree, fw, s0, m1, cfg, theta, far, targets) -> np.ndarray:
         _accumulate(out, tgt[f], far.evaluate(rel[f], node[f]))
         near = ~(inside | far_mask)
         leaf = np.flatnonzero(near & is_leaf[node])
-        _accumulate(out, tgt[leaf], _leaf_blocks(tree, fw, cfg, width, t[leaf], node[leaf]))
-        split = np.flatnonzero(near & ~is_leaf[node])
-        tgt = np.repeat(tgt[split], 2)
-        node = np.column_stack([tree.left[node[split]], tree.right[node[split]]]).ravel()
+        _accumulate(out, tgt[leaf], _near_leaves(tree, fw, cfg, width, t[leaf], node[leaf]))
+        return np.flatnonzero(near & ~is_leaf[node])
+
+    tree.walk(targets.shape[0], visit)
     return out
 
 

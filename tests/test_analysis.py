@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from rieszlab.analysis import (
     _build_symmetrized_matrix,
     adjoint_apply,
     curvature_c2,
-    curvature_c2_naive,
     dense_operator_norm,
     joint_norm_experiment,
     menger_curvature,
@@ -236,6 +237,18 @@ def test_c2_too_few_points_flagged():
     est = curvature_c2(mu, mode="exact")
     assert est.value == 0.0
     assert est.insufficient_points
+
+
+def curvature_c2_naive(mu: DiscreteMeasure) -> float:
+    """Brute-force oracle: loop over all ordered distinct triples."""
+    total = 0.0
+    for i, j, k in permutations(range(len(mu)), 3):
+        try:
+            kappa = menger_curvature(mu.points[i], mu.points[j], mu.points[k])
+        except ValueError:
+            continue  # repeated coordinates are excluded
+        total += kappa**2 * mu.weights[i] * mu.weights[j] * mu.weights[k]
+    return total
 
 
 def test_c2_exact_matches_naive_oracle():

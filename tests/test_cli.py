@@ -131,6 +131,25 @@ def test_nonconvergence_exit_code(fc3_file, tmp_path):
     assert not out.exists()
 
 
+def test_internal_error_is_not_a_validation_failure(fc3_file, tmp_path, monkeypatch, capsys):
+    # a defect such as a TypeError is reported with its traceback under its
+    # own exit code, not as an invalid configuration
+    import rieszlab.analysis
+    from rieszlab.cli import EXIT_INTERNAL
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected defect")
+
+    monkeypatch.setattr(rieszlab.analysis, "operator_norm", broken)
+    out = tmp_path / "norm.csv"
+    code = run_cli("norm", "--input", fc3_file, "--output", out)
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "injected defect" in err
+    assert "invalid configuration" not in err
+    assert not out.exists()
+
+
 def test_config_file_overrides_flags(fc3_file, tmp_path):
     import json
 

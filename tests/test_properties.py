@@ -3,6 +3,8 @@
 Measures are drawn on a lattice of spacing 1/4, so that duplicate points and
 pairs exactly eps apart (eps a lattice distance) turn up often; both are
 exact in binary, which puts the strict truncation boundary to the test.
+Ball radii are lattice distances too, so that points lie exactly on the
+closed-ball boundary.
 """
 
 import numpy as np
@@ -17,7 +19,8 @@ from rieszlab.analysis import (
     operator_norm,
 )
 from rieszlab.kernels import REGULARIZED, TRUNCATED, KernelConfig, adjoint_sum, kernel_sum, riesz_apply
-from rieszlab.measure import DiscreteMeasure
+from rieszlab import measure
+from rieszlab.measure import DiscreteMeasure, ball_masses
 
 SPACING = 0.25
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -40,6 +43,42 @@ def measures_and_kernels(draw, min_size=2):
     mu = DiscreteMeasure(points, weights, draw(st.integers(1, d - 1)), min(SPACING, span))
     eps = SPACING * draw(st.integers(1, 4))
     return mu, KernelConfig(mu.hausdorff_dim, eps, draw(st.sampled_from([TRUNCATED, REGULARIZED])))
+
+
+def lattice_measure(draw, d, weights):
+    """A lattice measure in R^d, big enough for a tree of several levels;
+    two or more points must not all coincide."""
+    points = lattice_points(draw, d, 1, max_size=48)
+    span = np.linalg.norm(points.max(axis=0) - points.min(axis=0))
+    assume(len(points) == 1 or span > 0.0)
+    w = draw(st.lists(weights, min_size=len(points), max_size=len(points)))
+    return DiscreteMeasure(points, w, 1, min(SPACING, span) if span > 0.0 else SPACING)
+
+
+def dense_ball_masses(mu, centers, radii, values=None, chunk=256):
+    """Oracle for ball_masses: each center's distances sorted once, then cumulated."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    radii = np.asarray(radii, dtype=float)
+    vals = mu.weights if values is None else np.asarray(values, dtype=float)
+    out = np.empty((centers.shape[0], radii.size))
+    pts = mu.points
+    for i0 in range(0, centers.shape[0], chunk):
+        blk = centers[i0 : i0 + chunk]
+        diff = blk[:, None, :] - pts[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        order = np.argsort(dist, axis=1, kind="stable")
+        dist_sorted = np.take_along_axis(dist, order, axis=1)
+        cums = np.cumsum(vals[order], axis=1)
+        for row in range(blk.shape[0]):
+            pos = np.searchsorted(dist_sorted[row], radii, side="right")
+            out[i0 + row] = np.where(pos > 0, cums[row][np.maximum(pos - 1, 0)], 0.0)
+    return out
+
+
+def dense_diameter(points):
+    """Oracle for DiscreteMeasure.diameter: the max over all pairs."""
+    diff = points[:, None, :] - points[None, :, :]
+    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
 
 
 def weighted_ratio(mu, f, cfg):
@@ -105,3 +144,105 @@ def test_nonconvergence_witness_reproduces_its_value(case, max_iter):
     assert est.iterations == max_iter
     assert est.value > 0.0
     assert weighted_ratio(mu, est.witness, cfg) == pytest.approx(est.value, rel=1e-12)
+
+
+POWERS_OF_TWO = st.integers(-4, 4).map(lambda k: 2.0**k)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_ball_masses_match_dense_oracle(data, d, seed):
+    mu = lattice_measure(data.draw, d, POWERS_OF_TWO)
+    centers = lattice_points(data.draw, d, 1, max_size=8)
+    # lattice distances, unsorted and possibly repeated
+    radii = SPACING * np.sqrt(data.draw(st.lists(st.integers(0, 110), min_size=1, max_size=8)))
+    # dyadic weights sum exactly in any order, so every in/out decision shows
+    assert np.array_equal(ball_masses(mu, centers, radii), dense_ball_masses(mu, centers, radii))
+    values = np.random.default_rng(seed).uniform(0.1, 2.0, len(mu))
+    np.testing.assert_allclose(
+        ball_masses(mu, centers, radii, values),
+        dense_ball_masses(mu, centers, radii, values),
+        rtol=1e-13,
+        atol=0.0,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(d=st.sampled_from([2, 3]), size=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+def test_ball_masses_in_general_position(d, size, seed):
+    # points in general position, with radii equal to rounded center-point
+    # distances, so that points sit exactly on the closed-ball boundary
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((size, d)) * rng.uniform(0.01, 100.0)
+    span = np.linalg.norm(points.max(axis=0) - points.min(axis=0))
+    mu = DiscreteMeasure(points, np.ones(size), 1, span / size)
+    centers = np.vstack([points[: size // 2], rng.standard_normal((4, d)) * span])
+    diff = centers[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    radii = rng.choice(dist.ravel(), size=6)
+    assert np.array_equal(ball_masses(mu, centers, radii), dense_ball_masses(mu, centers, radii))
+    values = rng.uniform(0.1, 2.0, size)
+    np.testing.assert_allclose(
+        ball_masses(mu, centers, radii, values),
+        dense_ball_masses(mu, centers, radii, values),
+        rtol=1e-13,
+        atol=0.0,
+    )
+
+
+def random_points(mu, count, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = mu.bbox()
+    return lo - 0.1 * (hi - lo) + rng.random((count, mu.ambient_dim)) * 1.2 * (hi - lo)
+
+
+def test_ball_masses_blocks_match_dense_oracle(four_corners_4, monkeypatch):
+    # center chunks and leaf blocks far smaller than the call: the walk is
+    # cut at many boundaries and must still bin every point exactly once
+    mu = four_corners_4
+    monkeypatch.setattr(measure, "_CENTER_CHUNK", 7)
+    monkeypatch.setattr(measure, "_LEAF_BLOCK", 20)
+    centers = np.vstack([mu.points, random_points(mu, 50, seed=4)])
+    radii = np.geomspace(mu.resolution_h, mu.diameter, 12)
+    values = 2.0 ** np.random.default_rng(2).integers(-3, 4, len(mu))
+    assert np.array_equal(
+        ball_masses(mu, centers, radii, values), dense_ball_masses(mu, centers, radii, values)
+    )
+
+
+COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def supports(draw):
+    """Point sets on a lattice or in general position, and degenerate ones:
+    collinear, coplanar in d = 3 (axis-aligned, tilted or rounded), and
+    lattices jittered by about an ulp, whose farthest pairs Qhull may keep
+    as coplanar points rather than vertices."""
+    d = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["lattice", "jittered", "general", "line", "plane"]))
+    if kind == "lattice":
+        return lattice_points(draw, d, 1, max_size=40)
+    if kind == "jittered":
+        points = lattice_points(draw, d, 1, max_size=40)
+        jitter = st.floats(-1e-15, 1e-15, allow_nan=False)
+        return points + np.array(draw(st.lists(st.tuples(*[jitter] * d), min_size=len(points), max_size=len(points))))
+    if kind == "general":
+        return np.array(draw(st.lists(st.tuples(*[COORD] * d), min_size=1, max_size=40)))
+    # rows of coefficients times one or two spanning vectors, plus an offset
+    rank = 1 if kind == "line" or d == 2 else 2
+    exact = draw(st.booleans())
+    entries = st.integers(-6, 6).map(lambda k: SPACING * k) if exact else COORD
+    coeffs = np.array(draw(st.lists(st.tuples(*[entries] * rank), min_size=1, max_size=40)))
+    basis = np.array(draw(st.lists(st.tuples(*[entries] * d), min_size=rank, max_size=rank)))
+    offset = np.array(draw(st.tuples(*[entries] * d)))
+    return coeffs @ basis + offset
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(points=supports())
+def test_hull_diameter_matches_dense_diameter(points):
+    span = np.linalg.norm(points.max(axis=0) - points.min(axis=0))
+    assume(len(points) == 1 or span > 0.0)
+    mu = DiscreteMeasure(points, np.ones(len(points)), 1, min(1e-3, span) if span > 0.0 else 1e-3)
+    assert mu.diameter == dense_diameter(mu.points)

@@ -219,3 +219,31 @@ def test_truncation_boundary_moderate_theta(mode, segment_1024):
     direct = riesz_apply(mu, f, cfg, mu.points)
     fast = treecode_apply(mu, f, cfg, tree, params, mu.points)
     assert scale_relative_error(fast, direct) <= 1e-12
+
+
+def test_truncation_boundary_at_rounded_box_bound():
+    # a node's farthest squared distance taken from its box center and half
+    # extent, sum((|t - c| + half)**2), can round below the r2 of its
+    # farthest point; with eps*eps equal to such a bound the node straddles
+    # the eps sphere, so it must be opened for the strict r2 > eps2 cut
+    rng = np.random.default_rng(3)
+    mu = rl.DiscreteMeasure(rng.random((256, 2)), rng.uniform(0.5, 1.5, 256), 1, 1e-3)
+    params = TreecodeParams(opening_angle=1e-9, leaf_cap=4)
+    tree = build_tree(mu, params)
+    targets = rng.random((64, 2))
+    cases = []
+    for node in range(tree.n_nodes):
+        sub = tree.points[tree.start[node] : tree.end[node]]
+        lo, hi = sub.min(axis=0), sub.max(axis=0)
+        bound = ((np.abs(targets - 0.5 * (lo + hi)) + 0.5 * (hi - lo)) ** 2).sum(axis=1)
+        diff = targets[:, None, :] - sub[None, :, :]
+        r2max = np.einsum("tsd,tsd->ts", diff, diff).max(axis=1)
+        eps = np.sqrt(bound)
+        cases += [(t, eps[t]) for t in np.flatnonzero((bound < r2max) & (eps * eps == bound))]
+    assert len(cases) >= 8
+    f = rng.uniform(0.5, 1.5, len(mu))
+    for t, eps in cases[:8]:
+        cfg = KernelConfig(1, float(eps), TRUNCATED)
+        direct = riesz_apply(mu, f, cfg, targets[t : t + 1])
+        fast = treecode_apply(mu, f, cfg, tree, params, targets[t : t + 1])
+        assert scale_relative_error(fast, direct) <= 1e-12
