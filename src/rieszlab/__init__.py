@@ -72,6 +72,7 @@ from rieszlab.construction import (
     EmptyExclusionError,
     ZeroMassBallError,
     UnassignedPointError,
+    CoverOverlapError,
     density_params,
     extract_dense_set,
     extract_core_set,

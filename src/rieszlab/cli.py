@@ -5,8 +5,11 @@ tool version, config echo with every resolved parameter, input hash), plus a
 result directory for `construct`.  Outputs are written atomically (temp file
 in the target directory, then rename), so a failing run leaves no partial
 artifact.  Exit codes: 0 success, 1 internal error (a defect, reported with
-its traceback), 2 parameter validation failure (ValueError, which every
-domain error subclasses), 3 numerical non-convergence, 4 I/O failure.
+its traceback), 2 parameter validation failure (ValueError and its
+subclasses: the validation errors of every module, malformed --config
+files, and a cover overlap above its cap), 3 numerical non-convergence,
+4 I/O failure.  A broken structural invariant (CoverInvariantError) or an
+unsupported code path (NotImplementedError) is a defect and exits 1.
 """
 
 from __future__ import annotations
@@ -470,23 +473,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args) -> None:
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A --config value checked against its flag's type and choices, as
+    argparse checks a command-line value; a mismatch is a ValueError."""
+    if action.nargs == 0:  # a store_true switch
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} needs true or false, got {value!r}")
+        return value
+    if value is None and action.default is None:
+        return None
+    many = action.nargs in ("*", "+")
+    if many and not isinstance(value, list):
+        raise ValueError(f"config key {key!r} needs a list, got {value!r}")
+    convert = action.type or str
+    items = value if many else [value]
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, _JSON_TYPES[convert]):
+            raise ValueError(f"config key {key!r} needs a {convert.__name__}, got {item!r}")
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"config key {key!r} must be one of {list(action.choices)}, got {item!r}")
+    items = [convert(item) for item in items]
+    return items if many else items[0]
+
+
+def _apply_config_file(args, parser: argparse.ArgumentParser) -> None:
     import json
 
     with open(args.config) as fh:
         overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise ValueError("a --config file must hold one JSON object")
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for a in commands.choices[args.command]._actions if a.dest != "help"}
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ValueError(f"config key {key!r} does not match any flag")
-        setattr(args, attr, value)
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"config key {key!r} does not match any flag of {args.command}")
+        setattr(args, action.dest, _config_value(action, key, value))
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config_file(args)
+            _apply_config_file(args, parser)
         return args.func(args)
     except OSError as exc:
         print(f"rieszlab: I/O failure: {exc}", file=sys.stderr)

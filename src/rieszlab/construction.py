@@ -66,8 +66,12 @@ class UnassignedPointError(ValueError):
     """A point of the operand measure lies in no patch ball."""
 
 
+class CoverOverlapError(ValueError):
+    """The selected balls overlap more often than the configured cap allows."""
+
+
 class CoverInvariantError(RuntimeError):
-    """A structural invariant of the greedy cover failed."""
+    """A structural invariant of the greedy cover failed; this is a defect."""
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ def besicovitch_cover(
     greedy first-fit coloring of the ball intersection graph yields color
     classes with pairwise disjoint balls.  The pointwise overlap of the
     selected balls over the support is checked against `overlap_cap`
-    (default 4**d).
+    (default 4**d); CoverOverlapError reports an excess.
     """
     targets = np.asarray(targets, dtype=int)
     exclusion = np.asarray(exclusion, dtype=int)
@@ -252,7 +256,7 @@ def besicovitch_cover(
         overlap += dist <= crad[i]
     max_overlap = int(overlap.max()) if k else 0
     if max_overlap > cap:
-        raise CoverInvariantError(
+        raise CoverOverlapError(
             f"cover overlap {max_overlap} exceeds the configured cap {cap}"
         )
     return CoverReport(

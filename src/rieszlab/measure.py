@@ -333,9 +333,11 @@ def support_diameter(mu: DiscreteMeasure) -> float:
 class SpatialTree:
     """Flat-array hierarchy of axis-aligned boxes over a measure's support.
 
-    Nodes are numbered in depth-first order, so a node's points are the
-    contiguous range [start, end) of the tree order and the leaves, taken
-    by id, partition it from left to right.
+    A node's points are the contiguous range [start, end) of the tree
+    order, and the leaves partition it.  A split numbers both children
+    before either subtree, so leaf ids do not follow the tree order: a
+    zero-extent right child that stays a leaf precedes the leaves of its
+    left sibling.  Order leaves by start where the tree order matters.
     """
 
     perm: np.ndarray  # (N,) permutation: tree order -> original index
@@ -471,6 +473,7 @@ def _node_sums(tree: SpatialTree, vals: np.ndarray) -> np.ndarray:
     is_leaf = tree.left < 0
     sums = np.empty(tree.n_nodes)
     leaves = np.flatnonzero(is_leaf)
+    leaves = leaves[np.argsort(tree.start[leaves])]  # reduceat needs the tree order
     sums[leaves] = np.add.reduceat(vals, tree.start[leaves])
     level, inner_levels = np.zeros(1, dtype=np.int64), []
     while level.size:

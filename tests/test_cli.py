@@ -164,6 +164,29 @@ def test_config_file_overrides_flags(fc3_file, tmp_path):
     assert "# max_iter=400" in lines
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"epsilon": "0.1"},
+        {"max-iter": 400.0},
+        {"tol": True},
+        {"mode": "bogus"},
+        {"no-such-flag": 1},
+        {"func": "norm"},
+        [["epsilon", 0.1]],
+    ],
+)
+def test_config_file_of_the_wrong_shape_is_a_validation_failure(fc3_file, tmp_path, overrides, capsys):
+    import json
+
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(overrides))
+    out = tmp_path / "norm.csv"
+    assert run_cli("--config", cfg, "norm", "--input", fc3_file, "--output", out) == EXIT_VALIDATION
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_smoke(tmp_path):
     out = tmp_path / "bench.csv"
     assert run_cli("bench", "--sizes", "400", "--repeats", 2, "--output", out) == EXIT_OK

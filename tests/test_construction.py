@@ -3,6 +3,7 @@ import pytest
 
 import rieszlab as rl
 from rieszlab.construction import (
+    CoverOverlapError,
     CoverReport,
     EmptyExclusionError,
     ZeroMassBallError,
@@ -123,6 +124,17 @@ def test_cover_two_far_targets_same_color():
     assert len(cover) == 2
     assert cover.n_colors == 1  # balls of radius ~30 at distance 100: disjoint
     assert np.all(cover.colors == 1)
+
+
+def test_cover_overlap_above_cap_is_a_validation_error():
+    angles = 2 * np.pi * np.arange(50) / 50
+    pts = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]), [[0.0, 0.0]]])
+    mu = DiscreteMeasure(pts, np.ones(51), 1, 0.05)
+    cover = besicovitch_cover(mu, np.arange(50), np.array([50]))
+    assert cover.max_overlap >= 1
+    with pytest.raises(CoverOverlapError, match="exceeds the configured cap"):
+        besicovitch_cover(mu, np.arange(50), np.array([50]), overlap_cap=cover.max_overlap - 1)
+    assert issubclass(CoverOverlapError, ValueError)
 
 
 def test_cover_circle_invariants():

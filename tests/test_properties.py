@@ -210,6 +210,29 @@ def test_ball_masses_blocks_match_dense_oracle(four_corners_4, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("copies", [9, 40])
+@pytest.mark.parametrize("far_end", [1.0, -1.0])
+def test_ball_masses_with_a_coincident_cluster(d, copies, far_end):
+    # a cluster of coincident points at one end of the split axis makes a
+    # zero-extent leaf beside a sibling that still splits, so leaf ids do
+    # not follow the tree order; every node sum must still be its own
+    line = np.zeros((9, d))
+    line[:, 0] = np.arange(9.0)
+    cluster = np.zeros((copies, d))
+    cluster[:, 0] = 4.0 + far_end * 16.0
+    points = np.vstack([line, cluster])
+    mu = DiscreteMeasure(points, np.ones(len(points)), 1, 1.0)
+    centers = np.vstack([points, np.full((1, d), 4.0)])
+    radii = np.array([0.5, 1.0, 3.0, 8.0, 16.0, 20.0, 100.0])
+    values = 2.0 ** (np.arange(len(points)) % 4)
+    assert np.array_equal(ball_masses(mu, centers, radii), dense_ball_masses(mu, centers, radii))
+    assert np.array_equal(
+        ball_masses(mu, centers, radii, values), dense_ball_masses(mu, centers, radii, values)
+    )
+    assert np.all(ball_masses(mu, centers, radii[-1:]) == len(points))
+
+
 COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
