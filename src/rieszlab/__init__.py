@@ -15,6 +15,7 @@ from rieszlab.measure import (
     total_mass,
     ball_mass,
     ball_masses,
+    density_ratios,
     growth_constant,
     density_profile,
     ad_constants,
@@ -85,6 +86,7 @@ from rieszlab.construction import (
     ball_interaction_field,
     comparison_mismatch_ratio,
     run_construction,
+    adaptive_family,
     verify_construction,
     save_construction,
 )

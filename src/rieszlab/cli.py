@@ -19,7 +19,6 @@ import hashlib
 import os
 import sys
 import tempfile
-import time
 import traceback
 from dataclasses import dataclass, field
 
@@ -241,15 +240,13 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    import numpy as np
-
     from rieszlab.construction import (
+        adaptive_family,
         density_params,
         run_construction,
         save_construction,
         verify_construction,
     )
-    from rieszlab.measure import ball_masses
 
     mu = _load_measure(args.input)
     params = density_params(mu, args.p, args.s, count=args.grid_count, r_floor=args.r_min)
@@ -260,15 +257,7 @@ def _cmd_construct(args) -> int:
         plane_policy=args.plane_policy,
         extent_factor=args.extent_factor,
     )
-    # the domination claim concerns a family; append the adaptive member
-    # whose density test the whole support passes
-    family = [result]
-    if not args.no_family:
-        n = mu.hausdorff_dim
-        masses = ball_masses(mu, mu.points, params.grid.radii())
-        p_star = int(np.ceil((params.grid.radii()[None, :] ** n / masses).max())) + 1
-        if p_star > args.p:
-            family.append(run_construction(mu, density_params(mu, p_star, 1)))
+    family = [result] if args.no_family else adaptive_family(result)
     report = verify_construction(result, family=family, seed=args.seed)
     if args.outdir:
         save_construction(result, args.outdir, report)
@@ -324,49 +313,6 @@ def _cmd_joint(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    import numpy as np
-
-    from rieszlab.generators import gen_segment
-    from rieszlab.kernels import KernelConfig, riesz_apply
-    from rieszlab.treecode import TreecodeParams, build_tree, treecode_apply
-
-    sizes = [int(tok) for tok in args.sizes.split(",")]
-    rows = []
-    for n_pts in sizes:
-        mu = gen_segment(n_pts)
-        cfg = KernelConfig(1, 4.0 * mu.resolution_h, args.mode)
-        f = np.ones(n_pts)
-        params = TreecodeParams(opening_angle=args.theta, leaf_cap=args.leaf_cap)
-        tree = build_tree(mu, params)
-        direct_times, tree_times = [], []
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            riesz_apply(mu, f, cfg, mu.points)
-            direct_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            treecode_apply(mu, f, cfg, tree, params, mu.points)
-            tree_times.append(time.perf_counter() - t0)
-        dmed = float(np.median(direct_times))
-        tmed = float(np.median(tree_times))
-        rows.append(f"{n_pts},{args.theta},{dmed:.6g},{tmed:.6g},{dmed / tmed:.6g}")
-    config = ExperimentConfig(
-        "bench",
-        {
-            "sizes": sizes,
-            "theta": args.theta,
-            "leaf_cap": args.leaf_cap,
-            "repeats": args.repeats,
-            "mode": args.mode,
-        },
-    )
-    _artifact(
-        args.output, config, _hash_text(str(sizes)),
-        "n,theta,direct_median_s,treecode_median_s,speedup", rows,
-    )
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -406,16 +352,15 @@ def _build_parser() -> argparse.ArgumentParser:
     dn.add_argument("--output", required=True)
     dn.set_defaults(func=_cmd_density)
 
-    for name, fn in (("norm", _cmd_norm),):
-        p = sub.add_parser(name, help="operator norm at one truncation radius")
-        p.add_argument("--input", required=True)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--mode", choices=["truncated", "regularized"], default="truncated")
-        p.add_argument("--method", choices=["lanczos", "dense-decomposition"], default="lanczos")
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--max-iter", type=int, default=500)
-        p.add_argument("--output", required=True)
-        p.set_defaults(func=fn)
+    nm = sub.add_parser("norm", help="operator norm at one truncation radius")
+    nm.add_argument("--input", required=True)
+    nm.add_argument("--epsilon", type=float, default=None)
+    nm.add_argument("--mode", choices=["truncated", "regularized"], default="truncated")
+    nm.add_argument("--method", choices=["lanczos", "dense-decomposition"], default="lanczos")
+    nm.add_argument("--tol", type=float, default=1e-6)
+    nm.add_argument("--max-iter", type=int, default=500)
+    nm.add_argument("--output", required=True)
+    nm.set_defaults(func=_cmd_norm)
 
     sw = sub.add_parser("sweep", help="operator norms across truncation radii")
     sw.add_argument("--input", required=True)
@@ -460,15 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     jt.add_argument("--max-iter", type=int, default=500)
     jt.add_argument("--output", required=True)
     jt.set_defaults(func=_cmd_joint)
-
-    bn = sub.add_parser("bench", help="direct vs treecode timings")
-    bn.add_argument("--sizes", default="1000")
-    bn.add_argument("--theta", type=float, default=0.3)
-    bn.add_argument("--leaf-cap", type=int, default=32)
-    bn.add_argument("--repeats", type=int, default=5)
-    bn.add_argument("--mode", choices=["truncated", "regularized"], default="truncated")
-    bn.add_argument("--output", required=True)
-    bn.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -2,7 +2,10 @@
 
 Given a source measure, the pipeline extracts the subset passing an absolute
 multiscale density test (threshold 1/p), then the relatively dense core
-(threshold 1/(p s) against the dense subset).  Dense points outside the core
+(threshold 1/(p s) against the dense subset).  Both tests read
+`measure.density_ratios` tables; the source's table is computed once per
+run and also decides the adaptive family member, whose density test the
+whole support passes (`adaptive_family`).  Dense points outside the core
 are covered by balls whose radius is one tenth of the distance to the core,
 selected greedily largest-first and colored so that same-color balls are
 pairwise disjoint.  Each selected ball receives a flat n-disk patch of half
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gamma, pi
 
 import numpy as np
@@ -36,8 +39,9 @@ from rieszlab.measure import (
     ScaleGrid,
     _safe_resolution,
     ball_mass,
-    ball_masses,
+    ball_masses,  # bound here for test_tracer_wraps_every_binding_and_restores_it
     ad_constants,
+    density_ratios,
     restrict,
     support_diameter,
     total_mass,
@@ -112,39 +116,35 @@ def _check_params_grid(mu: DiscreteMeasure, params: DensitySubsetParams) -> None
         )
 
 
-def extract_dense_set(mu: DiscreteMeasure, params: DensitySubsetParams) -> np.ndarray:
-    """Indices whose ball mass meets mass >= r**n / p at every grid radius.
+def extract_dense_set(ratios: np.ndarray, params: DensitySubsetParams) -> np.ndarray:
+    """Indices whose ratio mu(B(x, r)) / r**n meets 1/p at every grid radius.
 
-    Single-point measures return the full index set by convention (their
-    radius grid is vacuous).
+    `ratios` is the `density_ratios` table of mu at its own points on
+    params.grid, one row per support point.
     """
-    if len(mu) == 1:
-        return np.array([0], dtype=int)
-    _check_params_grid(mu, params)
-    radii = params.grid.radii()
-    masses = ball_masses(mu, mu.points, radii)
-    thresholds = radii**mu.hausdorff_dim / params.p
-    ok = np.all(masses >= thresholds[None, :] * (1.0 - 1e-12), axis=1)
-    return np.flatnonzero(ok)
+    return np.flatnonzero(np.all(ratios >= (1.0 - 1e-12) / params.p, axis=1))
 
 
 def extract_core_set(
-    mu: DiscreteMeasure, dense_idx: np.ndarray, params: DensitySubsetParams
+    mu: DiscreteMeasure, dense_idx: np.ndarray, params: DensitySubsetParams, ratios: np.ndarray
 ) -> np.ndarray:
     """Subset of the dense set that stays dense relative to it.
 
-    Applies the weaker threshold r**n / (p s) with ball masses counted
-    against the restriction of mu to the dense set.
+    Applies the weaker threshold 1/(p s) to ratios of the restriction of mu
+    to the dense set.  `ratios` is the table `extract_dense_set` read; when
+    the dense set is the whole support the restriction is mu itself, and
+    that table is reused instead of summed again.
     """
     dense_idx = np.asarray(dense_idx, dtype=int)
     if dense_idx.size == 0:
         return dense_idx
-    mask = np.zeros(len(mu))
-    mask[dense_idx] = 1.0
-    radii = params.grid.radii()
-    masses = ball_masses(mu, mu.points[dense_idx], radii, values=mu.weights * mask)
-    thresholds = radii**mu.hausdorff_dim / (params.p * params.s)
-    ok = np.all(masses >= thresholds[None, :] * (1.0 - 1e-12), axis=1)
+    if dense_idx.size == len(mu):
+        ratios = ratios[dense_idx]
+    else:
+        mask = np.zeros(len(mu))
+        mask[dense_idx] = 1.0
+        ratios = density_ratios(mu, mu.points[dense_idx], params.grid.radii(), values=mu.weights * mask)
+    ok = np.all(ratios >= (1.0 - 1e-12) / (params.p * params.s), axis=1)
     return dense_idx[ok]
 
 
@@ -289,7 +289,6 @@ class DiskPatch:
     spacing: float
     points: np.ndarray
     weights: np.ndarray
-    offset: int  # start of this patch's block inside the patch measure
 
     @property
     def total_weight(self) -> float:
@@ -385,7 +384,6 @@ def attach_patches(
     n, d = mu.hausdorff_dim, mu.ambient_dim
 
     patches: list[DiskPatch] = []
-    offset = 0
     for i in range(len(cover)):
         center = cover.center_points[i]
         r = cover.radii[i] / 2.0
@@ -405,10 +403,8 @@ def attach_patches(
                 spacing=float(spacing),
                 points=pts,
                 weights=np.full(pts.shape[0], w_each),
-                offset=offset,
             )
         )
-        offset += pts.shape[0]
 
     core_pts = mu.points[core_idx]
     base = core_pts[0]
@@ -654,10 +650,15 @@ def ball_interaction_field(
 
 @dataclass
 class ConstructionResult:
-    """Everything the pipeline produced, plus the grid it was run on."""
+    """Everything the pipeline produced, plus the grid it was run on.
+
+    `ratios` is the source's `density_ratios` table at its own points on
+    params.grid, which decided the dense set.
+    """
 
     source: DiscreteMeasure
     params: DensitySubsetParams
+    ratios: np.ndarray
     dense_idx: np.ndarray
     core_idx: np.ndarray
     cover: CoverReport
@@ -669,7 +670,6 @@ class ConstructionResult:
     proxy_measure: DiscreteMeasure | None
     proxy_coefficients: np.ndarray
     proxy_ball_of_point: np.ndarray | None
-    floor_radius: float
 
     @property
     def target_idx(self) -> np.ndarray:
@@ -686,28 +686,43 @@ def run_construction(
     overlap_cap: int | None = None,
 ) -> ConstructionResult:
     """Full pipeline: density subsets, cover, patches, union, proxy."""
-    dense = extract_dense_set(mu, params)
-    if dense.size == 0:
-        raise EmptyCoreError(f"dense set is empty at p={params.p}; increase p")
-    core = extract_core_set(mu, dense, params)
-    if core.size == 0:
-        raise EmptyCoreError(f"core is empty at p={params.p}, s={params.s}; increase s")
-    targets = np.setdiff1d(dense, core)
-    cover = besicovitch_cover(mu, targets, core, overlap_cap=overlap_cap)
-    patches, backdrop, flat, patch_measure = attach_patches(
+    _check_params_grid(mu, params)
+    ratios = density_ratios(mu, mu.points, params.grid.radii())
+    return _construct(
         mu,
-        cover,
-        core,
+        params,
+        ratios,
+        overlap_cap,
         plane_policy=plane_policy,
         spacing_frac=spacing_frac,
         extent_factor=extent_factor,
         plane_spacing=plane_spacing,
     )
+
+
+def _construct(
+    mu: DiscreteMeasure,
+    params: DensitySubsetParams,
+    ratios: np.ndarray,
+    overlap_cap: int | None = None,
+    **patch_options,
+) -> ConstructionResult:
+    """`run_construction` from the source's ratio table on params.grid."""
+    dense = extract_dense_set(ratios, params)
+    if dense.size == 0:
+        raise EmptyCoreError(f"dense set is empty at p={params.p}; increase p")
+    core = extract_core_set(mu, dense, params, ratios)
+    if core.size == 0:
+        raise EmptyCoreError(f"core is empty at p={params.p}, s={params.s}; increase s")
+    targets = np.setdiff1d(dense, core)
+    cover = besicovitch_cover(mu, targets, core, overlap_cap=overlap_cap)
+    patches, backdrop, flat, patch_measure = attach_patches(mu, cover, core, **patch_options)
     regularized = build_regularized_measure(mu, core, flat)
     proxy, coeffs, ball_of_point = build_proxy_measure(mu, cover, patches)
     return ConstructionResult(
         source=mu,
         params=params,
+        ratios=ratios,
         dense_idx=dense,
         core_idx=core,
         cover=cover,
@@ -719,8 +734,23 @@ def run_construction(
         proxy_measure=proxy,
         proxy_coefficients=coeffs,
         proxy_ball_of_point=ball_of_point,
-        floor_radius=params.grid.r_min,
     )
+
+
+def adaptive_family(result: ConstructionResult) -> list[ConstructionResult]:
+    """The result, then a member whose density test the whole support passes.
+
+    The domination claim concerns such a family.  p* = ceil(1 / min ratio) + 1
+    puts 1/p* below every ratio of the result's table, so on the result's
+    grid the member's dense set and core are the whole support and its cover
+    is empty.  It reuses the table and the default patch options.  When
+    p* <= p the result already is such a member and stands alone.
+    """
+    p_star = int(np.ceil(1.0 / result.ratios.min())) + 1
+    if p_star <= result.params.p:
+        return [result]
+    params = DensitySubsetParams(p_star, 1, result.params.grid)
+    return [result, _construct(result.source, params, result.ratios)]
 
 
 @dataclass
@@ -744,34 +774,10 @@ class VerificationReport:
     domination_pass: bool
 
     def all_pass(self) -> bool:
-        return (
-            self.ad_pass
-            and self.lower_floor_pass
-            and self.matching_pass
-            and self.color_disjoint_pass
-            and self.coverage_pass
-            and self.overlap_pass
-            and self.domination_pass
-        )
+        return all(v for k, v in asdict(self).items() if k.endswith("_pass"))
 
     def to_dict(self) -> dict:
-        return {
-            "ad_range": list(self.ad_range),
-            "ad_constants": list(self.ad_constants),
-            "ad_pass": self.ad_pass,
-            "lower_floor": self.lower_floor,
-            "lower_floor_pass": self.lower_floor_pass,
-            "matching_max_rel": self.matching_max_rel,
-            "matching_pass": self.matching_pass,
-            "color_disjoint_pass": self.color_disjoint_pass,
-            "coverage_pass": self.coverage_pass,
-            "max_overlap": self.max_overlap,
-            "overlap_cap": self.overlap_cap,
-            "overlap_pass": self.overlap_pass,
-            "domination_checked": self.domination_checked,
-            "domination_worst": self.domination_worst,
-            "domination_pass": self.domination_pass,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 def verify_construction(
@@ -890,7 +896,7 @@ def save_construction(result: ConstructionResult, outdir, report: VerificationRe
             "r_max": result.params.grid.r_max,
             "count": result.params.grid.count,
         },
-        "floor_radius": result.floor_radius,
+        "floor_radius": result.params.grid.r_min,
         "dense_count": int(result.dense_idx.size),
         "core_count": int(result.core_idx.size),
         "centers": result.cover.centers.tolist(),

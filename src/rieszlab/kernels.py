@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rieszlab.measure import DiscreteMeasure, ScaleGrid, ball_masses
+from rieszlab.measure import DiscreteMeasure, ScaleGrid, ball_masses, density_ratios
 
 TRUNCATED = "truncated"
 REGULARIZED = "regularized"
@@ -207,16 +207,6 @@ def maximal_function(mu: DiscreteMeasure, f, x, grid: ScaleGrid) -> float:
     return float(np.max(sums[occupied] / masses[occupied]))
 
 
-def _maximal_all(mu: DiscreteMeasure, f: np.ndarray, radii: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Maximal averages of |f| at every support point over the given radii.
-
-    `masses` must be ball_masses(mu, mu.points, radii).
-    """
-    sums = ball_masses(mu, mu.points, radii, values=np.abs(f) * mu.weights)
-    ratios = np.where(masses > 0.0, sums / np.where(masses > 0.0, masses, 1.0), 0.0)
-    return ratios.max(axis=1)
-
-
 @dataclass(frozen=True)
 class GapCheckResult:
     """Outcome of the regularized-vs-truncated comparison."""
@@ -239,9 +229,12 @@ def truncation_gap_check(
     exact inequality at the discrete level, so `passed` must come back True;
     only float rounding slack (1e-9 relative) is tolerated.
 
-    The truncation radius is appended to the radius grid if missing, both for
-    the growth constant and for the maximal averages, as the inequality needs
-    the scale eps itself to be visible.
+    Both G and Mf come from `density_ratios` tables at the support points:
+    G is the largest ratio, and each average of |f| is the quotient of the
+    |f|-weighted ratio by the plain one, in which r**n cancels.  No ball in
+    the quotient is empty, as it holds its center's own weight.  The
+    truncation radius is appended to the radius grid if missing, for both
+    tables, as the inequality needs the scale eps itself to be visible.
     """
     eps = cfg.epsilon
     if not (grid.r_min <= eps <= grid.r_max):
@@ -253,11 +246,10 @@ def truncation_gap_check(
     reg = riesz_apply(mu, f, KernelConfig(cfg.n, eps, REGULARIZED), mu.points)
     gaps = np.sqrt(np.einsum("ij,ij->i", reg - trunc, reg - trunc))
 
-    masses = ball_masses(mu, mu.points, radii)
-    ratios = masses / radii[None, :] ** mu.hausdorff_dim
+    ratios = density_ratios(mu, mu.points, radii)
     growth = float(ratios.max())
-    maximal = _maximal_all(mu, f, radii, masses)
-    bounds = growth * maximal
+    averages = density_ratios(mu, mu.points, radii, values=np.abs(f) * mu.weights) / ratios
+    bounds = growth * averages.max(axis=1)
 
     scale = max(float(bounds.max()), float(gaps.max()), 1.0)
     ok = np.all(gaps <= bounds * (1.0 + 1e-9) + 1e-13 * scale)

@@ -240,13 +240,29 @@ def _check_grid_floor(mu: DiscreteMeasure, grid: ScaleGrid) -> None:
         )
 
 
+def density_ratios(
+    mu: DiscreteMeasure,
+    centers: np.ndarray,
+    radii: np.ndarray,
+    values: np.ndarray | None = None,
+) -> np.ndarray:
+    """Ball sums over r**n: the (len(centers), len(radii)) table of ratios.
+
+    Row i, column k holds ball_masses(mu, centers, radii, values)[i, k]
+    divided by radii[k]**n, the density ratio mu(B(x, r)) / r**n of the
+    paper's density tests when values is None.  This is the package's one
+    place where ball sums meet the scale r**n.
+    """
+    radii = np.asarray(radii, dtype=float).ravel()
+    return ball_masses(mu, centers, radii, values) / radii[None, :] ** mu.hausdorff_dim
+
+
 def growth_constant(mu: DiscreteMeasure, grid: ScaleGrid) -> float:
-    """max over support points x and grid radii r of mu(B(x, r)) / r**n."""
-    _check_grid_floor(mu, grid)
-    radii = grid.radii()
-    masses = ball_masses(mu, mu.points, radii)
-    ratios = masses / radii[None, :] ** mu.hausdorff_dim
-    return float(ratios.max())
+    """max over support points x and grid radii r of mu(B(x, r)) / r**n.
+
+    The upper of the two `ad_constants`.
+    """
+    return ad_constants(mu, grid)[1]
 
 
 def ad_constants(mu: DiscreteMeasure, grid: ScaleGrid) -> tuple[float, float]:
@@ -257,9 +273,7 @@ def ad_constants(mu: DiscreteMeasure, grid: ScaleGrid) -> tuple[float, float]:
     centered at a support point is nonempty (it contains its own center).
     """
     _check_grid_floor(mu, grid)
-    radii = grid.radii()
-    masses = ball_masses(mu, mu.points, radii)
-    ratios = masses / radii[None, :] ** mu.hausdorff_dim
+    ratios = density_ratios(mu, mu.points, grid.radii())
     return float(ratios.min()), float(ratios.max())
 
 
@@ -275,8 +289,7 @@ def density_profile(mu: DiscreteMeasure, x, grid: ScaleGrid) -> np.ndarray:
     if np.any(x < lo - grid.r_max) or np.any(x > hi + grid.r_max):
         raise ValueError("query point lies outside the inflated bounding box")
     radii = grid.radii()
-    masses = ball_masses(mu, x[None, :], radii)[0]
-    return np.column_stack([radii, masses / radii**mu.hausdorff_dim])
+    return np.column_stack([radii, density_ratios(mu, x[None, :], radii)[0]])
 
 
 def _safe_resolution(points: np.ndarray, h: float) -> float:

@@ -108,7 +108,26 @@ def test_joint_command(tmp_path):
     assert table["sum"] == pytest.approx(2.0 * table["first"], rel=1e-6)
 
 
-def test_construct_command(tmp_path, mixed_measure):
+def test_construct_command(tmp_path, mixed_measure, monkeypatch):
+    # every module binding of ball_masses counts its calls: one ratio table
+    # for the source, one for the restriction to the dense set, one for the
+    # AD check; the family member reuses the source's table
+    import sys
+
+    import rieszlab.measure
+
+    original = rieszlab.measure.ball_masses
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rieszlab"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
     src = tmp_path / "mixed.measure"
     rl.write_measure(mixed_measure, src)
     out = tmp_path / "construct.csv"
@@ -117,8 +136,42 @@ def test_construct_command(tmp_path, mixed_measure):
                    "--outdir", outdir, "--output", out) == EXIT_OK
     text = out.read_text()
     assert "matching_pass,True" in text
+    assert "# family_size=2" in text.splitlines()
     assert (outdir / "manifest.json").exists()
     assert (outdir / "sigma.measure").exists()
+    assert len(calls) == 3
+
+
+def test_construct_family_member_runs_on_the_callers_grid(tmp_path, monkeypatch):
+    # p* is read off the caller's grid, so the member must run on it too;
+    # there the whole lattice is dense and nothing needs a cover
+    import numpy as np
+
+    import rieszlab.construction
+
+    h = 1.0 / 40.0
+    axis = (np.arange(40) + 0.5) * h
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    mu = rl.DiscreteMeasure(np.column_stack([x.ravel(), y.ravel()]), np.full(1600, h * h), 1, h)
+    src = tmp_path / "lattice.measure"
+    rl.write_measure(mu, src)
+    verify = rieszlab.construction.verify_construction
+    families = []
+
+    def recorded(result, **kwargs):
+        families.append(kwargs["family"])
+        return verify(result, **kwargs)
+
+    monkeypatch.setattr(rieszlab.construction, "verify_construction", recorded)
+    assert run_cli("construct", "--input", src, "--p", 2, "--s", 2, "--r-min", 0.3,
+                   "--grid-count", 8, "--output", tmp_path / "construct.csv") == EXIT_OK
+    (family,) = families
+    result, member = family
+    assert member.params.grid == result.params.grid
+    assert (member.params.grid.r_min, member.params.grid.count) == (0.3, 8)
+    assert member.params.p > result.params.p
+    assert member.dense_idx.size == member.core_idx.size == len(mu)
+    assert len(member.cover) == 0
 
 
 def test_nonconvergence_exit_code(fc3_file, tmp_path):
@@ -185,13 +238,3 @@ def test_config_file_of_the_wrong_shape_is_a_validation_failure(fc3_file, tmp_pa
     assert run_cli("--config", cfg, "norm", "--input", fc3_file, "--output", out) == EXIT_VALIDATION
     assert "invalid configuration" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_bench_smoke(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run_cli("bench", "--sizes", "400", "--repeats", 2, "--output", out) == EXIT_OK
-    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
-    assert lines[0] == "n,theta,direct_median_s,treecode_median_s,speedup"
-    n, theta, dmed, tmed, speedup = lines[1].split(",")
-    assert int(n) == 400
-    assert float(dmed) > 0 and float(tmed) > 0 and float(speedup) > 0

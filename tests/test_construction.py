@@ -7,6 +7,7 @@ from rieszlab.construction import (
     CoverReport,
     EmptyExclusionError,
     ZeroMassBallError,
+    adaptive_family,
     attach_patches,
     ball_interaction_field,
     besicovitch_cover,
@@ -31,6 +32,10 @@ def mixed_result(mixed_measure):
     return run_construction(mixed_measure, params)
 
 
+def source_ratios(mu, params):
+    return rl.density_ratios(mu, mu.points, params.grid.radii())
+
+
 def segment_measure(count=512, mass=1.0):
     h = 1.0 / count
     pts = np.zeros((count, 2))
@@ -43,7 +48,8 @@ def segment_measure(count=512, mass=1.0):
 
 def test_dense_set_unit_segment_all():
     mu = segment_measure()
-    dense = extract_dense_set(mu, density_params(mu, 2, 1))
+    params = density_params(mu, 2, 1)
+    dense = extract_dense_set(source_ratios(mu, params), params)
     assert dense.size == len(mu)
 
 
@@ -54,7 +60,8 @@ def test_dense_set_far_light_outlier_excluded():
     pts = np.vstack([mu.points, [[3.5, 0.0]]])
     w = np.concatenate([mu.weights, [1e-6]])
     full = DiscreteMeasure(pts, w, 1, mu.resolution_h)
-    dense = extract_dense_set(full, density_params(full, 2, 1))
+    params = density_params(full, 2, 1)
+    dense = extract_dense_set(source_ratios(full, params), params)
     assert len(full) - 1 not in dense
     assert dense.size == len(mu)
 
@@ -62,29 +69,49 @@ def test_dense_set_far_light_outlier_excluded():
 def test_dense_set_single_point_convention():
     mu = DiscreteMeasure([[0.0, 0.0]], [1.0], 1, 1e-3)
     params = rl.DensitySubsetParams(2, 1, rl.ScaleGrid(0.5, 1.0, 4))
-    assert np.array_equal(extract_dense_set(mu, params), [0])
+    assert np.array_equal(extract_dense_set(source_ratios(mu, params), params), [0])
 
 
 def test_dense_set_monotone_in_p(mixed_measure):
     sizes = []
     for p in (1, 2, 4, 8):
         params = density_params(mixed_measure, p, 1)
-        sizes.append(extract_dense_set(mixed_measure, params).size)
+        sizes.append(extract_dense_set(source_ratios(mixed_measure, params), params).size)
     assert sizes == sorted(sizes)
 
 
 def test_core_subset_of_dense_and_s1_segment():
     mu = segment_measure()
     params = density_params(mu, 2, 1)
-    dense = extract_dense_set(mu, params)
-    core = extract_core_set(mu, dense, params)
+    ratios = source_ratios(mu, params)
+    dense = extract_dense_set(ratios, params)
+    core = extract_core_set(mu, dense, params, ratios)
     assert np.array_equal(core, dense)  # threshold 1/(p*1) on the same masses
+
+
+def test_core_reuse_matches_the_restricted_sums(mixed_measure):
+    # on an all-dense measure the core reuses the source table; the masked
+    # sums it stands for are the same table, bit for bit
+    params = rl.DensitySubsetParams(1000, 3, density_params(mixed_measure, 2, 2).grid)
+    ratios = source_ratios(mixed_measure, params)
+    dense = extract_dense_set(ratios, params)
+    assert dense.size == len(mixed_measure)
+    restricted = rl.density_ratios(
+        mixed_measure, mixed_measure.points[dense], params.grid.radii(),
+        values=mixed_measure.weights * np.ones(len(mixed_measure)),
+    )
+    assert np.array_equal(restricted, ratios)
+    assert np.array_equal(
+        extract_core_set(mixed_measure, dense, params, ratios),
+        extract_core_set(mixed_measure, dense, params, restricted),
+    )
 
 
 def test_core_empty_dense_empty():
     mu = segment_measure()
     params = density_params(mu, 2, 2)
-    assert extract_core_set(mu, np.array([], dtype=int), params).size == 0
+    empty = np.array([], dtype=int)
+    assert extract_core_set(mu, empty, params, source_ratios(mu, params)).size == 0
 
 
 def test_two_parallel_heavy_segments_both_retained():
@@ -93,16 +120,17 @@ def test_two_parallel_heavy_segments_both_retained():
     w = np.concatenate([a.weights, a.weights])
     mu = DiscreteMeasure(pts, w, 1, a.resolution_h)
     params = density_params(mu, 2, 2)
-    dense = extract_dense_set(mu, params)
-    core = extract_core_set(mu, dense, params)
+    ratios = source_ratios(mu, params)
+    dense = extract_dense_set(ratios, params)
+    core = extract_core_set(mu, dense, params, ratios)
     assert dense.size == len(mu)
     assert core.size == len(mu)
 
 
 def test_grid_must_reach_diameter(mixed_measure):
     bad = rl.DensitySubsetParams(2, 2, rl.ScaleGrid(0.01, 1.0, 8))
-    with pytest.raises(ValueError):
-        extract_dense_set(mixed_measure, bad)
+    with pytest.raises(ValueError, match="support diameter"):
+        run_construction(mixed_measure, bad)
 
 
 # ------------------------------------------------------------------ the cover
@@ -278,6 +306,7 @@ def test_corrupted_coefficients_fail_matching(mixed_result):
     corrupted = dataclasses.replace(res, proxy_measure=bad_proxy)
     report = verify_construction(corrupted, seed=11)
     assert not report.matching_pass
+    assert not report.all_pass()
 
 
 def test_domination_with_adaptive_family(mixed_measure, mixed_result):
@@ -288,9 +317,11 @@ def test_domination_with_adaptive_family(mixed_measure, mixed_result):
     )
     ratios = mixed_result.params.grid.radii()[None, :] / np.maximum(masses, 1e-300)
     p_star = int(np.ceil(ratios.max())) + 1
-    top = run_construction(mixed_measure, density_params(mixed_measure, p_star, 1))
+    family = adaptive_family(mixed_result)
+    top = family[-1]
+    assert family[0] is mixed_result and top.params.p == p_star
     assert top.core_idx.size == len(mixed_measure)
-    report = verify_construction(mixed_result, family=[mixed_result, top], seed=13)
+    report = verify_construction(mixed_result, family=family, seed=13)
     assert report.domination_pass
 
 
@@ -318,8 +349,9 @@ def test_geometric_shrinking_property(mixed_measure, mixed_result):
 
 def test_attach_patches_zero_centers(mixed_measure):
     params = density_params(mixed_measure, 2, 2)
-    dense = extract_dense_set(mixed_measure, params)
-    core = extract_core_set(mixed_measure, dense, params)
+    ratios = source_ratios(mixed_measure, params)
+    dense = extract_dense_set(ratios, params)
+    core = extract_core_set(mixed_measure, dense, params, ratios)
     empty_cover = besicovitch_cover(mixed_measure, np.array([], dtype=int), core)
     patches, backdrop, flat, patch_measure = attach_patches(mixed_measure, empty_cover, core)
     assert patches == []

@@ -9,6 +9,7 @@ from rieszlab.measure import (
     ball_mass,
     ball_masses,
     density_profile,
+    density_ratios,
     growth_constant,
     read_measure,
     restrict,
@@ -96,11 +97,12 @@ def test_ball_mass_matches_naive_oracle(four_corners_3):
 def test_ball_masses_grid_matches_single(four_corners_3):
     radii = np.geomspace(0.05, 1.0, 7)
     table = ball_masses(four_corners_3, four_corners_3.points[:10], radii)
+    ratios = density_ratios(four_corners_3, four_corners_3.points[:10], radii)
     for i in range(10):
         for j, r in enumerate(radii):
-            assert table[i, j] == pytest.approx(
-                ball_mass(four_corners_3, four_corners_3.points[i], r), rel=1e-12, abs=1e-15
-            )
+            mass = ball_mass(four_corners_3, four_corners_3.points[i], r)
+            assert table[i, j] == pytest.approx(mass, rel=1e-12, abs=1e-15)
+            assert ratios[i, j] == pytest.approx(mass / r, rel=1e-12, abs=1e-15)  # n = 1
 
 
 def test_ball_mass_monotone_in_radius(four_corners_4):
