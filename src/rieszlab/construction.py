@@ -49,6 +49,9 @@ from rieszlab.measure import (
 )
 from rieszlab.kernels import KernelConfig, VectorField, kernel_sum
 
+_MATCHING_TOL = 1e-10  # relative proxy-vs-patch mass mismatch accepted by verification
+_LOWER_FLOOR_FACTOR = 1.0 / 64.0  # lower-regularity floor of verification, times 1/(p s)
+
 
 class EmptyCoreError(ValueError):
     """Density extraction produced an empty set; raise p or s."""
@@ -361,7 +364,6 @@ def attach_patches(
     plane_policy: str = "least-squares",
     spacing_frac: float = 1.0 / 16.0,
     extent_factor: float = 3.0,
-    plane_spacing: float | None = None,
 ) -> tuple[list[DiskPatch], BackdropPlane, DiscreteMeasure, DiscreteMeasure | None]:
     """Flat n-disks on the cover balls plus the backdrop plane.
 
@@ -373,8 +375,9 @@ def attach_patches(
     fallback), "fixed-axis" uses the first n coordinate axes.  The backdrop
     passes through the first core point, along the least-squares plane of
     the core (or the first n axes under "fixed-axis"), sampled over
-    extent_factor times the support diameter; its far tail contributes
-    O(1/extent) to every tested functional.
+    extent_factor times the support diameter at about an eighth of the
+    smallest patch radius (diam / 128 without patches); its far tail
+    contributes O(1/extent) to every tested functional.
     """
     if plane_policy not in ("least-squares", "fixed-axis"):
         raise ValueError(f"unknown plane policy {plane_policy!r}")
@@ -415,8 +418,7 @@ def attach_patches(
         bg_basis = _orthonormal_basis(dirs, n, d)
     diam = support_diameter(mu)
     extent = extent_factor * diam
-    if plane_spacing is None:
-        plane_spacing = min(p.radius for p in patches) / 8.0 if patches else diam / 128.0
+    plane_spacing = min(p.radius for p in patches) / 8.0 if patches else diam / 128.0
     cells = max(int(round(2.0 * extent / plane_spacing)), 2)
     bg_spacing = 2.0 * extent / cells
     ax = -extent + (np.arange(cells) + 0.5) * bg_spacing
@@ -505,9 +507,8 @@ def build_proxy_measure(
 def _assign_balls(measure: DiscreteMeasure, cover: CoverReport) -> np.ndarray:
     """Index of the patch ball containing each point (balls are disjoint)."""
     assignment = np.full(len(measure), -1, dtype=int)
-    tree = cKDTree(measure.points)
     for i in range(len(cover)):
-        idx = tree.query_ball_point(cover.center_points[i], cover.radii[i] / 2.0)
+        idx = measure.kdtree.query_ball_point(cover.center_points[i], cover.radii[i] / 2.0)
         idx = np.asarray(idx, dtype=int)
         if np.any(assignment[idx] >= 0):
             raise CoverInvariantError("patch balls are not disjoint")
@@ -682,7 +683,6 @@ def run_construction(
     spacing_frac: float = 1.0 / 16.0,
     plane_policy: str = "least-squares",
     extent_factor: float = 3.0,
-    plane_spacing: float | None = None,
     overlap_cap: int | None = None,
 ) -> ConstructionResult:
     """Full pipeline: density subsets, cover, patches, union, proxy."""
@@ -696,7 +696,6 @@ def run_construction(
         plane_policy=plane_policy,
         spacing_frac=spacing_frac,
         extent_factor=extent_factor,
-        plane_spacing=plane_spacing,
     )
 
 
@@ -782,12 +781,9 @@ class VerificationReport:
 
 def verify_construction(
     result: ConstructionResult,
-    grid: ScaleGrid | None = None,
     family: list[ConstructionResult] | None = None,
     n_queries: int = 200,
     seed: int = 7,
-    matching_tol: float = 1e-10,
-    lower_floor_factor: float = 1.0 / 64.0,
 ) -> VerificationReport:
     """Run the five checkable claims against a finished construction.
 
@@ -803,14 +799,12 @@ def verify_construction(
     mu = result.source
     reg = result.regularized_measure
 
-    if grid is None:
-        spacing = min((p.spacing for p in result.patches), default=result.flat_measure.resolution_h)
-        r_lo = max(16.0 * spacing, reg.resolution_h)
-        r_hi = support_diameter(reg)
-        grid = ScaleGrid(r_lo, max(r_hi, r_lo * 4.0), 24)
+    spacing = min((p.spacing for p in result.patches), default=result.flat_measure.resolution_h)
+    r_lo = max(16.0 * spacing, reg.resolution_h)
+    grid = ScaleGrid(r_lo, max(support_diameter(reg), r_lo * 4.0), 24)
     c_lo, c_hi = ad_constants(reg, grid)
     ad_pass = bool(c_lo > 0.0 and np.isfinite(c_hi))
-    floor = lower_floor_factor / (result.params.p * result.params.s)
+    floor = _LOWER_FLOOR_FACTOR / (result.params.p * result.params.s)
     floor_pass = bool(c_lo >= floor)
 
     worst_rel = 0.0
@@ -819,7 +813,7 @@ def verify_construction(
         nu_mass = 0.0 if proxy is None else ball_mass(proxy, result.cover.center_points[i], patch.radius)
         rel = abs(nu_mass - patch.total_weight) / patch.total_weight
         worst_rel = max(worst_rel, rel)
-    matching_pass = bool(worst_rel <= matching_tol)
+    matching_pass = bool(worst_rel <= _MATCHING_TOL)
 
     color_ok = True
     cover = result.cover

@@ -22,6 +22,8 @@ from rieszlab.measure import DiscreteMeasure, ScaleGrid, ball_masses, density_ra
 
 TRUNCATED = "truncated"
 REGULARIZED = "regularized"
+_TARGET_CHUNK = 128  # targets per direct-sum block
+_SOURCE_CHUNK = 16384  # sources per direct-sum block
 
 
 @dataclass(frozen=True)
@@ -106,13 +108,23 @@ def _kernel_block(targets: np.ndarray, sources: np.ndarray, cfg: KernelConfig) -
     return diff * _coef_from_r2(r2, cfg)[:, :, None]
 
 
+def _blocks(points: np.ndarray, targets: np.ndarray, cfg: KernelConfig):
+    """Yield (t, s, diff, coef) over (target chunk x source chunk) blocks.
+
+    t and s slice the targets and the sources, diff is the (T, S, d) array
+    of t - y and coef the kernel's 1 / |t - y|^{n+1}.  Blocks run over the
+    sources of one target chunk before the next, in a fixed order.
+    """
+    for t0 in range(0, targets.shape[0], _TARGET_CHUNK):
+        t = slice(t0, t0 + _TARGET_CHUNK)
+        for s0 in range(0, points.shape[0], _SOURCE_CHUNK):
+            s = slice(s0, s0 + _SOURCE_CHUNK)
+            diff = targets[t, None, :] - points[None, s, :]
+            yield t, s, diff, _coef_from_r2(np.einsum("tsd,tsd->ts", diff, diff), cfg)
+
+
 def kernel_sum(
-    points: np.ndarray,
-    fweights: np.ndarray,
-    cfg: KernelConfig,
-    targets: np.ndarray,
-    target_chunk: int = 128,
-    source_chunk: int = 16384,
+    points: np.ndarray, fweights: np.ndarray, cfg: KernelConfig, targets: np.ndarray
 ) -> np.ndarray:
     """Sum_j K(t - y_j) * fweights_j at each target t.
 
@@ -124,48 +136,28 @@ def kernel_sum(
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     fweights = np.asarray(fweights, dtype=float)
     out = np.zeros((targets.shape[0], points.shape[1]))
-    for t0 in range(0, targets.shape[0], target_chunk):
-        tblk = targets[t0 : t0 + target_chunk]
-        acc = np.zeros((tblk.shape[0], points.shape[1]))
-        for s0 in range(0, points.shape[0], source_chunk):
-            sblk = points[s0 : s0 + source_chunk]
-            diff = tblk[:, None, :] - sblk[None, :, :]
-            r2 = np.einsum("tsd,tsd->ts", diff, diff)
-            cw = _coef_from_r2(r2, cfg)
-            cw *= fweights[s0 : s0 + source_chunk][None, :]
-            acc += np.einsum("tsd,ts->td", diff, cw)
-        out[t0 : t0 + tblk.shape[0]] = acc
+    for t, s, diff, coef in _blocks(points, targets, cfg):
+        coef *= fweights[None, s]
+        out[t] += np.einsum("tsd,ts->td", diff, coef)
     return out
 
 
 def adjoint_sum(
-    points: np.ndarray,
-    fields: np.ndarray,
-    cfg: KernelConfig,
-    targets: np.ndarray,
-    target_chunk: int = 128,
-    source_chunk: int = 16384,
+    points: np.ndarray, fields: np.ndarray, cfg: KernelConfig, targets: np.ndarray
 ) -> np.ndarray:
     """Sum_j K(y_j - t) . fields_j at each target t.
 
     Adjoint of kernel_sum: fields is the already-multiplied (N, d) array
     F * w, so <kernel_sum(Y, f, T), F> = <f, adjoint_sum(T, F, Y)>.  Same
-    chunking and fixed accumulation order as kernel_sum.
+    blocks and fixed accumulation order as kernel_sum; K is odd, so each
+    block's sum is subtracted, which is exact.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     fields = np.asarray(fields, dtype=float)
     out = np.zeros(targets.shape[0])
-    for t0 in range(0, targets.shape[0], target_chunk):
-        tblk = targets[t0 : t0 + target_chunk]
-        acc = np.zeros(tblk.shape[0])
-        for s0 in range(0, points.shape[0], source_chunk):
-            sblk = points[s0 : s0 + source_chunk]
-            diff = sblk[None, :, :] - tblk[:, None, :]
-            r2 = np.einsum("tsd,tsd->ts", diff, diff)
-            dots = np.einsum("tsd,sd->ts", diff, fields[s0 : s0 + source_chunk])
-            acc += np.einsum("ts,ts->t", _coef_from_r2(r2, cfg), dots)
-        out[t0 : t0 + tblk.shape[0]] = acc
+    for t, s, diff, coef in _blocks(points, targets, cfg):
+        out[t] -= np.einsum("ts,ts->t", coef, np.einsum("tsd,sd->ts", diff, fields[s]))
     return out
 
 
@@ -174,7 +166,6 @@ def riesz_apply(
     f,
     cfg: KernelConfig,
     targets,
-    **chunks,
 ) -> np.ndarray:
     """Transform of the weighted density f against mu at the given targets.
 
@@ -191,7 +182,7 @@ def riesz_apply(
         raise ValueError("targets must be nonempty")
     if targets.shape[1] != mu.ambient_dim:
         raise ValueError("target dimension mismatch")
-    return kernel_sum(mu.points, f * mu.weights, cfg, targets, **chunks)
+    return kernel_sum(mu.points, f * mu.weights, cfg, targets)
 
 
 def maximal_function(mu: DiscreteMeasure, f, x, grid: ScaleGrid) -> float:
@@ -199,8 +190,8 @@ def maximal_function(mu: DiscreteMeasure, f, x, grid: ScaleGrid) -> float:
     f = np.asarray(f, dtype=float)
     x = np.asarray(x, dtype=float)
     radii = grid.radii()
-    masses = ball_masses(mu, x[None, :], radii)[0]
-    sums = ball_masses(mu, x[None, :], radii, values=np.abs(f) * mu.weights)[0]
+    values = np.stack([mu.weights, np.abs(f) * mu.weights])
+    masses, sums = ball_masses(mu, x[None, :], radii, values)[:, 0]
     occupied = masses > 0.0
     if not occupied.any():
         raise ValueError("all grid balls around x are empty")
@@ -246,9 +237,10 @@ def truncation_gap_check(
     reg = riesz_apply(mu, f, KernelConfig(cfg.n, eps, REGULARIZED), mu.points)
     gaps = np.sqrt(np.einsum("ij,ij->i", reg - trunc, reg - trunc))
 
-    ratios = density_ratios(mu, mu.points, radii)
+    values = np.stack([mu.weights, np.abs(f) * mu.weights])
+    ratios, f_ratios = density_ratios(mu, mu.points, radii, values)
     growth = float(ratios.max())
-    averages = density_ratios(mu, mu.points, radii, values=np.abs(f) * mu.weights) / ratios
+    averages = f_ratios / ratios
     bounds = growth * averages.max(axis=1)
 
     scale = max(float(bounds.max()), float(gaps.max()), 1.0)

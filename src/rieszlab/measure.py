@@ -182,33 +182,36 @@ def ball_masses(
     """Closed-ball sums over a grid of centers and radii.
 
     Returns a (len(centers), len(radii)) array of sums of `values` (the
-    weights when values is None) inside each ball.  One walk over the
-    cached `ball_tree` serves every radius at once.  A node whose distance
-    range [dmin, dmax] from the center holds no radius r with
-    dmin <= r < dmax is inside exactly the balls of radius >= dmax, so its
-    sum is binned at the first such radius; any other node is opened, and
-    the points of an opened leaf are binned by their own distance.  The
-    bins are then accumulated over the sorted radii.  dmin and dmax come
-    from the node's box corners with the same rounded arithmetic as the
-    point distances, so every point meets the closed-ball rule dist <= r
-    exactly as it would alone.  Summation order is fixed by the walk, which
-    makes the output deterministic.
+    weights when values is None) inside each ball; values stacked as a
+    (k, N) array give a (k, len(centers), len(radii)) table, one slice per
+    row, each bit-identical to a call with that row alone.  One walk over
+    the cached `ball_tree` serves every radius and row at once.  A node
+    whose distance range [dmin, dmax] from the center holds no radius r
+    with dmin <= r < dmax is inside exactly the balls of radius >= dmax,
+    so its sum is binned at the first such radius; any other node is
+    opened, and the points of an opened leaf are binned by their own
+    distance.  The bins are then accumulated over the sorted radii.  dmin
+    and dmax come from the node's box corners with the same rounded
+    arithmetic as the point distances, so every point meets the
+    closed-ball rule dist <= r exactly as it would alone.  Summation order
+    is fixed by the walk, which makes the output deterministic.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.asarray(radii, dtype=float).ravel()
     vals = mu.weights if values is None else np.asarray(values, dtype=float)
+    stacked = vals.ndim == 2
     order = np.argsort(radii, kind="stable")
     sorted_radii = radii[order]
     n_bins = radii.size + 1  # the last bin holds what lies beyond every radius
     tree = mu.ball_tree
-    vals = vals[tree.perm]
-    sums = _node_sums(tree, vals)
+    vals = np.atleast_2d(vals)[:, tree.perm]
+    sums = [_node_sums(tree, v) for v in vals]
     is_leaf = tree.left < 0
     width = int((tree.end - tree.start)[is_leaf].max())
-    out = np.empty((centers.shape[0], radii.size))
+    out = np.empty((len(vals), centers.shape[0], radii.size))
     for c0 in range(0, centers.shape[0], _CENTER_CHUNK):
         blk = centers[c0 : c0 + _CENTER_CHUNK]
-        acc = np.zeros(blk.shape[0] * n_bins)
+        acc = np.zeros((len(vals), blk.shape[0] * n_bins))
 
         def visit(ctr, node):
             c = blk[ctr]
@@ -217,19 +220,21 @@ def ball_masses(
             first_all = np.searchsorted(sorted_radii, np.sqrt(dmax2))
             whole = first_in == first_all
             keys = ctr[whole] * n_bins + first_all[whole]
-            acc[:] += np.bincount(keys, weights=sums[node[whole]], minlength=acc.size)
+            for a, s in zip(acc, sums):
+                a += np.bincount(keys, weights=s[node[whole]], minlength=a.size)
             leaves = np.flatnonzero(~whole & is_leaf[node])
             for rows, idx, valid in _leaf_blocks(tree, node[leaves], width):
                 diff = c[leaves[rows], None, :] - tree.points[idx]
                 dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-                keys = ctr[leaves[rows], None] * n_bins + np.searchsorted(sorted_radii, dist)
-                weights = np.where(valid, vals[idx], 0.0)
-                acc[:] += np.bincount(keys.ravel(), weights=weights.ravel(), minlength=acc.size)
+                keys = (ctr[leaves[rows], None] * n_bins + np.searchsorted(sorted_radii, dist)).ravel()
+                for a, v in zip(acc, vals):
+                    a += np.bincount(keys, weights=np.where(valid, v[idx], 0.0).ravel(), minlength=a.size)
             return np.flatnonzero(~whole & ~is_leaf[node])
 
         tree.walk(blk.shape[0], visit)
-        out[c0 : c0 + blk.shape[0], order] = np.cumsum(acc.reshape(-1, n_bins)[:, :-1], axis=1)
-    return out
+        bins = acc.reshape(len(vals), blk.shape[0], n_bins)
+        out[:, c0 : c0 + blk.shape[0], order] = np.cumsum(bins[:, :, :-1], axis=2)
+    return out if stacked else out[0]
 
 
 def _check_grid_floor(mu: DiscreteMeasure, grid: ScaleGrid) -> None:
@@ -248,13 +253,14 @@ def density_ratios(
 ) -> np.ndarray:
     """Ball sums over r**n: the (len(centers), len(radii)) table of ratios.
 
-    Row i, column k holds ball_masses(mu, centers, radii, values)[i, k]
+    Entry [..., i, k] holds ball_masses(mu, centers, radii, values)[..., i, k]
     divided by radii[k]**n, the density ratio mu(B(x, r)) / r**n of the
-    paper's density tests when values is None.  This is the package's one
-    place where ball sums meet the scale r**n.
+    paper's density tests when values is None; stacked values give one
+    table per row, as in ball_masses.  This is the package's one place
+    where ball sums meet the scale r**n.
     """
     radii = np.asarray(radii, dtype=float).ravel()
-    return ball_masses(mu, centers, radii, values) / radii[None, :] ** mu.hausdorff_dim
+    return ball_masses(mu, centers, radii, values) / radii**mu.hausdorff_dim
 
 
 def growth_constant(mu: DiscreteMeasure, grid: ScaleGrid) -> float:
@@ -347,15 +353,16 @@ class SpatialTree:
     """Flat-array hierarchy of axis-aligned boxes over a measure's support.
 
     A node's points are the contiguous range [start, end) of the tree
-    order, and the leaves partition it.  A split numbers both children
-    before either subtree, so leaf ids do not follow the tree order: a
-    zero-extent right child that stays a leaf precedes the leaves of its
-    left sibling.  Order leaves by start where the tree order matters.
+    order, and the leaves partition it.  Nodes are numbered depth by
+    depth: the children of a depth's split nodes are numbered, left before
+    right and in the tree order of their parents, after every node of
+    that depth.  So leaf ids still do not follow the tree order: a leaf
+    precedes the deeper leaves to its left.  Order leaves by start where
+    the tree order matters.
     """
 
     perm: np.ndarray  # (N,) permutation: tree order -> original index
     points: np.ndarray  # (N, d) points in tree order
-    weights: np.ndarray  # (N,) weights in tree order
     start: np.ndarray  # (M,) first point of each node (tree order)
     end: np.ndarray  # (M,) one past the last point
     left: np.ndarray  # (M,) child ids, -1 for leaves
@@ -390,61 +397,56 @@ class SpatialTree:
 
 
 def _build_spatial_tree(mu: DiscreteMeasure, leaf_cap: int) -> SpatialTree:
-    """Median-split tree, deterministic for a fixed input order."""
-    pts = mu.points
-    n_pts = pts.shape[0]
-    perm = np.arange(n_pts)
+    """Median-split tree built one depth at a time, deterministic for a fixed input order.
 
-    start, end, left, right = [], [], [], []
-    box_lo, box_hi, centroid, radius, node_weight = [], [], [], [], []
+    Every node of a depth with more than leaf_cap points and a positive
+    extent is split at once: one stable lexsort over (node, coordinate on
+    the node's widest axis) orders each node's points as a stable argsort
+    of that node alone would, and the children take the halves
+    [start, mid) and [mid, end), mid = start + count // 2.
+    """
+    pts, w = mu.points, mu.weights
+    perm = np.arange(pts.shape[0])
+    start, end = np.zeros(1, dtype=np.int64), np.full(1, pts.shape[0], dtype=np.int64)
+    first_id = 0
+    depths = []
+    while start.size:
+        count = end - start
+        first = np.cumsum(count) - count  # each node's offset among the depth's points
+        owner = np.repeat(np.arange(start.size), count)
+        idx = np.arange(count.sum()) + (start - first)[owner]
+        sub, sw = pts[perm[idx]], w[perm[idx]]
+        lo, hi = np.minimum.reduceat(sub, first), np.maximum.reduceat(sub, first)
+        weight = np.add.reduceat(sw, first)
+        centroid = np.add.reduceat(sub * sw[:, None], first) / weight[:, None]
+        extent = hi - lo
+        split = (count > leaf_cap) & (extent.max(axis=1) > 0.0)  # zero extent: no spatial split
+        in_split = split[owner]
+        sel, coord = idx[in_split], sub[in_split, extent.argmax(axis=1)[owner[in_split]]]
+        perm[sel] = perm[sel[np.lexsort((coord, owner[in_split]))]]
+        # children are numbered after every node of this depth, left before right
+        left = np.where(split, first_id + start.size + 2 * np.cumsum(split) - 2, -1)
+        right = np.where(split, left + 1, -1)
+        first_id += start.size
+        depths.append((start, end, left, right, lo, hi, centroid, weight))
+        mid = start[split] + count[split] // 2
+        start = np.column_stack([start[split], mid]).ravel()
+        end = np.column_stack([mid, end[split]]).ravel()
 
-    def add_node(lo: int, hi: int) -> int:
-        node = len(start)
-        start.append(lo)
-        end.append(hi)
-        left.append(-1)
-        right.append(-1)
-        sub = pts[perm[lo:hi]]
-        w = mu.weights[perm[lo:hi]]
-        lo_c, hi_c = sub.min(axis=0), sub.max(axis=0)
-        wc = (sub * w[:, None]).sum(axis=0) / w.sum()
-        box_lo.append(lo_c)
-        box_hi.append(hi_c)
-        centroid.append(wc)
-        radius.append(float(np.linalg.norm(np.maximum(wc - lo_c, hi_c - wc))))
-        node_weight.append(float(w.sum()))
-        return node
-
-    stack = [(add_node(0, n_pts), 0, n_pts)]
-    while stack:
-        node, lo, hi = stack.pop()
-        count = hi - lo
-        extent = box_hi[node] - box_lo[node]
-        if count <= leaf_cap or float(np.max(extent)) == 0.0:
-            continue  # leaf (zero-extent nodes cannot be split spatially)
-        axis = int(np.argmax(extent))
-        order = np.argsort(pts[perm[lo:hi], axis], kind="stable")
-        perm[lo:hi] = perm[lo:hi][order]
-        mid = lo + count // 2
-        lid = add_node(lo, mid)
-        rid = add_node(mid, hi)
-        left[node], right[node] = lid, rid
-        stack.append((rid, mid, hi))
-        stack.append((lid, lo, mid))
-
+    start, end, left, right, lo, hi, centroid, weight = (np.concatenate(a) for a in zip(*depths))
+    reach = np.maximum(centroid - lo, hi - centroid)
     return SpatialTree(
         perm=perm,
         points=np.ascontiguousarray(pts[perm]),
-        weights=np.ascontiguousarray(mu.weights[perm]),
-        start=np.asarray(start, dtype=np.int64),
-        end=np.asarray(end, dtype=np.int64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        box_lo=np.asarray(box_lo),
-        box_hi=np.asarray(box_hi),
-        centroid=np.asarray(centroid),
-        radius=np.asarray(radius),
-        node_weight=np.asarray(node_weight),
+        start=start,
+        end=end,
+        left=left,
+        right=right,
+        box_lo=lo,
+        box_hi=hi,
+        centroid=centroid,
+        radius=np.sqrt(np.einsum("md,md->m", reach, reach)),
+        node_weight=weight,
     )
 
 
@@ -481,20 +483,30 @@ def _leaf_blocks(tree: SpatialTree, leaves: np.ndarray, width: int):
         yield rows, np.where(valid, idx, first), valid
 
 
-def _node_sums(tree: SpatialTree, vals: np.ndarray) -> np.ndarray:
-    """Per-node sums of vals (in tree order), by an upward pass over the children."""
+def _node_sums(tree: SpatialTree, vals: np.ndarray, shift=lambda sums, delta: sums) -> np.ndarray:
+    """Per-node sums of vals (in tree order, one row per point), by one upward pass.
+
+    With a shift, each row of vals is an expansion about its own point, and
+    each node's sum is taken about the node's centroid: shift(sums, delta)
+    re-expresses sums about a center x as sums about x - delta.  It moves
+    the points to their leaves' centroids and each child to its parent's.
+    """
     is_leaf = tree.left < 0
-    sums = np.empty(tree.n_nodes)
     leaves = np.flatnonzero(is_leaf)
     leaves = leaves[np.argsort(tree.start[leaves])]  # reduceat needs the tree order
-    sums[leaves] = np.add.reduceat(vals, tree.start[leaves])
+    owner = np.repeat(leaves, tree.end[leaves] - tree.start[leaves])
+    leaf_sums = np.add.reduceat(shift(vals, tree.points - tree.centroid[owner]), tree.start[leaves])
+    sums = np.empty((tree.n_nodes,) + leaf_sums.shape[1:], dtype=leaf_sums.dtype)
+    sums[leaves] = leaf_sums
     level, inner_levels = np.zeros(1, dtype=np.int64), []
     while level.size:
         inner = level[~is_leaf[level]]
         inner_levels.append(inner)
         level = np.concatenate([tree.left[inner], tree.right[inner]])
     for inner in reversed(inner_levels):
-        sums[inner] = sums[tree.left[inner]] + sums[tree.right[inner]]
+        left, right = tree.left[inner], tree.right[inner]
+        sums[inner] = shift(sums[left], tree.centroid[left] - tree.centroid[inner])
+        sums[inner] += shift(sums[right], tree.centroid[right] - tree.centroid[inner])
     return sums
 
 

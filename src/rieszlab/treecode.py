@@ -5,7 +5,9 @@ bounding boxes that ball sums walk too.  Far nodes (radius / distance below
 the opening angle) contribute a truncated far-field expansion: a single
 monopole evaluation at the weighted centroid in the generic case, or a power
 series of configurable order for the planar n=1 kernel, which maps to the
-complex function 1/(z - zeta).
+complex function 1/(z - zeta).  The node moments of both come from the one
+upward pass of measure._node_sums, which shifts each point's expansion to
+its leaf's centroid and each child's to its parent's.
 
 Interaction with the eps-truncation:
 
@@ -29,11 +31,14 @@ the call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from rieszlab.measure import DiscreteMeasure, SpatialTree, _box_dist2, _build_spatial_tree, _leaf_blocks
+from rieszlab.measure import DiscreteMeasure, SpatialTree, _build_spatial_tree
+from rieszlab.measure import _box_dist2, _leaf_blocks, _node_sums  # the tree engine
 from rieszlab.kernels import TRUNCATED, KernelConfig, _coef_from_r2, _inv_power, riesz_apply
 
 _TARGET_CHUNK = 4096  # targets per traversal chunk
@@ -68,71 +73,47 @@ def build_tree(mu: DiscreteMeasure, params: TreecodeParams) -> SpatialTree:
 # ---------------------------------------------------------------------------
 
 
-def _node_moments(tree: SpatialTree, fw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node sums of fw and of fw * (y - c) about the node centroid c."""
-    s0 = np.zeros(tree.n_nodes)
-    m1 = np.zeros((tree.n_nodes, tree.points.shape[1]))
-    for node in range(tree.n_nodes):
-        s, e = tree.start[node], tree.end[node]
-        s0[node] = fw[s:e].sum()
-        m1[node] = ((tree.points[s:e] - tree.centroid[node]) * fw[s:e, None]).sum(axis=0)
-    return s0, m1
+def _monopole_shift(sums: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Rows (s0, m1) of sums of fw and fw * (y - c), re-centered on c - delta."""
+    return np.column_stack([sums[:, 0], sums[:, 1:] + sums[:, :1] * delta])
 
 
-def _planar_moments(tree: SpatialTree, fw: np.ndarray, order: int) -> np.ndarray:
-    """Per-node complex moments sum fw (zeta - c)^m about the node centroid."""
-    zeta = tree.points[:, 0] + 1j * tree.points[:, 1]
-    center = tree.centroid[:, 0] + 1j * tree.centroid[:, 1]
-    moments = np.zeros((tree.n_nodes, order + 1), dtype=np.complex128)
-    for node in range(tree.n_nodes):
-        s, e = tree.start[node], tree.end[node]
-        rel = zeta[s:e] - center[node]
-        term = fw[s:e].astype(np.complex128)
-        for m in range(order + 1):
-            moments[node, m] = term.sum()
-            term = term * rel
-    return moments
+def _planar_shift(order: int, moments: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Complex moments sum fw (zeta - c)^m, m <= order, re-centered on c - delta.
+
+    The multipole-to-multipole shift of Greengard & Rokhlin (J. Comput.
+    Phys. 73, 1987): M'_m = sum_k C(m, k) M_k delta^(m - k).  Columns
+    missing from `moments`, such as all but M_0 = fw for a point, are zero.
+    """
+    dz = delta[:, 0] + 1j * delta[:, 1]
+    powers = np.cumprod(np.column_stack([np.ones_like(dz)] + [dz] * order), axis=1)
+    out = np.zeros((dz.size, order + 1), dtype=np.complex128)
+    for k in range(moments.shape[1]):
+        binom = [math.comb(m, k) for m in range(k, order + 1)]
+        out[:, k:] += moments[:, k, None] * binom * powers[:, : order + 1 - k]
+    return out
 
 
-class _MonopoleField:
+def _monopole(s0: np.ndarray, n: int, rel: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Generic (n, d) far field: the node's total weight at its centroid."""
-
-    def __init__(self, s0: np.ndarray, n: int):
-        self.s0 = s0
-        self.n = n
-
-    def accepts(self, rel, radius, theta):
-        dist2 = np.einsum("pd,pd->p", rel, rel)
-        return radius * radius < theta * theta * dist2
-
-    def evaluate(self, rel, nodes):
-        dist2 = np.einsum("pd,pd->p", rel, rel)
-        return rel * (self.s0[nodes] * _inv_power(dist2, self.n))[:, None]
+    dist2 = np.einsum("pd,pd->p", rel, rel)
+    return rel * (s0[nodes] * _inv_power(dist2, n))[:, None]
 
 
-class _PlanarSeries:
+def _planar_series(moments: np.ndarray, rel: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Planar n=1 far field: the power series of 1/(z - zeta) about the centroid.
 
     The kernel x / |x|^2 is conj(1 / z) for z = x1 + i x2, so a node
-    contributes sum_m M_m / (z - c)^(m+1) with moments M_m from
-    _planar_moments, returned as the vector (Re, -Im).
+    contributes sum_m M_m / (z - c)^(m+1) with the moments
+    M_m = sum fw (zeta - c)^m, returned as the vector (Re, -Im).
     """
-
-    def __init__(self, moments: np.ndarray):
-        self.moments = moments
-
-    def accepts(self, rel, radius, theta):
-        dist = np.hypot(rel[:, 0], rel[:, 1])
-        return radius < theta * dist
-
-    def evaluate(self, rel, nodes):
-        inv = 1.0 / (rel[:, 0] + 1j * rel[:, 1])
-        coeffs = self.moments[nodes]
-        acc = coeffs[:, -1]
-        for m in range(coeffs.shape[1] - 2, -1, -1):  # Horner in 1 / (z - c)
-            acc = acc * inv + coeffs[:, m]
-        acc = acc * inv
-        return np.column_stack([acc.real, -acc.imag])
+    inv = 1.0 / (rel[:, 0] + 1j * rel[:, 1])
+    coeffs = moments[nodes]
+    acc = coeffs[:, -1]
+    for m in range(coeffs.shape[1] - 2, -1, -1):  # Horner in 1 / (z - c)
+        acc = acc * inv + coeffs[:, m]
+    acc = acc * inv
+    return np.column_stack([acc.real, -acc.imag])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +149,9 @@ def _traverse(tree, fw, s0, m1, cfg, theta, far, targets) -> np.ndarray:
     """Sum fw * K(t - y) over the tree for one chunk of targets.
 
     s0 and m1 are the node sums of fw and of fw * (y - c) about the node
-    centroid c, far the far field.
+    centroid c; far(rel, nodes) evaluates the far field of the nodes at
+    offsets rel from their centroids.  A node is far when its radius is
+    below theta times the target's distance to its centroid.
     """
     eps2 = cfg.epsilon * cfg.epsilon
     truncated = cfg.mode == TRUNCATED
@@ -190,9 +173,10 @@ def _traverse(tree, fw, s0, m1, cfg, theta, far, targets) -> np.ndarray:
             _accumulate(out, tgt[i], vals)
         # a node straddling the eps sphere is never far: it is opened; far
         # nodes lie beyond eps, so their centroid distances are positive
-        far_mask = ~inside & (dmin2 > eps2) & far.accepts(rel, tree.radius[node], theta)
+        separated = tree.radius[node] ** 2 < theta * theta * np.einsum("pd,pd->p", rel, rel)
+        far_mask = ~inside & (dmin2 > eps2) & separated
         f = np.flatnonzero(far_mask)
-        _accumulate(out, tgt[f], far.evaluate(rel[f], node[f]))
+        _accumulate(out, tgt[f], far(rel[f], node[f]))
         near = ~(inside | far_mask)
         leaf = np.flatnonzero(near & is_leaf[node])
         _accumulate(out, tgt[leaf], _near_leaves(tree, fw, cfg, width, t[leaf], node[leaf]))
@@ -226,17 +210,18 @@ def treecode_apply(
     fw = (f * mu.weights)[tree.perm]
     if mu.ambient_dim == 2 and cfg.n == 1:
         # the inside-eps branch reads moments 0 and 1 even at order 0
-        moments = _planar_moments(tree, fw, max(params.expansion_order, 1))
+        moments = _node_sums(tree, fw[:, None], partial(_planar_shift, max(params.expansion_order, 1)))
         s0 = moments[:, 0].real
         m1 = np.column_stack([moments[:, 1].real, moments[:, 1].imag])
-        far = _PlanarSeries(moments[:, : params.expansion_order + 1])
+        far = partial(_planar_series, moments[:, : params.expansion_order + 1])
     elif params.expansion_order > 0:
         raise NotImplementedError(
             "expansion orders above 0 are implemented for the planar n=1 kernel only"
         )
     else:
-        s0, m1 = _node_moments(tree, fw)
-        far = _MonopoleField(s0, cfg.n)
+        sums = _node_sums(tree, np.column_stack([fw, np.zeros(tree.points.shape)]), _monopole_shift)
+        s0, m1 = sums[:, 0], sums[:, 1:]
+        far = partial(_monopole, s0, cfg.n)
     out = np.empty(targets.shape)
     for t0 in range(0, targets.shape[0], _TARGET_CHUNK):
         chunk = slice(t0, t0 + _TARGET_CHUNK)

@@ -18,9 +18,13 @@ from rieszlab.analysis import (
     dense_operator_norm,
     operator_norm,
 )
+from functools import partial
+from types import SimpleNamespace
+
+from rieszlab import kernels, measure, treecode
 from rieszlab.kernels import REGULARIZED, TRUNCATED, KernelConfig, adjoint_sum, kernel_sum, riesz_apply
-from rieszlab import measure
 from rieszlab.measure import DiscreteMeasure, ball_masses
+from rieszlab.treecode import TreecodeParams, build_tree, treecode_apply
 
 SPACING = 0.25
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -108,8 +112,12 @@ def test_adjoint_sum_is_the_adjoint_of_kernel_sum(case, data, seed):
     f = rng.standard_normal(len(mu))
     fields = rng.standard_normal((len(targets), mu.ambient_dim))
     forward = kernel_sum(mu.points, f, cfg, targets)
-    # small chunks so that the sums cross chunk boundaries
-    adjoint = adjoint_sum(targets, fields, cfg, mu.points, target_chunk=3, source_chunk=5)
+    # small chunks so that the sums cross chunk boundaries; hypothesis
+    # rejects function-scoped fixtures under @given, so patch in the body
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_TARGET_CHUNK", 3)
+        patch.setattr(kernels, "_SOURCE_CHUNK", 5)
+        adjoint = adjoint_sum(targets, fields, cfg, mu.points)
     lhs, rhs = float(np.sum(forward * fields)), float(f @ adjoint)
     scale = np.sum(np.abs(forward) * np.abs(fields)) + np.sum(np.abs(f) * np.abs(adjoint)) + 1e-300
     assert abs(lhs - rhs) <= 1e-13 * scale
@@ -165,6 +173,9 @@ def test_ball_masses_match_dense_oracle(data, d, seed):
         rtol=1e-13,
         atol=0.0,
     )
+    # stacked values: one walk, each table bit-identical to its own call
+    stacked = ball_masses(mu, centers, radii, np.stack([mu.weights, values]))
+    assert np.array_equal(stacked, [ball_masses(mu, centers, radii), ball_masses(mu, centers, radii, values)])
 
 
 @PROPERTY_SETTINGS
@@ -206,7 +217,8 @@ def test_ball_masses_blocks_match_dense_oracle(four_corners_4, monkeypatch):
     radii = np.geomspace(mu.resolution_h, mu.diameter, 12)
     values = 2.0 ** np.random.default_rng(2).integers(-3, 4, len(mu))
     assert np.array_equal(
-        ball_masses(mu, centers, radii, values), dense_ball_masses(mu, centers, radii, values)
+        ball_masses(mu, centers, radii, np.stack([mu.weights, values])),
+        [dense_ball_masses(mu, centers, radii), dense_ball_masses(mu, centers, radii, values)],
     )
 
 
@@ -269,3 +281,142 @@ def test_hull_diameter_matches_dense_diameter(points):
     assume(len(points) == 1 or span > 0.0)
     mu = DiscreteMeasure(points, np.ones(len(points)), 1, min(1e-3, span) if span > 0.0 else 1e-3)
     assert mu.diameter == dense_diameter(mu.points)
+
+
+# ---------------------------------------------------------------------------
+# the tree engine: depth build, upward moments, treecode at vanishing theta
+# ---------------------------------------------------------------------------
+
+
+def recursive_spatial_tree(mu, leaf_cap):
+    """Oracle for measure._build_spatial_tree: the node-at-a-time build, which
+    numbers both children of a split before either subtree."""
+    pts = mu.points
+    perm = np.arange(len(pts))
+    nodes = []  # [start, end, left, right, lo, hi, centroid, weight]
+
+    def add_node(lo, hi):
+        sub, w = pts[perm[lo:hi]], mu.weights[perm[lo:hi]]
+        centroid = (sub * w[:, None]).sum(axis=0) / w.sum()
+        nodes.append([lo, hi, -1, -1, sub.min(axis=0), sub.max(axis=0), centroid, w.sum()])
+        return len(nodes) - 1
+
+    stack = [(add_node(0, len(pts)), 0, len(pts))]
+    while stack:
+        node, lo, hi = stack.pop()
+        extent = nodes[node][5] - nodes[node][4]
+        if hi - lo <= leaf_cap or float(np.max(extent)) == 0.0:
+            continue
+        order = np.argsort(pts[perm[lo:hi], int(np.argmax(extent))], kind="stable")
+        perm[lo:hi] = perm[lo:hi][order]
+        mid = lo + (hi - lo) // 2
+        nodes[node][2:4] = add_node(lo, mid), add_node(mid, hi)
+        stack += [(nodes[node][3], mid, hi), (nodes[node][2], lo, mid)]
+    cols = [np.array(c) for c in zip(*nodes)]
+    names = ("start", "end", "left", "right", "box_lo", "box_hi", "centroid", "node_weight")
+    return SimpleNamespace(perm=perm, n_nodes=len(nodes), **dict(zip(names, cols)))
+
+
+def loop_node_moments(tree, fw):
+    """Oracle for the monopole moments: per node, sums of fw and fw * (y - c)."""
+    out = np.zeros((tree.n_nodes, 1 + tree.points.shape[1]))
+    for node in range(tree.n_nodes):
+        s, e = tree.start[node], tree.end[node]
+        out[node, 0] = fw[s:e].sum()
+        out[node, 1:] = ((tree.points[s:e] - tree.centroid[node]) * fw[s:e, None]).sum(axis=0)
+    return out
+
+
+def loop_planar_moments(tree, fw, order):
+    """Oracle for the planar moments: per node, sums of fw (zeta - c)^m."""
+    zeta = tree.points[:, 0] + 1j * tree.points[:, 1]
+    center = tree.centroid[:, 0] + 1j * tree.centroid[:, 1]
+    moments = np.zeros((tree.n_nodes, order + 1), dtype=np.complex128)
+    for node in range(tree.n_nodes):
+        s, e = tree.start[node], tree.end[node]
+        term = fw[s:e].astype(np.complex128)
+        for m in range(order + 1):
+            moments[node, m] = term.sum()
+            term = term * (zeta[s:e] - center[node])
+    return moments
+
+
+@st.composite
+def clustered_measures(draw):
+    """A lattice measure in d = 2 or 3 with duplicate points and a cluster of
+    up to 20 more copies of one of them, shuffled into the input order."""
+    d = draw(st.sampled_from([2, 3]))
+    points = lattice_points(draw, d, 2, max_size=48)
+    copied = points[draw(st.integers(0, len(points) - 1))]
+    points = np.vstack([points, np.repeat(copied[None, :], draw(st.integers(0, 20)), axis=0)])
+    points = points[draw(st.permutations(range(len(points))))]
+    span = np.linalg.norm(points.max(axis=0) - points.min(axis=0))
+    assume(span > 0.0)
+    weights = draw(st.lists(st.floats(0.1, 2.0), min_size=len(points), max_size=len(points)))
+    return DiscreteMeasure(points, weights, 1, min(SPACING, span))
+
+
+@PROPERTY_SETTINGS
+@given(mu=clustered_measures(), cap=st.integers(1, 9))
+def test_depth_build_matches_recursive_build(mu, cap):
+    tree, oracle = measure._build_spatial_tree(mu, cap), recursive_spatial_tree(mu, cap)
+    assert np.array_equal(tree.perm, oracle.perm)
+    # node ids differ between the builds: match the nodes by their ranges
+    ids = {(s, e): i for i, (s, e) in enumerate(zip(tree.start, tree.end))}
+    assert tree.n_nodes == len(ids) == oracle.n_nodes
+    match = np.array([ids[(s, e)] for s, e in zip(oracle.start, oracle.end)])
+    for side in ("left", "right"):
+        kids = getattr(oracle, side)
+        assert np.array_equal(getattr(tree, side)[match], np.where(kids >= 0, match[kids], -1))
+    assert np.array_equal(tree.box_lo[match], oracle.box_lo)
+    assert np.array_equal(tree.box_hi[match], oracle.box_hi)
+    atol = 1e-13 * np.abs(mu.points).max()
+    np.testing.assert_allclose(tree.centroid[match], oracle.centroid, rtol=1e-13, atol=atol)
+    np.testing.assert_allclose(tree.node_weight[match], oracle.node_weight, rtol=1e-13, atol=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(
+    mu=clustered_measures(),
+    cap=st.integers(1, 9),
+    order=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_upward_moments_match_per_node_loops(mu, cap, order, seed):
+    # d = 2 takes the planar series of the given order, d = 3 the monopole
+    tree = measure._build_spatial_tree(mu, cap)
+    fw = np.random.default_rng(seed).standard_normal(len(mu))
+    if mu.ambient_dim == 2:
+        got = measure._node_sums(tree, fw[:, None], partial(treecode._planar_shift, order))
+        want = loop_planar_moments(tree, fw, order)
+        scale = np.abs(want).max(axis=0)
+    else:
+        point_sums = np.column_stack([fw, np.zeros(tree.points.shape)])
+        got = measure._node_sums(tree, point_sums, treecode._monopole_shift)
+        want = loop_node_moments(tree, fw)
+        scale = np.array([np.abs(want[:, 0]).max()] + [np.abs(want[:, 1:]).max()] * 3)
+    # against the largest moment of each order
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@PROPERTY_SETTINGS
+@given(
+    case=measures_and_kernels(),
+    cap=st.integers(1, 9),
+    order=st.integers(0, 8),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_treecode_matches_direct_as_theta_vanishes(case, cap, order, data, seed):
+    # the planar series (d = 2, n = 1) or the monopole (any other n, d), in
+    # either kernel mode; targets on the support and off it
+    mu, cfg = case
+    planar = mu.ambient_dim == 2 and cfg.n == 1
+    params = TreecodeParams(opening_angle=1e-9, leaf_cap=cap, expansion_order=order if planar else 0)
+    targets = np.vstack([mu.points, lattice_points(data.draw, mu.ambient_dim, 1)])
+    f = np.random.default_rng(seed).standard_normal(len(mu))
+    fast = treecode_apply(mu, f, cfg, build_tree(mu, params), params, targets)
+    direct = riesz_apply(mu, f, cfg, targets)
+    # |K| <= eps^-n in both modes
+    bound = 1e-12 * np.sum(np.abs(f) * mu.weights) / cfg.epsilon**cfg.n
+    assert np.all(np.abs(fast - direct) <= bound)
