@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, aslinearoperator, eigsh
 
 from rieszlab.measure import DiscreteMeasure, _safe_resolution
-from rieszlab.kernels import TRUNCATED, KernelConfig, _kernel_block, adjoint_sum, kernel_sum
+from rieszlab.kernels import TRUNCATED, KernelConfig, _blocks, adjoint_sum, kernel_sum
 
 _RANDOM_START_SEED = 20240817
 
@@ -68,20 +68,15 @@ class CurvatureEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _build_symmetrized_matrix(mu: DiscreteMeasure, cfg: KernelConfig, chunk: int = 256) -> np.ndarray:
-    """Dense ((N * d), N) matrix B in u = sqrt(w) f coordinates."""
+def _build_symmetrized_matrix(mu: DiscreteMeasure, cfg: KernelConfig) -> np.ndarray:
+    """Dense ((N * d), N) matrix B in u = sqrt(w) f coordinates, from the
+    kernel blocks of `kernel_sum`."""
     n_pts, d = len(mu), mu.ambient_dim
     sw = np.sqrt(mu.weights)
-    out = np.empty((n_pts * d, n_pts))
-    for i0 in range(0, n_pts, chunk):
-        tblk = mu.points[i0 : i0 + chunk]
-        ker = _kernel_block(tblk, mu.points, cfg)  # (t, s, d)
-        blk = ker * sw[i0 : i0 + tblk.shape[0], None, None] * sw[None, :, None]
-        # row layout: component a of target i lives at row i*d + a
-        out[i0 * d : (i0 + tblk.shape[0]) * d] = blk.transpose(0, 2, 1).reshape(
-            tblk.shape[0] * d, n_pts
-        )
-    return out
+    out = np.empty((n_pts, d, n_pts))  # component a of target i is row i*d + a
+    for t, s, diff, coef in _blocks(mu.points, mu.points, cfg):
+        out[t, :, s] = (diff * coef[:, :, None] * sw[t, None, None] * sw[None, s, None]).transpose(0, 2, 1)
+    return out.reshape(n_pts * d, n_pts)
 
 
 def _symmetrized_operator(mu: DiscreteMeasure, cfg: KernelConfig, dense_cache_cap: int) -> LinearOperator:

@@ -21,6 +21,7 @@ import sys
 import tempfile
 import traceback
 from dataclasses import dataclass, field
+from pathlib import Path
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -55,12 +56,14 @@ def _hash_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, write) -> None:
+    """write(tmp) fills a temporary file beside path, which then replaces
+    path; on any failure the temporary file is removed and path is untouched."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rieszlab-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -76,7 +79,7 @@ def _artifact(path: str, config: ExperimentConfig, input_hash: str, header: str,
     lines.append(f"# input_sha256={input_hash}")
     lines.append(header)
     lines += rows
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(path, lambda tmp: Path(tmp).write_text("\n".join(lines) + "\n"))
 
 
 def _load_measure(path: str):
@@ -131,16 +134,7 @@ def _cmd_gen(args) -> int:
     config = ExperimentConfig("gen", {"kind": args.kind, "spec": spec})
     comments = config.echo_lines() + [f"input_sha256={_hash_text(spec)}"]
     # measure format already starts with its own '#' header line
-    directory = os.path.dirname(os.path.abspath(args.output)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rieszlab-")
-    os.close(fd)
-    try:
-        write_measure(mu, tmp, extra_comments=comments)
-        os.replace(tmp, args.output)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(args.output, lambda tmp: write_measure(mu, tmp, extra_comments=comments))
     return EXIT_OK
 
 

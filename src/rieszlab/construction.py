@@ -22,6 +22,13 @@ The half-radius patch balls are pairwise disjoint across the whole selection
 (greedy selection separates centers by more than the larger cover radius),
 so ball assignment is unambiguous; coloring is only needed for the full
 cover balls, whose doubled-ball disjointness holds per color class.
+
+Every point-in-ball decision (greedy coverage, the overlap count, the patch
+plane fits, the patch-ball labelling of the proxy and of any operand
+measure, and the coverage check) reads `measure._ball_members`, the
+closed-ball rule of `ball_mass` and `ball_masses`.  Verification's color
+check and the interaction gaps read one ball-against-ball table,
+`_ball_gaps`.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from scipy.spatial import cKDTree
 from rieszlab.measure import (
     DiscreteMeasure,
     ScaleGrid,
+    _ball_members,
     _safe_resolution,
     ball_mass,
     ball_masses,  # bound here for test_tracer_wraps_every_binding_and_restores_it
@@ -226,19 +234,21 @@ def besicovitch_cover(
         raise ValueError("a target coincides with an exclusion point")
 
     order = np.argsort(-clearance, kind="stable")  # ties: first index wins
-    covered = np.zeros(targets.size, dtype=bool)
+    covered = np.zeros(len(mu), dtype=bool)  # over the whole support
     selected: list[int] = []
+    members: list[np.ndarray] = []  # support points of each selected ball
     for i in order:
-        if covered[i]:
+        if covered[targets[i]]:
             continue
+        (ball,) = _ball_members(mu, tpts[i], clearance[i])
         selected.append(i)
-        dist = np.linalg.norm(tpts - tpts[i], axis=1)
-        covered |= dist <= clearance[i]
+        members.append(ball)
+        covered[ball] = True
     sel = np.asarray(selected, dtype=int)
     cpts = tpts[sel]
     crad = clearance[sel]
 
-    if not covered.all():
+    if not covered[targets].all():
         raise CoverInvariantError("greedy selection left a target uncovered")
 
     # first-fit coloring of the ball intersection graph, in selection order
@@ -253,11 +263,7 @@ def besicovitch_cover(
         colors[i] = c
 
     # pointwise overlap over the whole support
-    overlap = np.zeros(len(mu), dtype=int)
-    for i in range(k):
-        dist = np.linalg.norm(mu.points - cpts[i], axis=1)
-        overlap += dist <= crad[i]
-    max_overlap = int(overlap.max()) if k else 0
+    max_overlap = int(np.bincount(np.concatenate(members)).max())
     if max_overlap > cap:
         raise CoverOverlapError(
             f"cover overlap {max_overlap} exceeds the configured cap {cap}"
@@ -268,7 +274,7 @@ def besicovitch_cover(
         radii=crad,
         colors=colors,
         max_overlap=max_overlap,
-        n_colors=int(colors.max()) if k else 0,
+        n_colors=int(colors.max()),
         overlap_cap=cap,
     )
 
@@ -387,13 +393,13 @@ def attach_patches(
     n, d = mu.hausdorff_dim, mu.ambient_dim
 
     patches: list[DiskPatch] = []
-    for i in range(len(cover)):
-        center = cover.center_points[i]
-        r = cover.radii[i] / 2.0
+    if plane_policy == "least-squares":
+        members = _ball_members(mu, cover.center_points, cover.patch_radii())
+    for i, (center, r) in enumerate(zip(cover.center_points, cover.patch_radii())):
         if plane_policy == "fixed-axis":
             basis = np.eye(d)[:n]
         else:
-            near = mu.kdtree.query_ball_point(center, r)
+            near = members[i]
             dirs = _lsq_directions(mu.points[near], mu.weights[near], center, n)
             basis = _orthonormal_basis(dirs, n, d)
         offsets, w_each, spacing = _disk_offsets(n, r, spacing_frac)
@@ -471,32 +477,18 @@ def build_proxy_measure(
         return None, np.empty(0), None
     if len(patches) != k:
         raise ValueError("patch list must align with the cover")
-    claimed = np.full(len(mu), -1, dtype=int)
-    coeffs = np.empty(k)
-    blocks: list[np.ndarray] = []
-    block_w: list[np.ndarray] = []
-    ball_of_point: list[np.ndarray] = []
-    for i in range(k):
-        r = cover.radii[i] / 2.0
-        idx = np.asarray(
-            sorted(mu.kdtree.query_ball_point(cover.center_points[i], r)), dtype=int
-        )
-        if idx.size == 0:
-            raise ZeroMassBallError(
-                f"patch ball {i} (source index {cover.centers[i]}) has no source mass"
-            )
-        if np.any(claimed[idx] >= 0):
-            raise CoverInvariantError("patch balls are not disjoint")
-        claimed[idx] = i
-        mass = float(np.sum(mu.weights[idx]))
-        coeffs[i] = patches[i].total_weight / mass
-        blocks.append(mu.points[idx])
-        block_w.append(mu.weights[idx] * coeffs[i])
-        ball_of_point.append(np.full(idx.size, i, dtype=int))
-    pts = np.vstack(blocks)
-    w = np.concatenate(block_w)
+    members, label = _patch_ball_labels(mu, cover)
+    masses = np.array([np.sum(mu.weights[idx]) for idx in members])
+    if not masses.all():  # weights are positive: only an empty ball has no mass
+        i = np.flatnonzero(masses == 0.0)[0]
+        raise ZeroMassBallError(f"patch ball {i} (source index {cover.centers[i]}) has no source mass")
+    coeffs = np.array([p.total_weight for p in patches]) / masses
+    idx = np.concatenate(members)
+    ball_of_point = label[idx]
+    pts = mu.points[idx]
+    w = mu.weights[idx] * coeffs[ball_of_point]
     proxy = DiscreteMeasure(pts, w, mu.hausdorff_dim, _safe_resolution(pts, mu.resolution_h))
-    return proxy, coeffs, np.concatenate(ball_of_point)
+    return proxy, coeffs, ball_of_point
 
 
 # ---------------------------------------------------------------------------
@@ -504,19 +496,45 @@ def build_proxy_measure(
 # ---------------------------------------------------------------------------
 
 
+def _patch_ball_labels(measure: DiscreteMeasure, cover: CoverReport) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each patch ball's points (ascending) and each point's ball, -1 for none.
+
+    A point in two patch balls breaks the cover's disjointness and raises
+    CoverInvariantError.
+    """
+    members = _ball_members(measure, cover.center_points, cover.patch_radii())
+    label = np.full(len(measure), -1, dtype=int)
+    claimed = np.concatenate([np.empty(0, dtype=np.intp)] + members)
+    if np.bincount(claimed).max(initial=0) > 1:
+        raise CoverInvariantError("patch balls are not disjoint")
+    label[claimed] = np.repeat(np.arange(len(members)), [idx.size for idx in members])
+    return members, label
+
+
 def _assign_balls(measure: DiscreteMeasure, cover: CoverReport) -> np.ndarray:
     """Index of the patch ball containing each point (balls are disjoint)."""
-    assignment = np.full(len(measure), -1, dtype=int)
-    for i in range(len(cover)):
-        idx = measure.kdtree.query_ball_point(cover.center_points[i], cover.radii[i] / 2.0)
-        idx = np.asarray(idx, dtype=int)
-        if np.any(assignment[idx] >= 0):
-            raise CoverInvariantError("patch balls are not disjoint")
-        assignment[idx] = i
+    assignment = _patch_ball_labels(measure, cover)[1]
     if np.any(assignment < 0):
         bad = int(np.flatnonzero(assignment < 0)[0])
         raise UnassignedPointError(f"point {bad} lies in no patch ball")
     return assignment
+
+
+def _ball_sums(points, fw, ball_of_point, cfg: KernelConfig, targets, target_ball, local: bool) -> np.ndarray:
+    """Transform at each target from the sources in its own ball (local) or
+    outside it (nonlocal); sources and targets carry their ball labels."""
+    out = np.zeros((targets.shape[0], points.shape[1]))
+    for b in np.unique(target_ball):
+        at, src = target_ball == b, (ball_of_point == b) == local
+        out[at] = kernel_sum(points[src], fw[src], cfg, targets[at])
+    return out
+
+
+def _ball_gaps(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """|c_i - c_j| - r_i - r_j for every pair of balls: the gap between two
+    closed balls, positive exactly when they are disjoint."""
+    sep = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+    return sep - radii[:, None] - radii[None, :]
 
 
 def split_local_nonlocal(
@@ -535,15 +553,8 @@ def split_local_nonlocal(
     f = np.asarray(f, dtype=float)
     assignment = _assign_balls(measure, cover) if ball_of_point is None else np.asarray(ball_of_point)
     fw = f * measure.weights
-    local = np.zeros((len(measure), measure.ambient_dim))
-    nonlocal_ = np.zeros_like(local)
-    for b in range(len(cover)):
-        mask = assignment == b
-        if not mask.any():
-            continue
-        targets = measure.points[mask]
-        local[mask] = kernel_sum(measure.points[mask], fw[mask], cfg, targets)
-        nonlocal_[mask] = kernel_sum(measure.points[~mask], fw[~mask], cfg, targets)
+    local = _ball_sums(measure.points, fw, assignment, cfg, measure.points, assignment, True)
+    nonlocal_ = _ball_sums(measure.points, fw, assignment, cfg, measure.points, assignment, False)
     return VectorField(local), VectorField(nonlocal_)
 
 
@@ -602,17 +613,10 @@ def comparison_mismatch_ratio(
     fw_s = g * sigma.weights
     mismatch = 0.0
     for measure, assignment in ((proxy, pa), (sigma, sa)):
-        for b in range(len(cover)):
-            mask = assignment == b
-            if not mask.any():
-                continue
-            targets = measure.points[mask]
-            from_proxy = kernel_sum(proxy.points[pa != b], fw_p[pa != b], cfg, targets)
-            from_sigma = kernel_sum(sigma.points[sa != b], fw_s[sa != b], cfg, targets)
-            diff = from_proxy - from_sigma
-            mismatch += float(
-                np.einsum("ij,ij->i", diff, diff) @ measure.weights[mask]
-            )
+        from_proxy = _ball_sums(proxy.points, fw_p, pa, cfg, measure.points, assignment, False)
+        from_sigma = _ball_sums(sigma.points, fw_s, sa, cfg, measure.points, assignment, False)
+        diff = from_proxy - from_sigma
+        mismatch += float(np.einsum("ij,ij->i", diff, diff) @ measure.weights)
     denom = float(np.sum(f**2 * proxy.weights) + np.sum(g**2 * sigma.weights))
     return mismatch, mismatch / denom if denom > 0 else 0.0
 
@@ -634,9 +638,7 @@ def ball_interaction_field(
     integrals = np.bincount(assignment, weights=f * measure.weights, minlength=k)
     radii = cover.patch_radii()
     n = measure.hausdorff_dim
-    centers = cover.center_points
-    sep = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
-    gaps = sep - radii[:, None] - radii[None, :]
+    gaps = _ball_gaps(cover.center_points, radii)
     np.fill_diagonal(gaps, np.inf)
     if np.any(gaps <= 0.0):
         raise CoverInvariantError("patch balls touch; interaction gaps must be positive")
@@ -683,7 +685,6 @@ def run_construction(
     spacing_frac: float = 1.0 / 16.0,
     plane_policy: str = "least-squares",
     extent_factor: float = 3.0,
-    overlap_cap: int | None = None,
 ) -> ConstructionResult:
     """Full pipeline: density subsets, cover, patches, union, proxy."""
     _check_params_grid(mu, params)
@@ -692,7 +693,6 @@ def run_construction(
         mu,
         params,
         ratios,
-        overlap_cap,
         plane_policy=plane_policy,
         spacing_frac=spacing_frac,
         extent_factor=extent_factor,
@@ -703,7 +703,6 @@ def _construct(
     mu: DiscreteMeasure,
     params: DensitySubsetParams,
     ratios: np.ndarray,
-    overlap_cap: int | None = None,
     **patch_options,
 ) -> ConstructionResult:
     """`run_construction` from the source's ratio table on params.grid."""
@@ -714,7 +713,7 @@ def _construct(
     if core.size == 0:
         raise EmptyCoreError(f"core is empty at p={params.p}, s={params.s}; increase s")
     targets = np.setdiff1d(dense, core)
-    cover = besicovitch_cover(mu, targets, core, overlap_cap=overlap_cap)
+    cover = besicovitch_cover(mu, targets, core)
     patches, backdrop, flat, patch_measure = attach_patches(mu, cover, core, **patch_options)
     regularized = build_regularized_measure(mu, core, flat)
     proxy, coeffs, ball_of_point = build_proxy_measure(mu, cover, patches)
@@ -815,29 +814,15 @@ def verify_construction(
         worst_rel = max(worst_rel, rel)
     matching_pass = bool(worst_rel <= _MATCHING_TOL)
 
-    color_ok = True
     cover = result.cover
-    for color in range(1, cover.n_colors + 1):
-        idx = np.flatnonzero(cover.colors == color)
-        for a in range(idx.size):
-            for b in range(a + 1, idx.size):
-                i, j = idx[a], idx[b]
-                gap = (
-                    float(np.linalg.norm(cover.center_points[i] - cover.center_points[j]))
-                    - cover.radii[i]
-                    - cover.radii[j]
-                )
-                if gap <= 0.0:
-                    color_ok = False
+    same_color = cover.colors[:, None] == cover.colors[None, :]
+    np.fill_diagonal(same_color, False)
+    color_ok = bool(np.all(_ball_gaps(cover.center_points, cover.radii)[same_color] > 0.0))
 
-    targets = result.target_idx
-    coverage_ok = True
-    if targets.size and len(cover):
-        tp = mu.points[targets]
-        dist = np.linalg.norm(tp[:, None, :] - cover.center_points[None, :, :], axis=2)
-        coverage_ok = bool(np.all((dist <= cover.radii[None, :]).any(axis=1)))
-    elif targets.size:
-        coverage_ok = False
+    covered = np.zeros(len(mu), dtype=bool)
+    for ball in _ball_members(mu, cover.center_points, cover.radii):
+        covered[ball] = True
+    coverage_ok = bool(covered[result.target_idx].all())
 
     overlap_ok = cover.max_overlap <= cover.overlap_cap
 

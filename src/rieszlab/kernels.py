@@ -101,13 +101,6 @@ def kernel_eval(x, cfg: KernelConfig) -> np.ndarray:
     return x * _coef_from_r2(r2, cfg)[..., None]
 
 
-def _kernel_block(targets: np.ndarray, sources: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """(T, S, d) kernel tensor K(t - s); zero rows handle self-terms."""
-    diff = targets[:, None, :] - sources[None, :, :]
-    r2 = np.einsum("tsd,tsd->ts", diff, diff)
-    return diff * _coef_from_r2(r2, cfg)[:, :, None]
-
-
 def _blocks(points: np.ndarray, targets: np.ndarray, cfg: KernelConfig):
     """Yield (t, s, diff, coef) over (target chunk x source chunk) blocks.
 

@@ -162,14 +162,36 @@ def total_mass(mu: DiscreteMeasure) -> float:
     return float(np.sum(mu.weights))
 
 
+def _ball_members(mu: DiscreteMeasure, centers, radii) -> list[np.ndarray]:
+    """Ascending point indices of each closed ball B(centers[i], radii[i]).
+
+    The package's one closed-ball rule: y lies in B(c, r) when
+    sqrt(einsum(c - y, c - y)) <= r, the distance ball_masses bins by.
+    One query of the cached kdtree, at radii inflated by a relative 1e-9,
+    gives candidates that hold every such point; the rule then decides.
+    """
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    radii = np.full(centers.shape[0], radii, dtype=float)
+    # numpy sorts the members far faster than the kdtree sorts its lists
+    near = mu.kdtree.query_ball_point(centers, radii * (1.0 + 1e-9), return_sorted=False)
+    members = []
+    for c, r, idx in zip(centers, radii, near):
+        idx = np.fromiter(idx, dtype=np.intp, count=len(idx))
+        diff = c - np.take(mu.points, idx, axis=0)  # take: a fast gather of whole rows
+        members.append(np.sort(idx[np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= r]))
+    return members
+
+
 def ball_mass(mu: DiscreteMeasure, center, r: float) -> float:
-    """Mass of the closed ball B(center, r)."""
+    """Mass of the closed ball B(center, r), summed in index order.
+
+    A point y is in the ball when sqrt(einsum(center - y, center - y)) <= r,
+    the rule of `ball_masses`, so the two agree bit for bit whenever the
+    weights sum exactly in any order (dyadic weights, say).
+    """
     if not r > 0.0:
         raise ValueError("ball radius must be positive")
-    center = np.asarray(center, dtype=float)
-    idx = mu.kdtree.query_ball_point(center, r)
-    if not idx:
-        return 0.0
+    (idx,) = _ball_members(mu, center, r)
     return float(np.sum(mu.weights[idx]))
 
 
@@ -180,6 +202,10 @@ def ball_masses(
     values: np.ndarray | None = None,
 ) -> np.ndarray:
     """Closed-ball sums over a grid of centers and radii.
+
+    A point y lies in B(c, r) when sqrt(einsum(c - y, c - y)) <= r, the
+    package's one closed-ball rule, shared with `ball_mass` and every cover
+    test of the construction.
 
     Returns a (len(centers), len(radii)) array of sums of `values` (the
     weights when values is None) inside each ball; values stacked as a

@@ -35,6 +35,24 @@ def test_gen_segment_and_union(tmp_path):
     assert rl.support_diameter(mu) >= 5.0
 
 
+def test_gen_failing_write_leaves_no_file(tmp_path, monkeypatch):
+    # the measure writer fails after writing part of its file: neither the
+    # output nor the temporary file it was written to may stay behind
+    import rieszlab.measure
+
+    def broken(mu, path, extra_comments=()):
+        with open(path, "w") as fh:
+            fh.write("# d=2 n=1 count=16 h=0.0625\n")
+        raise OSError("injected write failure")
+
+    monkeypatch.setattr(rieszlab.measure, "write_measure", broken)
+    out = tmp_path / "seg.measure"
+    assert run_cli("gen", "--kind", "segment", "--count", 16, "--output", out) == EXIT_IO
+    assert not out.exists()
+    assert not list(tmp_path.glob(".rieszlab-*"))
+    assert not list(tmp_path.iterdir())
+
+
 def test_norm_missing_input_is_io_failure(tmp_path):
     out = tmp_path / "norm.csv"
     code = run_cli("norm", "--input", tmp_path / "absent.measure", "--output", out)

@@ -309,6 +309,20 @@ def test_corrupted_coefficients_fail_matching(mixed_result):
     assert not report.all_pass()
 
 
+def test_corrupted_cover_fails_color_and_coverage(mixed_result):
+    import dataclasses
+
+    res = mixed_result
+    cover = res.cover
+    assert cover.n_colors == 2  # the heavy pair's cover balls intersect
+    one_color = dataclasses.replace(cover, colors=np.ones_like(cover.colors))
+    report = verify_construction(dataclasses.replace(res, cover=one_color), seed=11)
+    assert not report.color_disjoint_pass and report.coverage_pass
+    moved = dataclasses.replace(cover, center_points=cover.center_points + 100.0)
+    report = verify_construction(dataclasses.replace(res, cover=moved), seed=11)
+    assert report.color_disjoint_pass and not report.coverage_pass
+
+
 def test_domination_with_adaptive_family(mixed_measure, mixed_result):
     # a large-p member makes the dense set the whole support, so the family
     # dominates the source on every ball query
@@ -591,6 +605,29 @@ def test_comparison_mismatch_ratio_reported(mixed_result):
         assert np.isfinite(mismatch) and mismatch >= 0.0
         ratios.append(ratio)
     assert all(np.isfinite(r) for r in ratios)
+
+
+def test_comparison_mismatch_matches_per_ball_loop(mixed_result):
+    # reference: one pair of kernel sums over the other balls' sources per
+    # ball and measure; only the order of the final sum differs
+    res = mixed_result
+    sigma, proxy = res.patch_measure, res.proxy_measure
+    from rieszlab.construction import _assign_balls
+    from rieszlab.kernels import kernel_sum
+
+    sa, pa = _assign_balls(sigma, res.cover), res.proxy_ball_of_point
+    cfg = KernelConfig(1, 4 * res.source.resolution_h, REGULARIZED)
+    rng = np.random.default_rng(5)
+    f, g = rng.standard_normal(len(proxy)), rng.standard_normal(len(sigma))
+    want = 0.0
+    for measure, labels in ((proxy, pa), (sigma, sa)):
+        for b in range(len(res.cover)):
+            at = labels == b
+            diff = kernel_sum(proxy.points[pa != b], (f * proxy.weights)[pa != b], cfg, measure.points[at])
+            diff -= kernel_sum(sigma.points[sa != b], (g * sigma.weights)[sa != b], cfg, measure.points[at])
+            want += float(np.einsum("ij,ij->i", diff, diff) @ measure.weights[at])
+    mismatch, _ = comparison_mismatch_ratio(f, g, proxy, sigma, res.cover, cfg, pa, sa)
+    assert mismatch == pytest.approx(want, rel=1e-13)
 
 
 def test_comparison_mismatch_zero_for_identical_inputs(mixed_result):

@@ -105,6 +105,17 @@ def test_ball_masses_grid_matches_single(four_corners_3):
             assert ratios[i, j] == pytest.approx(mass / r, rel=1e-12, abs=1e-15)  # n = 1
 
 
+def test_ball_mass_decides_by_the_rounded_distance():
+    # points a relative 1e-10 outside the unit ball fall inside the kdtree's
+    # inflated candidate query, and only the closed-ball rule drops them;
+    # points on the boundary or just inside are kept
+    eps = 1e-10
+    pts = np.array([[1.0, 0.0], [0.0, -1.0], [1.0 + eps, 0.0], [0.0, 1.0 - eps], [0.0, -1.0 - eps]])
+    mu = DiscreteMeasure(pts, [1.0, 2.0, 4.0, 8.0, 16.0], 1, 0.5)
+    assert ball_mass(mu, [0.0, 0.0], 1.0) == 11.0
+    assert ball_mass(mu, [0.0, 0.0], 1.0) == ball_masses(mu, [[0.0, 0.0]], [1.0])[0, 0]
+
+
 def test_ball_mass_monotone_in_radius(four_corners_4):
     rng = np.random.default_rng(7)
     for _ in range(20):

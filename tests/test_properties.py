@@ -22,6 +22,7 @@ from functools import partial
 from types import SimpleNamespace
 
 from rieszlab import kernels, measure, treecode
+from rieszlab.construction import split_local_nonlocal
 from rieszlab.kernels import REGULARIZED, TRUNCATED, KernelConfig, adjoint_sum, kernel_sum, riesz_apply
 from rieszlab.measure import DiscreteMeasure, ball_masses
 from rieszlab.treecode import TreecodeParams, build_tree, treecode_apply
@@ -199,6 +200,34 @@ def test_ball_masses_in_general_position(d, size, seed):
         rtol=1e-13,
         atol=0.0,
     )
+
+
+def dense_members(mu, center, r):
+    """Oracle for measure._ball_members: the closed-ball rule over every point."""
+    diff = center - mu.points
+    return np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= r)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), d=st.sampled_from([2, 3]))
+def test_ball_mass_and_ball_members_follow_the_closed_ball_rule(data, d):
+    mu = lattice_measure(data.draw, d, POWERS_OF_TWO)
+    centers = lattice_points(data.draw, d, 1, max_size=8)
+    # each radius is the distance from its center to a support point, so
+    # that point lies exactly on the closed ball's boundary
+    picks = data.draw(st.lists(st.integers(0, len(mu) - 1), min_size=len(centers), max_size=len(centers)))
+    diff = centers - mu.points[picks]
+    radii = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    assume(np.all(radii > 0.0))
+    members = measure._ball_members(mu, centers, radii)
+    for c, r, got in zip(centers, radii, members):
+        want = dense_members(mu, c, r)
+        assert np.array_equal(got, want)
+        (alone,) = measure._ball_members(mu, c, r)
+        assert np.array_equal(alone, want)
+        # dyadic weights sum exactly in any order, so ball_mass and
+        # ball_masses agree bit for bit exactly when their rules agree
+        assert measure.ball_mass(mu, c, r) == ball_masses(mu, c[None], [r])[0, 0]
 
 
 def random_points(mu, count, seed):
@@ -420,3 +449,18 @@ def test_treecode_matches_direct_as_theta_vanishes(case, cap, order, data, seed)
     # |K| <= eps^-n in both modes
     bound = 1e-12 * np.sum(np.abs(f) * mu.weights) / cfg.epsilon**cfg.n
     assert np.all(np.abs(fast - direct) <= bound)
+
+
+@PROPERTY_SETTINGS
+@given(case=measures_and_kernels(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_local_plus_nonlocal_is_the_full_transform(case, data, seed):
+    # any labelling of the points by balls, passed as ball_of_point; the
+    # cover is read only to label the points, so none is given
+    mu, cfg = case
+    labels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(mu), max_size=len(mu))))
+    f = np.random.default_rng(seed).standard_normal(len(mu))
+    local, nonlocal_ = split_local_nonlocal(mu, None, f, cfg, ball_of_point=labels)
+    full = riesz_apply(mu, f, cfg, mu.points)
+    # |K| <= eps^-n in both modes
+    bound = 1e-12 * np.sum(np.abs(f) * mu.weights) / cfg.epsilon**cfg.n
+    assert np.all(np.abs(local.values + nonlocal_.values - full) <= bound)
