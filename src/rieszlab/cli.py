@@ -2,7 +2,10 @@
 
 One command writes one artifact file (CSV with '#'-prefixed header lines:
 tool version, config echo with every resolved parameter, input hash), plus a
-result directory for `construct`.  Outputs are written atomically (temp file
+result directory for `construct`.  The echo is every parsed flag but
+--output and --config, under its dest name, with the values the command
+resolved (a default epsilon, the radius grid, ...) in place of the parsed
+ones; no command lists its keys.  Outputs are written atomically (temp file
 in the target directory, then rename), so a failing run leaves no partial
 artifact.  Exit codes: 0 success, 1 internal error (a defect, reported with
 its traceback), 2 parameter validation failure (ValueError and its
@@ -20,7 +23,6 @@ import os
 import sys
 import tempfile
 import traceback
-from dataclasses import dataclass, field
 from pathlib import Path
 
 EXIT_OK = 0
@@ -29,19 +31,15 @@ EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_IO = 4
 
+_NOT_ECHOED = ("command", "func", "config", "output")
 
-@dataclass
-class ExperimentConfig:
-    """Resolved parameters of one CLI invocation; echoed into the artifact."""
 
-    command: str
-    values: dict = field(default_factory=dict)
-
-    def echo_lines(self) -> list[str]:
-        lines = [f"command={self.command}"]
-        for key in sorted(self.values):
-            lines.append(f"{key}={self.values[key]}")
-        return lines
+def _echo(args, resolved: dict) -> list[str]:
+    """command=<name>, then key=value for every parsed flag but --output and
+    --config, sorted by key, with the values in `resolved` overlaid."""
+    values = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+    values.update(resolved)
+    return [f"command={args.command}"] + [f"{k}={values[k]}" for k in sorted(values)]
 
 
 def _hash_file(path: str) -> str:
@@ -71,15 +69,16 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
-def _artifact(path: str, config: ExperimentConfig, input_hash: str, header: str, rows: list[str]) -> None:
+def _artifact(args, resolved: dict, input_hash: str, header: str, rows: list[str]) -> None:
+    """Write args.output: version, echo, input hash, then the CSV table."""
     from rieszlab import __version__
 
     lines = [f"# rieszlab {__version__}"]
-    lines += [f"# {ln}" for ln in config.echo_lines()]
+    lines += [f"# {ln}" for ln in _echo(args, resolved)]
     lines.append(f"# input_sha256={input_hash}")
     lines.append(header)
     lines += rows
-    _write_atomic(path, lambda tmp: Path(tmp).write_text("\n".join(lines) + "\n"))
+    _write_atomic(args.output, lambda tmp: Path(tmp).write_text("\n".join(lines) + "\n"))
 
 
 def _load_measure(path: str):
@@ -107,12 +106,6 @@ def _cmd_gen(args) -> int:
     from rieszlab import generators
     from rieszlab.measure import write_measure
 
-    spec = (
-        f"kind={args.kind} level={args.level} extent={args.extent} spacing={args.spacing} "
-        f"count={args.count} slope={args.slope} seed={args.seed} ratios={args.ratios} "
-        f"weight_exponent={args.weight_exponent} n={args.n} d={args.d} "
-        f"separation={args.separation} inputs={args.inputs}"
-    )
     if args.kind == "plane":
         mu = generators.gen_plane(args.n, args.d, args.extent, args.spacing)
     elif args.kind == "segment":
@@ -131,8 +124,9 @@ def _cmd_gen(args) -> int:
         mu = generators.gen_union(parts, args.separation)
     else:
         raise ValueError(f"unknown kind {args.kind!r}")
-    config = ExperimentConfig("gen", {"kind": args.kind, "spec": spec})
-    comments = config.echo_lines() + [f"input_sha256={_hash_text(spec)}"]
+    echo = _echo(args, {})
+    spec = "\n".join(echo)
+    comments = echo + [f"input_sha256={_hash_text(spec)}"]
     # measure format already starts with its own '#' header line
     _write_atomic(args.output, lambda tmp: write_measure(mu, tmp, extra_comments=comments))
     return EXIT_OK
@@ -148,24 +142,16 @@ def _cmd_density(args) -> int:
     else:
         x = mu.points[args.point_index]
     profile = density_profile(mu, x, grid)
-    config = ExperimentConfig(
-        "density",
-        {
-            "input": args.input,
-            "center": list(map(float, x)),
-            "r_min": grid.r_min,
-            "r_max": grid.r_max,
-            "grid_count": grid.count,
-        },
-    )
     rows = [f"{r:.17g},{ratio:.17g}" for r, ratio in profile]
     rows.append(f"# upper_proxy={profile[:, 1].max():.17g} lower_proxy={profile[:, 1].min():.17g}")
-    _artifact(args.output, config, _hash_file(args.input), "r,ratio", rows)
+    resolved = {"center": list(map(float, x)), "r_min": grid.r_min, "r_max": grid.r_max}
+    _artifact(args, resolved, _hash_file(args.input), "r,ratio", rows)
     return EXIT_OK
 
 
-def _norm_row(eps: float, est) -> str:
-    return f"{eps:.17g},{est.value:.17g},{est.iterations},{est.residual:.17g}"
+def _norm_cells(est) -> str:
+    """The norm, iterations and residual cells of a norm, sweep or joint row."""
+    return f"{est.value:.17g},{est.iterations},{est.residual:.17g}"
 
 
 def _cmd_norm(args) -> int:
@@ -179,21 +165,8 @@ def _cmd_norm(args) -> int:
         est = dense_operator_norm(mu, cfg)
     else:
         est = operator_norm(mu, cfg, tol=args.tol, max_iter=args.max_iter)
-    config = ExperimentConfig(
-        "norm",
-        {
-            "input": args.input,
-            "epsilon": eps,
-            "mode": args.mode,
-            "method": args.method,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-        },
-    )
-    _artifact(
-        args.output, config, _hash_file(args.input), "epsilon,norm,iterations,residual",
-        [_norm_row(eps, est)],
-    )
+    row = f"{eps:.17g},{_norm_cells(est)}"
+    _artifact(args, {"epsilon": eps}, _hash_file(args.input), "epsilon,norm,iterations,residual", [row])
     return EXIT_OK
 
 
@@ -203,18 +176,8 @@ def _cmd_sweep(args) -> int:
     mu = _load_measure(args.input)
     epsilons = [float(tok) for tok in args.epsilons.split(",")]
     table = norm_sweep(mu, epsilons, tol=args.tol, mode=args.mode, max_iter=args.max_iter)
-    config = ExperimentConfig(
-        "sweep",
-        {
-            "input": args.input,
-            "epsilons": epsilons,
-            "mode": args.mode,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-        },
-    )
-    rows = [_norm_row(eps, est) for eps, est in table]
-    _artifact(args.output, config, _hash_file(args.input), "epsilon,norm,iterations,residual", rows)
+    rows = [f"{eps:.17g},{_norm_cells(est)}" for eps, est in table]
+    _artifact(args, {"epsilons": epsilons}, _hash_file(args.input), "epsilon,norm,iterations,residual", rows)
     return EXIT_OK
 
 
@@ -223,13 +186,9 @@ def _cmd_curvature(args) -> int:
 
     mu = _load_measure(args.input)
     est = curvature_c2(mu, mode=args.mode, sample_count=args.samples, seed=args.seed)
-    config = ExperimentConfig(
-        "curvature",
-        {"input": args.input, "mode": args.mode, "samples": args.samples, "seed": args.seed},
-    )
     stderr = est.rel_stderr * est.value
     rows = [f"{est.mode},{est.value:.17g},{est.triples_evaluated},{stderr:.17g}"]
-    _artifact(args.output, config, _hash_file(args.input), "mode,value,triples,stderr", rows)
+    _artifact(args, {}, _hash_file(args.input), "mode,value,triples,stderr", rows)
     return EXIT_OK
 
 
@@ -244,36 +203,16 @@ def _cmd_construct(args) -> int:
 
     mu = _load_measure(args.input)
     params = density_params(mu, args.p, args.s, count=args.grid_count, r_floor=args.r_min)
-    result = run_construction(
-        mu,
-        params,
-        spacing_frac=1.0 / args.patch_cells,
-        plane_policy=args.plane_policy,
-        extent_factor=args.extent_factor,
-    )
+    result = run_construction(mu, params, spacing_frac=1.0 / args.patch_cells)
     family = [result] if args.no_family else adaptive_family(result)
     report = verify_construction(result, family=family, seed=args.seed)
     if args.outdir:
         save_construction(result, args.outdir, report)
-    config = ExperimentConfig(
-        "construct",
-        {
-            "input": args.input,
-            "p": args.p,
-            "s": args.s,
-            "grid_count": args.grid_count,
-            "patch_cells": args.patch_cells,
-            "plane_policy": args.plane_policy,
-            "extent_factor": args.extent_factor,
-            "family_size": len(family),
-            "outdir": args.outdir,
-            "seed": args.seed,
-        },
-    )
     rep = report.to_dict()
     rows = [f"{key},{rep[key]}" for key in sorted(rep)]
     rows.append(f"all_pass,{report.all_pass()}")
-    _artifact(args.output, config, _hash_file(args.input), "check,value", rows)
+    resolved = {"r_min": params.grid.r_min, "r_max": params.grid.r_max, "family_size": len(family)}
+    _artifact(args, resolved, _hash_file(args.input), "check,value", rows)
     return EXIT_OK
 
 
@@ -286,24 +225,10 @@ def _cmd_joint(args) -> int:
     eps = args.epsilon if args.epsilon is not None else 4.0 * max(mu.resolution_h, sigma.resolution_h)
     cfg = KernelConfig(mu.hausdorff_dim, eps, args.mode)
     res = joint_norm_experiment(mu, sigma, cfg, tol=args.tol, max_iter=args.max_iter)
-    config = ExperimentConfig(
-        "joint",
-        {
-            "input_a": args.input_a,
-            "input_b": args.input_b,
-            "epsilon": eps,
-            "mode": args.mode,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-        },
-    )
     combined_hash = _hash_text(_hash_file(args.input_a) + _hash_file(args.input_b))
-    rows = [
-        f"first,{res.norm_first.value:.17g},{res.norm_first.iterations},{res.norm_first.residual:.17g}",
-        f"second,{res.norm_second.value:.17g},{res.norm_second.iterations},{res.norm_second.residual:.17g}",
-        f"sum,{res.norm_sum.value:.17g},{res.norm_sum.iterations},{res.norm_sum.residual:.17g}",
-    ]
-    _artifact(args.output, config, combined_hash, "component,norm,iterations,residual", rows)
+    parts = (("first", res.norm_first), ("second", res.norm_second), ("sum", res.norm_sum))
+    rows = [f"{name},{_norm_cells(est)}" for name, est in parts]
+    _artifact(args, {"epsilon": eps}, combined_hash, "component,norm,iterations,residual", rows)
     return EXIT_OK
 
 
@@ -380,9 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--r-min", type=float, default=None)
     ct.add_argument("--grid-count", type=int, default=28)
     ct.add_argument("--patch-cells", type=int, default=16)
-    ct.add_argument("--plane-policy", choices=["least-squares", "fixed-axis"],
-                    default="least-squares")
-    ct.add_argument("--extent-factor", type=float, default=3.0)
     ct.add_argument("--seed", type=int, default=7)
     ct.add_argument("--no-family", action="store_true",
                     help="check domination against this run alone")

@@ -26,9 +26,9 @@ cover balls, whose doubled-ball disjointness holds per color class.
 Every point-in-ball decision (greedy coverage, the overlap count, the patch
 plane fits, the patch-ball labelling of the proxy and of any operand
 measure, and the coverage check) reads `measure._ball_members`, the
-closed-ball rule of `ball_mass` and `ball_masses`.  Verification's color
-check and the interaction gaps read one ball-against-ball table,
-`_ball_gaps`.
+closed-ball rule of `ball_mass` and `ball_masses`, as does verification's
+matching check.  The coloring, verification's color check and the
+interaction gaps read one ball-against-ball table, `_ball_gaps`.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from rieszlab.measure import (
 from rieszlab.kernels import KernelConfig, VectorField, kernel_sum
 
 _MATCHING_TOL = 1e-10  # relative proxy-vs-patch mass mismatch accepted by verification
+_BACKDROP_EXTENT = 3.0  # half-width of the backdrop sampling, times the support diameter
 _LOWER_FLOOR_FACTOR = 1.0 / 64.0  # lower-regularity floor of verification, times 1/(p s)
 
 
@@ -251,12 +252,13 @@ def besicovitch_cover(
     if not covered[targets].all():
         raise CoverInvariantError("greedy selection left a target uncovered")
 
-    # first-fit coloring of the ball intersection graph, in selection order
+    # first-fit coloring of the ball intersection graph, in selection order;
+    # two balls clash when their gap is not positive, verification's rule
     k = sel.size
+    gaps = _ball_gaps(cpts, crad)
     colors = np.zeros(k, dtype=int)
     for i in range(k):
-        dist = np.linalg.norm(cpts[:i] - cpts[i], axis=1)
-        clash = set(colors[:i][dist <= crad[:i] + crad[i]].tolist())
+        clash = set(colors[:i][gaps[i, :i] <= 0.0].tolist())
         c = 1
         while c in clash:
             c += 1
@@ -350,13 +352,18 @@ def _lsq_directions(points: np.ndarray, weights: np.ndarray, center: np.ndarray,
     return vt[keep][:n]
 
 
+def _cell_midpoints(n: int, half_width: float, cells: int) -> tuple[np.ndarray, float]:
+    """Midpoints of the cells**n cubes tiling [-half_width, half_width]^n,
+    one row each, and the cube side."""
+    spacing = 2.0 * half_width / cells
+    ax = -half_width + (np.arange(cells) + 0.5) * spacing
+    mesh = np.meshgrid(*([ax] * n), indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh]), spacing
+
+
 def _disk_offsets(n: int, radius: float, spacing_frac: float) -> tuple[np.ndarray, float, float]:
     """Midpoint samples of the n-disk; equal weights, exact total volume."""
-    cells = max(int(round(2.0 / spacing_frac)), 2)
-    spacing = 2.0 * radius / cells
-    ax = -radius + (np.arange(cells) + 0.5) * spacing
-    mesh = np.meshgrid(*([ax] * n), indexing="ij")
-    grid = np.column_stack([m.ravel() for m in mesh])
+    grid, spacing = _cell_midpoints(n, radius, max(int(round(2.0 / spacing_frac)), 2))
     inside = np.einsum("ij,ij->i", grid, grid) <= radius**2
     grid = grid[inside]
     volume = _unit_ball_volume(n) * radius**n if n > 1 else 2.0 * radius
@@ -367,41 +374,32 @@ def attach_patches(
     mu: DiscreteMeasure,
     cover: CoverReport,
     core_idx,
-    plane_policy: str = "least-squares",
     spacing_frac: float = 1.0 / 16.0,
-    extent_factor: float = 3.0,
 ) -> tuple[list[DiskPatch], BackdropPlane, DiscreteMeasure, DiscreteMeasure | None]:
     """Flat n-disks on the cover balls plus the backdrop plane.
 
     Returns (patches, backdrop, flat_measure, patch_measure): flat_measure is
     the union of the backdrop samples and all patches; patch_measure holds
-    the patches alone (None when the cover is empty).  Patch planes follow
-    `plane_policy`: "least-squares" fits the source points inside each patch
-    ball (deterministic SVD with sign-fixed directions, coordinate axes as
-    fallback), "fixed-axis" uses the first n coordinate axes.  The backdrop
+    the patches alone (None when the cover is empty).  Each patch lies in
+    the least-squares plane of the source points inside its ball
+    (deterministic SVD with sign-fixed directions, coordinate axes as
+    fallback), sampled at 2 / spacing_frac cells per diameter.  The backdrop
     passes through the first core point, along the least-squares plane of
-    the core (or the first n axes under "fixed-axis"), sampled over
-    extent_factor times the support diameter at about an eighth of the
-    smallest patch radius (diam / 128 without patches); its far tail
-    contributes O(1/extent) to every tested functional.
+    the core (the first n axes for a one-point core), sampled over
+    [-3 diam, 3 diam]^n at about an eighth of the smallest patch radius
+    (diam / 128 without patches); its far tail contributes O(1/extent) to
+    every tested functional.
     """
-    if plane_policy not in ("least-squares", "fixed-axis"):
-        raise ValueError(f"unknown plane policy {plane_policy!r}")
     core_idx = np.asarray(core_idx, dtype=int)
     if core_idx.size == 0:
         raise EmptyCoreError("backdrop plane needs a nonempty core")
     n, d = mu.hausdorff_dim, mu.ambient_dim
 
     patches: list[DiskPatch] = []
-    if plane_policy == "least-squares":
-        members = _ball_members(mu, cover.center_points, cover.patch_radii())
-    for i, (center, r) in enumerate(zip(cover.center_points, cover.patch_radii())):
-        if plane_policy == "fixed-axis":
-            basis = np.eye(d)[:n]
-        else:
-            near = members[i]
-            dirs = _lsq_directions(mu.points[near], mu.weights[near], center, n)
-            basis = _orthonormal_basis(dirs, n, d)
+    members = _ball_members(mu, cover.center_points, cover.patch_radii())
+    for near, center, r in zip(members, cover.center_points, cover.patch_radii()):
+        dirs = _lsq_directions(mu.points[near], mu.weights[near], center, n)
+        basis = _orthonormal_basis(dirs, n, d)
         offsets, w_each, spacing = _disk_offsets(n, r, spacing_frac)
         pts = center[None, :] + offsets @ basis
         patches.append(
@@ -417,19 +415,16 @@ def attach_patches(
 
     core_pts = mu.points[core_idx]
     base = core_pts[0]
-    if plane_policy == "fixed-axis" or core_pts.shape[0] < 2:
+    if core_pts.shape[0] < 2:
         bg_basis = np.eye(d)[:n]
     else:
         dirs = _lsq_directions(core_pts, mu.weights[core_idx], core_pts.mean(axis=0), n)
         bg_basis = _orthonormal_basis(dirs, n, d)
     diam = support_diameter(mu)
-    extent = extent_factor * diam
+    extent = _BACKDROP_EXTENT * diam
     plane_spacing = min(p.radius for p in patches) / 8.0 if patches else diam / 128.0
     cells = max(int(round(2.0 * extent / plane_spacing)), 2)
-    bg_spacing = 2.0 * extent / cells
-    ax = -extent + (np.arange(cells) + 0.5) * bg_spacing
-    mesh = np.meshgrid(*([ax] * n), indexing="ij")
-    bg_offsets = np.column_stack([m.ravel() for m in mesh])
+    bg_offsets, bg_spacing = _cell_midpoints(n, extent, cells)
     bg_pts = base[None, :] + bg_offsets @ bg_basis
     bg_w = np.full(bg_pts.shape[0], bg_spacing**n)
     backdrop = BackdropPlane(base, bg_basis, float(extent), float(bg_spacing), bg_pts.shape[0])
@@ -683,27 +678,22 @@ def run_construction(
     mu: DiscreteMeasure,
     params: DensitySubsetParams,
     spacing_frac: float = 1.0 / 16.0,
-    plane_policy: str = "least-squares",
-    extent_factor: float = 3.0,
 ) -> ConstructionResult:
-    """Full pipeline: density subsets, cover, patches, union, proxy."""
+    """Full pipeline: density subsets, cover, patches, union, proxy.
+
+    `spacing_frac` sets the patch sampling (`attach_patches`); the plane
+    fits and the backdrop extent are fixed.
+    """
     _check_params_grid(mu, params)
     ratios = density_ratios(mu, mu.points, params.grid.radii())
-    return _construct(
-        mu,
-        params,
-        ratios,
-        plane_policy=plane_policy,
-        spacing_frac=spacing_frac,
-        extent_factor=extent_factor,
-    )
+    return _construct(mu, params, ratios, spacing_frac=spacing_frac)
 
 
 def _construct(
     mu: DiscreteMeasure,
     params: DensitySubsetParams,
     ratios: np.ndarray,
-    **patch_options,
+    spacing_frac: float = 1.0 / 16.0,
 ) -> ConstructionResult:
     """`run_construction` from the source's ratio table on params.grid."""
     dense = extract_dense_set(ratios, params)
@@ -714,7 +704,7 @@ def _construct(
         raise EmptyCoreError(f"core is empty at p={params.p}, s={params.s}; increase s")
     targets = np.setdiff1d(dense, core)
     cover = besicovitch_cover(mu, targets, core)
-    patches, backdrop, flat, patch_measure = attach_patches(mu, cover, core, **patch_options)
+    patches, backdrop, flat, patch_measure = attach_patches(mu, cover, core, spacing_frac)
     regularized = build_regularized_measure(mu, core, flat)
     proxy, coeffs, ball_of_point = build_proxy_measure(mu, cover, patches)
     return ConstructionResult(
@@ -741,8 +731,9 @@ def adaptive_family(result: ConstructionResult) -> list[ConstructionResult]:
     The domination claim concerns such a family.  p* = ceil(1 / min ratio) + 1
     puts 1/p* below every ratio of the result's table, so on the result's
     grid the member's dense set and core are the whole support and its cover
-    is empty.  It reuses the table and the default patch options.  When
-    p* <= p the result already is such a member and stands alone.
+    is empty, so the patch spacing has nothing to sample.  It reuses the
+    table.  When p* <= p the result already is such a member and stands
+    alone.
     """
     p_star = int(np.ceil(1.0 / result.ratios.min())) + 1
     if p_star <= result.params.p:
@@ -806,15 +797,16 @@ def verify_construction(
     floor = _LOWER_FLOOR_FACTOR / (result.params.p * result.params.s)
     floor_pass = bool(c_lo >= floor)
 
+    cover = result.cover
     worst_rel = 0.0
-    proxy = result.proxy_measure
-    for i, patch in enumerate(result.patches):
-        nu_mass = 0.0 if proxy is None else ball_mass(proxy, result.cover.center_points[i], patch.radius)
-        rel = abs(nu_mass - patch.total_weight) / patch.total_weight
-        worst_rel = max(worst_rel, rel)
+    if result.patches:
+        proxy = result.proxy_measure
+        balls = _ball_members(proxy, cover.center_points, [p.radius for p in result.patches])
+        nu_mass = np.array([np.sum(proxy.weights[idx]) for idx in balls])
+        patch_mass = np.array([p.total_weight for p in result.patches])
+        worst_rel = float(np.max(np.abs(nu_mass - patch_mass) / patch_mass))
     matching_pass = bool(worst_rel <= _MATCHING_TOL)
 
-    cover = result.cover
     same_color = cover.colors[:, None] == cover.colors[None, :]
     np.fill_diagonal(same_color, False)
     color_ok = bool(np.all(_ball_gaps(cover.center_points, cover.radii)[same_color] > 0.0))

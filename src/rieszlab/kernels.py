@@ -44,9 +44,6 @@ class KernelConfig:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
-    def with_epsilon(self, epsilon: float) -> "KernelConfig":
-        return KernelConfig(self.n, epsilon, self.mode)
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -65,9 +62,6 @@ class VectorField:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-    def magnitudes(self) -> np.ndarray:
-        return np.sqrt(np.einsum("ij,ij->i", self.values, self.values))
 
 
 def _inv_power(r2: np.ndarray, n: int) -> np.ndarray:

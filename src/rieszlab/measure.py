@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -88,47 +89,35 @@ class DiscreteMeasure:
     def ambient_dim(self) -> int:
         return self.points.shape[1]
 
-    @property
+    @cached_property
     def kdtree(self) -> cKDTree:
-        """Spatial index for ball queries, built lazily and cached."""
-        tree = self.__dict__.get("_kdtree")
-        if tree is None:
-            tree = cKDTree(self.points)
-            object.__setattr__(self, "_kdtree", tree)
-        return tree
+        """Spatial index for ball queries, built once."""
+        return cKDTree(self.points)
 
-    @property
+    @cached_property
     def ball_tree(self) -> "SpatialTree":
-        """Median-split tree for ball sums, built lazily and cached."""
-        tree = self.__dict__.get("_ball_tree")
-        if tree is None:
-            tree = _build_spatial_tree(self, _BALL_LEAF_CAP)
-            object.__setattr__(self, "_ball_tree", tree)
-        return tree
+        """Median-split tree for ball sums, built once."""
+        return _build_spatial_tree(self, _BALL_LEAF_CAP)
 
-    @property
+    @cached_property
     def diameter(self) -> float:
-        """Maximum pairwise distance (0 for N = 1), computed once and cached.
+        """Maximum pairwise distance (0 for N = 1), computed once.
 
         A farthest pair lies on the convex hull, so the dense max runs over
         the hull vertices and the points Qhull keeps as coplanar with a facet
         (within its roundoff of the hull).  Supports Qhull cannot hull
         (collinear, flat in d = 3, N <= d) are searched in full.
         """
-        diam = self.__dict__.get("_diameter")
-        if diam is None:
-            try:
-                hull = ConvexHull(self.points, qhull_options="Qc")
-                candidates = self.points[np.union1d(hull.vertices, hull.coplanar[:, 0])]
-            except QhullError:
-                candidates = self.points
-            best = 0.0
-            for i0 in range(0, len(candidates), 1024):
-                diff = candidates[i0 : i0 + 1024, None, :] - candidates[None, :, :]
-                best = max(best, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
-            diam = float(np.sqrt(best))
-            object.__setattr__(self, "_diameter", diam)
-        return diam
+        try:
+            hull = ConvexHull(self.points, qhull_options="Qc")
+            candidates = self.points[np.union1d(hull.vertices, hull.coplanar[:, 0])]
+        except QhullError:
+            candidates = self.points
+        best = 0.0
+        for i0 in range(0, len(candidates), 1024):
+            diff = candidates[i0 : i0 + 1024, None, :] - candidates[None, :, :]
+            best = max(best, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
+        return float(np.sqrt(best))
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.points.min(axis=0), self.points.max(axis=0)

@@ -256,3 +256,52 @@ def test_config_file_of_the_wrong_shape_is_a_validation_failure(fc3_file, tmp_pa
     assert run_cli("--config", cfg, "norm", "--input", fc3_file, "--output", out) == EXIT_VALIDATION
     assert "invalid configuration" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _parsed_flags(command: str) -> set[str]:
+    """Dest names of every flag of a subcommand but --output."""
+    import argparse
+
+    from rieszlab.cli import _build_parser
+
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for a in commands.choices[command]._actions} - {"help", "output"}
+
+
+def _echo_keys(path) -> set[str]:
+    return {ln[2:].split("=", 1)[0] for ln in path.read_text().splitlines() if ln.startswith("# ") and "=" in ln}
+
+
+@pytest.mark.parametrize("command", ["gen", "density", "norm", "sweep", "curvature", "construct", "joint"])
+def test_artifact_echoes_every_parsed_flag(command, fc3_file, mixed_measure, tmp_path):
+    src = tmp_path / "mixed.measure"
+    rl.write_measure(mixed_measure, src)
+    argv = {
+        "gen": ["--kind", "segment", "--count", 16],
+        "density": ["--input", fc3_file, "--grid-count", 8],
+        "norm": ["--input", fc3_file, "--epsilon", 0.05],
+        "sweep": ["--input", fc3_file, "--epsilons", "0.05,0.1"],
+        "curvature": ["--input", fc3_file],
+        "construct": ["--input", src, "--no-family"],
+        "joint": ["--input-a", fc3_file, "--input-b", fc3_file, "--epsilon", 0.1],
+    }[command]
+    out = tmp_path / "artifact"
+    assert run_cli(command, *argv, "--output", out) == EXIT_OK
+    keys = _echo_keys(out)
+    assert _parsed_flags(command) <= keys
+    assert {"command", "input_sha256"} <= keys
+    assert "output" not in keys and "config" not in keys
+
+
+def test_construct_headers_differ_in_r_min(mixed_measure, tmp_path):
+    src = tmp_path / "mixed.measure"
+    rl.write_measure(mixed_measure, src)
+    headers = []
+    for r_min in ("0.05", "1.0"):
+        out = tmp_path / f"construct_{r_min}.csv"
+        assert run_cli("construct", "--input", src, "--r-min", r_min, "--output", out) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert f"# r_min={float(r_min)}" in lines
+        headers.append([ln for ln in lines if ln.startswith("#")])
+    assert headers[0] != headers[1]

@@ -7,6 +7,7 @@ from rieszlab.construction import (
     CoverReport,
     EmptyExclusionError,
     ZeroMassBallError,
+    _ball_gaps,
     adaptive_family,
     attach_patches,
     ball_interaction_field,
@@ -182,6 +183,12 @@ def test_cover_circle_invariants():
             for b in range(a + 1, idx.size):
                 sep = np.linalg.norm(cover.center_points[idx[a]] - cover.center_points[idx[b]])
                 assert sep > cover.radii[idx[a]] + cover.radii[idx[b]]
+    # first fit on the gap table: a ball of color c clashes (gap <= 0) with
+    # an earlier ball of every color below c
+    gaps = _ball_gaps(cover.center_points, cover.radii)
+    for i, color in enumerate(cover.colors):
+        clash = set(cover.colors[:i][gaps[i, :i] <= 0.0].tolist())
+        assert set(range(1, color)) <= clash and color not in clash
 
 
 def test_cover_empty_exclusion_error():
@@ -335,6 +342,8 @@ def test_domination_with_adaptive_family(mixed_measure, mixed_result):
     top = family[-1]
     assert family[0] is mixed_result and top.params.p == p_star
     assert top.core_idx.size == len(mixed_measure)
+    # both backdrops span 3 diameters: the extent is a constant of the pipeline
+    assert top.backdrop.extent == mixed_result.backdrop.extent == 3.0 * rl.support_diameter(mixed_measure)
     report = verify_construction(mixed_result, family=family, seed=13)
     assert report.domination_pass
 

@@ -44,11 +44,15 @@ def test_kernel_truncated_boundary_is_excluded():
 
 
 def test_kernel_antisymmetry_random():
+    # bit for bit, as adjoint_sum subtracts kernel_sum's blocks; the random
+    # rows come with x = 0 and with |(0.75, 1, 0)| = 1.25 = eps, whose
+    # squares are exact in binary
     rng = np.random.default_rng(0)
+    x = np.vstack([rng.standard_normal((100, 3)), [[0.0, 0.0, 0.0], [0.75, 1.0, 0.0], [0.0, -1.0, 0.75]]])
     for mode in (TRUNCATED, REGULARIZED):
-        cfg = KernelConfig(2, 0.3, mode)
-        x = rng.standard_normal((100, 3))
-        assert np.allclose(kernel_eval(-x, cfg), -kernel_eval(x, cfg), atol=1e-15)
+        cfg = KernelConfig(2, 1.25, mode)
+        odd = kernel_eval(-x, cfg).view(np.uint64) == (-kernel_eval(x, cfg)).view(np.uint64)
+        assert odd.all()
 
 
 def test_kernel_gradient_bound_proxy():

@@ -7,9 +7,12 @@ Ball radii are lattice distances too, so that points lie exactly on the
 closed-ball boundary.
 """
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rieszlab.analysis import (
@@ -23,8 +26,18 @@ from types import SimpleNamespace
 
 from rieszlab import kernels, measure, treecode
 from rieszlab.construction import split_local_nonlocal
-from rieszlab.kernels import REGULARIZED, TRUNCATED, KernelConfig, adjoint_sum, kernel_sum, riesz_apply
-from rieszlab.measure import DiscreteMeasure, ball_masses
+from rieszlab.kernels import (
+    REGULARIZED,
+    TRUNCATED,
+    KernelConfig,
+    VectorField,
+    adjoint_sum,
+    kernel_sum,
+    read_vector_field,
+    riesz_apply,
+    write_vector_field,
+)
+from rieszlab.measure import DiscreteMeasure, ball_masses, read_measure, write_measure
 from rieszlab.treecode import TreecodeParams, build_tree, treecode_apply
 
 SPACING = 0.25
@@ -464,3 +477,62 @@ def test_local_plus_nonlocal_is_the_full_transform(case, data, seed):
     # |K| <= eps^-n in both modes
     bound = 1e-12 * np.sum(np.abs(f) * mu.weights) / cfg.epsilon**cfg.n
     assert np.all(np.abs(local.values + nonlocal_.values - full) <= bound)
+
+
+def same_bits(a, b) -> bool:
+    """Equal as IEEE bit patterns, so -0.0 differs from 0.0."""
+    a, b = np.atleast_1d(np.asarray(a, dtype=np.float64)), np.atleast_1d(np.asarray(b, dtype=np.float64))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_MAX = np.finfo(np.float64).max
+_SPECIAL = (-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, _MAX)
+
+
+def file_floats(lo, hi):
+    """Finite floats in [lo, hi]; -0.0, subnormals and values that need all
+    17 significant digits are drawn often."""
+    return st.one_of(st.sampled_from([v for v in _SPECIAL if lo <= v <= hi]), st.floats(lo, hi))
+
+
+@st.composite
+def file_measures(draw):
+    """Measures whose coordinates stay below 1e100, so that the bounding-box
+    check of DiscreteMeasure cannot overflow."""
+    d = draw(st.sampled_from([2, 3]))
+    count = draw(st.integers(1, 8))
+    points = np.array(draw(st.lists(file_floats(-1e100, 1e100), min_size=count * d, max_size=count * d)))
+    points = points.reshape(count, d)
+    weights = draw(st.lists(file_floats(5e-324, 1e100), min_size=count, max_size=count))
+    h = draw(file_floats(5e-324, 1e100))
+    if count > 1:
+        span = points.max(axis=0) - points.min(axis=0)
+        diag = float(np.sqrt(np.dot(span, span)))
+        assume(diag > 0.0)
+        h = min(h, diag)
+    return DiscreteMeasure(points, weights, draw(st.integers(1, d - 1)), h)
+
+
+@PROPERTY_SETTINGS
+@given(mu=file_measures())
+@example(mu=DiscreteMeasure([[-0.0, 5e-324], [0.1 + 0.2, 1.0 / 3.0]], [5e-324, 0.1 + 0.2], 1, 1.0 / 3.0))
+def test_measure_file_round_trips_bit_exactly(mu):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mu.measure")
+        write_measure(mu, path)
+        back = read_measure(path)
+    assert same_bits(back.points, mu.points) and same_bits(back.weights, mu.weights)
+    assert same_bits(back.resolution_h, mu.resolution_h)
+    assert back.hausdorff_dim == mu.hausdorff_dim
+
+
+@PROPERTY_SETTINGS
+@given(d=st.integers(1, 3), count=st.integers(1, 8), data=st.data())
+def test_vector_field_file_round_trips_bit_exactly(d, count, data):
+    entries = data.draw(st.lists(file_floats(-_MAX, _MAX), min_size=count * d, max_size=count * d))
+    field = VectorField(np.reshape(entries, (count, d)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.vf")
+        write_vector_field(field, path)
+        back = read_vector_field(path)
+    assert same_bits(back.values, field.values)
