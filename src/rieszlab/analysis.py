@@ -6,10 +6,12 @@ inner products <f, g> = sum f g w (scalars) and <F, G> = sum (F . G) w
 (fields, Euclidean per point).  Substituting u = sqrt(w) f turns the weighted
 problem into a plain Euclidean one for the symmetrized matrix
 
-    B[(i, a), j] = sqrt(w_i) K_a(x_i - x_j) sqrt(w_j),
+    B[a * N + i, j] = sqrt(w_i) K_a(x_i - x_j) sqrt(w_j),
 
-so the norm is the top singular value of B.  Lanczos (scipy's eigsh) runs on
-B^T B; a dense decomposition of B serves as the oracle for moderate N.
+so the norm is the top singular value of B.  Rows are component-major:
+row a * N + i holds component a of target i.  Lanczos (scipy's eigsh)
+runs on B^T B; a dense decomposition of B serves as the oracle for
+moderate N.
 """
 
 from __future__ import annotations
@@ -69,30 +71,40 @@ class CurvatureEstimate:
 
 
 def _build_symmetrized_matrix(mu: DiscreteMeasure, cfg: KernelConfig) -> np.ndarray:
-    """Dense ((N * d), N) matrix B in u = sqrt(w) f coordinates, from the
-    kernel blocks of `kernel_sum`."""
+    """Dense ((d * N), N) matrix B in u = sqrt(w) f coordinates, from the
+    kernel blocks of `kernel_sum`.
+
+    Rows are component-major: row a * N + i holds component a of target i,
+    so each block's component plane is written into one contiguous stripe
+    of rows, as (diff_a * coef) * sqrt(w_i) * sqrt(w_j) in place.
+    """
     n_pts, d = len(mu), mu.ambient_dim
     sw = np.sqrt(mu.weights)
-    out = np.empty((n_pts, d, n_pts))  # component a of target i is row i*d + a
+    out = np.empty((d, n_pts, n_pts))
     for t, s, diff, coef in _blocks(mu.points, mu.points, cfg):
-        out[t, :, s] = (diff * coef[:, :, None] * sw[t, None, None] * sw[None, s, None]).transpose(0, 2, 1)
-    return out.reshape(n_pts * d, n_pts)
+        for a, plane in enumerate(diff):
+            blk = out[a, t, s]
+            np.multiply(plane, coef, out=blk)
+            blk *= sw[t, None]
+            blk *= sw[None, s]
+    return out.reshape(d * n_pts, n_pts)
 
 
 def _symmetrized_operator(mu: DiscreteMeasure, cfg: KernelConfig, dense_cache_cap: int) -> LinearOperator:
     """B as a LinearOperator: the dense cache while N*N*d <= dense_cache_cap,
-    chunked direct sums above that."""
+    chunked direct sums above that, both with the cache's component-major
+    row order."""
     n_pts, d = len(mu), mu.ambient_dim
     if n_pts * n_pts * d <= dense_cache_cap:
         return aslinearoperator(_build_symmetrized_matrix(mu, cfg))
     sw = np.sqrt(mu.weights)
 
     def matvec(u: np.ndarray) -> np.ndarray:
-        return (kernel_sum(mu.points, sw * u.ravel(), cfg, mu.points) * sw[:, None]).ravel()
+        return (kernel_sum(mu.points, sw * u.ravel(), cfg, mu.points) * sw[:, None]).T.ravel()
 
     def rmatvec(v: np.ndarray) -> np.ndarray:
         # (B^T v)_j = sqrt(w_j) sum_i K(x_i - x_j) . (sqrt(w_i) V_i)
-        return sw * adjoint_sum(mu.points, v.reshape(n_pts, d) * sw[:, None], cfg, mu.points)
+        return sw * adjoint_sum(mu.points, v.reshape(d, n_pts).T * sw[:, None], cfg, mu.points)
 
     return LinearOperator((n_pts * d, n_pts), matvec=matvec, rmatvec=rmatvec, dtype=float)
 

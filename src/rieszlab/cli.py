@@ -125,8 +125,11 @@ def _cmd_gen(args) -> int:
     else:
         raise ValueError(f"unknown kind {args.kind!r}")
     echo = _echo(args, {})
-    spec = "\n".join(echo)
-    comments = echo + [f"input_sha256={_hash_text(spec)}"]
+    if args.kind == "union":  # the inputs' contents, as joint hashes them
+        input_hash = _hash_text("".join(_hash_file(p) for p in args.inputs))
+    else:
+        input_hash = _hash_text("\n".join(echo))
+    comments = echo + [f"input_sha256={input_hash}"]
     # measure format already starts with its own '#' header line
     _write_atomic(args.output, lambda tmp: write_measure(mu, tmp, extra_comments=comments))
     return EXIT_OK

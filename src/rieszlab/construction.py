@@ -25,9 +25,10 @@ cover balls, whose doubled-ball disjointness holds per color class.
 
 Every point-in-ball decision (greedy coverage, the overlap count, the patch
 plane fits, the patch-ball labelling of the proxy and of any operand
-measure, and the coverage check) reads `measure._ball_members`, the
-closed-ball rule of `ball_mass` and `ball_masses`, as does verification's
-matching check.  The coloring, verification's color check and the
+measure, and the coverage check) reads `measure._ball_members`, as do
+verification's matching check and its domination queries: y lies in B(c, r)
+when sqrt(_sq_norm(c - y)) <= r, the closed-ball rule of `ball_mass` and
+`ball_masses`.  The coloring, verification's color check and the
 interaction gaps read one ball-against-ball table, `_ball_gaps`.
 """
 
@@ -46,7 +47,6 @@ from rieszlab.measure import (
     ScaleGrid,
     _ball_members,
     _safe_resolution,
-    ball_mass,
     ball_masses,  # bound here for test_tracer_wraps_every_binding_and_restores_it
     ad_constants,
     density_ratios,
@@ -58,6 +58,7 @@ from rieszlab.measure import (
 from rieszlab.kernels import KernelConfig, VectorField, kernel_sum
 
 _MATCHING_TOL = 1e-10  # relative proxy-vs-patch mass mismatch accepted by verification
+_DOMINATION_CHUNK = 32  # domination queries per batched ball-membership call
 _BACKDROP_EXTENT = 3.0  # half-width of the backdrop sampling, times the support diameter
 _LOWER_FLOOR_FACTOR = 1.0 / 64.0  # lower-regularity floor of verification, times 1/(p s)
 
@@ -823,13 +824,20 @@ def verify_construction(
     lo, hi = mu.bbox()
     span = np.where(hi > lo, hi - lo, 1.0)
     diam = support_diameter(mu) if len(mu) > 1 else 1.0
+    centers, radii = np.empty((n_queries, mu.ambient_dim)), np.empty(n_queries)
+    for q in range(n_queries):  # each center, then its radius, from the one stream
+        centers[q] = lo - 0.1 * span + rng.random(mu.ambient_dim) * 1.2 * span
+        radii[q] = np.exp(rng.uniform(np.log(4.0 * mu.resolution_h), np.log(diam)))
     worst_dom = -np.inf
-    for _ in range(n_queries):
-        center = lo - 0.1 * span + rng.random(mu.ambient_dim) * 1.2 * span
-        r = float(np.exp(rng.uniform(np.log(4.0 * mu.resolution_h), np.log(diam))))
-        mass_mu = ball_mass(mu, center, r)
-        mass_family = sum(ball_mass(m.regularized_measure, center, r) for m in members)
-        worst_dom = max(worst_dom, mass_mu - mass_family)
+    for q0 in range(0, n_queries, _DOMINATION_CHUNK):
+        q = slice(q0, q0 + _DOMINATION_CHUNK)
+        # each ball summed over its ascending members, as ball_mass sums it
+        masses = [
+            [float(np.sum(m.weights[idx])) for idx in _ball_members(m, centers[q], radii[q])]
+            for m in [mu] + [member.regularized_measure for member in members]
+        ]
+        for mass_mu, *mass_family in zip(*masses):
+            worst_dom = max(worst_dom, mass_mu - sum(mass_family))
     total = total_mass(mu)
     dom_pass = bool(worst_dom <= 1e-12 * total)
 

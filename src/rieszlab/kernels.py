@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rieszlab.measure import DiscreteMeasure, ScaleGrid, ball_masses, density_ratios
+from rieszlab.measure import DiscreteMeasure, ScaleGrid, _sq_norm, ball_masses, density_ratios
 
 TRUNCATED = "truncated"
 REGULARIZED = "regularized"
-_TARGET_CHUNK = 128  # targets per direct-sum block
+_TARGET_CHUNK = 32  # targets per direct-sum block
 _SOURCE_CHUNK = 16384  # sources per direct-sum block
 
 
@@ -78,8 +78,9 @@ def _inv_power(r2: np.ndarray, n: int) -> np.ndarray:
 def _coef_from_r2(r2: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     """1 / |x|^{n+1} from squared radii, with the mode's eps handling.
 
-    Comparisons run in squared distances (r2 vs eps**2), matching the
-    treecode leaf arithmetic bit for bit on the truncation boundary.
+    Comparisons run in squared distances (r2 vs eps**2), with r2 taken by
+    measure._sq_norm everywhere, so the direct sums and the treecode leaves
+    agree bit for bit on the truncation boundary.
     """
     eps2 = cfg.epsilon * cfg.epsilon
     if cfg.mode == TRUNCATED:
@@ -91,23 +92,24 @@ def _coef_from_r2(r2: np.ndarray, cfg: KernelConfig) -> np.ndarray:
 def kernel_eval(x, cfg: KernelConfig) -> np.ndarray:
     """Evaluate the kernel at displacement(s) x, shape (..., d)."""
     x = np.asarray(x, dtype=float)
-    r2 = np.einsum("...i,...i->...", x, x)
-    return x * _coef_from_r2(r2, cfg)[..., None]
+    return x * _coef_from_r2(_sq_norm(np.moveaxis(x, -1, 0)), cfg)[..., None]
 
 
 def _blocks(points: np.ndarray, targets: np.ndarray, cfg: KernelConfig):
     """Yield (t, s, diff, coef) over (target chunk x source chunk) blocks.
 
-    t and s slice the targets and the sources, diff is the (T, S, d) array
-    of t - y and coef the kernel's 1 / |t - y|^{n+1}.  Blocks run over the
-    sources of one target chunk before the next, in a fixed order.
+    t and s slice the targets and the sources, diff is the list of d
+    contiguous (T, S) planes of the components of t - y, and coef the
+    kernel's 1 / |t - y|^{n+1}.  Blocks run over the sources of one target
+    chunk before the next, in a fixed order.
     """
-    for t0 in range(0, targets.shape[0], _TARGET_CHUNK):
+    points, targets = points.T, targets.T  # one row per axis
+    for t0 in range(0, targets.shape[1], _TARGET_CHUNK):
         t = slice(t0, t0 + _TARGET_CHUNK)
-        for s0 in range(0, points.shape[0], _SOURCE_CHUNK):
+        for s0 in range(0, points.shape[1], _SOURCE_CHUNK):
             s = slice(s0, s0 + _SOURCE_CHUNK)
-            diff = targets[t, None, :] - points[None, s, :]
-            yield t, s, diff, _coef_from_r2(np.einsum("tsd,tsd->ts", diff, diff), cfg)
+            diff = [tc[t, None] - pc[None, s] for tc, pc in zip(targets, points)]
+            yield t, s, diff, _coef_from_r2(_sq_norm(diff), cfg)
 
 
 def kernel_sum(
@@ -122,11 +124,12 @@ def kernel_sum(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     fweights = np.asarray(fweights, dtype=float)
-    out = np.zeros((targets.shape[0], points.shape[1]))
+    out = np.zeros((points.shape[1], targets.shape[0]))  # one row per component
     for t, s, diff, coef in _blocks(points, targets, cfg):
         coef *= fweights[None, s]
-        out[t] += np.einsum("tsd,ts->td", diff, coef)
-    return out
+        for a, plane in enumerate(diff):
+            out[a, t] += np.einsum("ts,ts->t", plane, coef)
+    return np.ascontiguousarray(out.T)
 
 
 def adjoint_sum(
@@ -141,10 +144,13 @@ def adjoint_sum(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    fields = np.asarray(fields, dtype=float)
+    fields = np.ascontiguousarray(np.asarray(fields, dtype=float).T)  # one row per component
     out = np.zeros(targets.shape[0])
     for t, s, diff, coef in _blocks(points, targets, cfg):
-        out[t] -= np.einsum("ts,ts->t", coef, np.einsum("tsd,sd->ts", diff, fields[s]))
+        dot = diff[0] * fields[0, None, s]
+        for plane, comp in zip(diff[1:], fields[1:]):
+            dot += plane * comp[None, s]
+        out[t] -= np.einsum("ts,ts->t", coef, dot)
     return out
 
 

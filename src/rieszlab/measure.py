@@ -115,8 +115,8 @@ class DiscreteMeasure:
             candidates = self.points
         best = 0.0
         for i0 in range(0, len(candidates), 1024):
-            diff = candidates[i0 : i0 + 1024, None, :] - candidates[None, :, :]
-            best = max(best, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
+            r2 = _sq_norm(c[i0 : i0 + 1024, None] - c[None, :] for c in candidates.T)
+            best = max(best, float(r2.max()))
         return float(np.sqrt(best))
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,6 +146,22 @@ class ScaleGrid:
         return np.geomspace(self.r_min, self.r_max, self.count)
 
 
+def _sq_norm(diff) -> np.ndarray:
+    """Squared Euclidean norm from per-axis differences, summed axis by axis.
+
+    diff yields one array per axis (a list of planes, or a (d, ...) array),
+    and the squares are added in axis order, ((d0 * d0 + d1 * d1) + d2 * d2)
+    and so on.  This is the package's one squared-distance rule: every r2
+    whose boundary decision must agree with another's (ball membership,
+    box bounds, the truncation cut) is computed here.
+    """
+    axes = iter(diff)
+    out = np.square(next(axes))
+    for comp in axes:
+        out += comp * comp
+    return out
+
+
 def total_mass(mu: DiscreteMeasure) -> float:
     """Sum of the weights, exactly as stored."""
     return float(np.sum(mu.weights))
@@ -155,7 +171,7 @@ def _ball_members(mu: DiscreteMeasure, centers, radii) -> list[np.ndarray]:
     """Ascending point indices of each closed ball B(centers[i], radii[i]).
 
     The package's one closed-ball rule: y lies in B(c, r) when
-    sqrt(einsum(c - y, c - y)) <= r, the distance ball_masses bins by.
+    sqrt(_sq_norm(c - y)) <= r, the distance ball_masses bins by.
     One query of the cached kdtree, at radii inflated by a relative 1e-9,
     gives candidates that hold every such point; the rule then decides.
     """
@@ -167,15 +183,15 @@ def _ball_members(mu: DiscreteMeasure, centers, radii) -> list[np.ndarray]:
     for c, r, idx in zip(centers, radii, near):
         idx = np.fromiter(idx, dtype=np.intp, count=len(idx))
         diff = c - np.take(mu.points, idx, axis=0)  # take: a fast gather of whole rows
-        members.append(np.sort(idx[np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= r]))
+        members.append(np.sort(idx[np.sqrt(_sq_norm(diff.T)) <= r]))
     return members
 
 
 def ball_mass(mu: DiscreteMeasure, center, r: float) -> float:
     """Mass of the closed ball B(center, r), summed in index order.
 
-    A point y is in the ball when sqrt(einsum(center - y, center - y)) <= r,
-    the rule of `ball_masses`, so the two agree bit for bit whenever the
+    A point y is in the ball when sqrt(_sq_norm(center - y)) <= r, the
+    rule of `ball_masses`, so the two agree bit for bit whenever the
     weights sum exactly in any order (dyadic weights, say).
     """
     if not r > 0.0:
@@ -192,7 +208,7 @@ def ball_masses(
 ) -> np.ndarray:
     """Closed-ball sums over a grid of centers and radii.
 
-    A point y lies in B(c, r) when sqrt(einsum(c - y, c - y)) <= r, the
+    A point y lies in B(c, r) when sqrt(_sq_norm(c - y)) <= r, the
     package's one closed-ball rule, shared with `ball_mass` and every cover
     test of the construction.
 
@@ -239,9 +255,9 @@ def ball_masses(
                 a += np.bincount(keys, weights=s[node[whole]], minlength=a.size)
             leaves = np.flatnonzero(~whole & is_leaf[node])
             for rows, idx, valid in _leaf_blocks(tree, node[leaves], width):
-                diff = c[leaves[rows], None, :] - tree.points[idx]
-                dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-                keys = (ctr[leaves[rows], None] * n_bins + np.searchsorted(sorted_radii, dist)).ravel()
+                at = leaves[rows]
+                dist = np.sqrt(_sq_norm(ca[at, None] - pa[idx] for ca, pa in zip(c.T, tree.points.T)))
+                keys = (ctr[at, None] * n_bins + np.searchsorted(sorted_radii, dist)).ravel()
                 for a, v in zip(acc, vals):
                     a += np.bincount(keys, weights=np.where(valid, v[idx], 0.0).ravel(), minlength=a.size)
             return np.flatnonzero(~whole & ~is_leaf[node])
@@ -471,14 +487,13 @@ def _box_dist2(tree: SpatialTree, nodes: np.ndarray, queries: np.ndarray):
     The box is tight, so per axis its nearest and farthest coordinates are
     coordinates of the node's points, and every rounded operation on the
     way is monotone; so for each point y of the node the squared distance
-    computed as in a direct sum, einsum(q - y, q - y), lies in
-    [dmin2, dmax2].
+    computed as in a direct sum, _sq_norm(q - y), lies in [dmin2, dmax2].
     """
     below = tree.box_lo[nodes] - queries
     above = queries - tree.box_hi[nodes]
     near = np.maximum(np.maximum(below, above), 0.0)
     far = np.minimum(below, above)  # minus the per-axis max(q - lo, hi - q), exactly
-    return np.einsum("pd,pd->p", near, near), np.einsum("pd,pd->p", far, far)
+    return _sq_norm(near.T), _sq_norm(far.T)
 
 
 def _leaf_blocks(tree: SpatialTree, leaves: np.ndarray, width: int):

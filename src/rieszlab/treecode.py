@@ -21,9 +21,9 @@ Interaction with the eps-truncation:
 The traversal is vectorized over (target, node) pairs.  Each round
 classifies every live pair at once as wholly inside eps, far, a near leaf,
 or to be opened, and replaces the opened pairs by their two children.  Near
-leaves are summed directly as padded blocks with the same squared-distance
-arithmetic as kernels.kernel_sum.  Targets are processed in fixed-size
-chunks, which bounds the size of the pair lists.  Each target's
+leaves are summed directly as padded blocks with the squared-distance rule
+of kernels.kernel_sum, measure._sq_norm.  Targets are processed in
+fixed-size chunks, which bounds the size of the pair lists.  Each target's
 contributions are accumulated in an order fixed by its own walk alone, so
 results are bit-reproducible and independent of which other targets share
 the call.
@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from rieszlab.measure import DiscreteMeasure, SpatialTree, _build_spatial_tree
-from rieszlab.measure import _box_dist2, _leaf_blocks, _node_sums  # the tree engine
+from rieszlab.measure import _box_dist2, _leaf_blocks, _node_sums, _sq_norm  # the tree engine
 from rieszlab.kernels import TRUNCATED, KernelConfig, _coef_from_r2, _inv_power, riesz_apply
 
 _TARGET_CHUNK = 4096  # targets per traversal chunk
@@ -130,18 +130,22 @@ def _accumulate(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
 def _near_leaves(tree, fw, cfg, width, targets, leaves) -> np.ndarray:
     """Direct sums of fw * K(t - y) over each (target, leaf) pair.
 
-    Leaves are padded to the widest leaf with zero weights; r2 and the eps
-    comparison are computed exactly as in kernels.kernel_sum.
+    Leaves are padded to the widest leaf with zero weights and laid out as
+    (width, pairs) planes, one per component; r2 and the eps comparison are
+    computed exactly as in kernels.kernel_sum.  Each pair's terms are added
+    one at a time in leaf order, from zero, whatever the block layout.
     """
     out = np.empty(targets.shape)
     for rows, idx, valid in _leaf_blocks(tree, leaves, width):
-        diff = targets[rows, None, :] - tree.points[idx]
-        r2 = np.einsum("tsd,tsd->ts", diff, diff)
-        cw = _coef_from_r2(r2, cfg) * np.where(valid, fw[idx], 0.0)
-        count = idx.shape[0]
-        pair = np.repeat(np.arange(count), width)
-        for a in range(targets.shape[1]):
-            out[rows, a] = np.bincount(pair, weights=(diff[:, :, a] * cw).ravel(), minlength=count)
+        idx, valid = idx.T, valid.T
+        diff = [tc[None, rows] - pc[idx] for tc, pc in zip(targets.T, tree.points.T)]
+        cw = _coef_from_r2(_sq_norm(diff), cfg) * np.where(valid, fw[idx], 0.0)
+        for a, plane in enumerate(diff):
+            plane *= cw
+            acc = np.zeros(plane.shape[1])
+            for term in plane:
+                acc += term
+            out[rows, a] = acc
     return out
 
 

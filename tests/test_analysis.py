@@ -7,6 +7,7 @@ import rieszlab as rl
 from rieszlab.analysis import (
     NonConvergenceError,
     _build_symmetrized_matrix,
+    _symmetrized_operator,
     adjoint_apply,
     curvature_c2,
     dense_operator_norm,
@@ -16,7 +17,7 @@ from rieszlab.analysis import (
     norm_sweep,
     operator_norm,
 )
-from rieszlab.kernels import REGULARIZED, TRUNCATED, KernelConfig, VectorField, riesz_apply
+from rieszlab.kernels import REGULARIZED, TRUNCATED, KernelConfig, VectorField, kernel_eval, riesz_apply
 from rieszlab.measure import DiscreteMeasure
 
 
@@ -99,6 +100,29 @@ def test_lanczos_residual_is_true_and_within_tol(mode):
         assert est.residual <= tol
         assert est.value <= dense * (1 + 1e-12)
     assert est.value == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
+def test_symmetrized_rows_are_component_major(d, mode):
+    # row a * N + i of the cache is component a of target i, entry for entry
+    # the kernel times sqrt(w_i) sqrt(w_j); the matrix-free branch uses the
+    # same row order, so both give the same products
+    rng = np.random.default_rng(d)
+    n_pts = 40
+    mu = DiscreteMeasure(rng.random((n_pts, d)), rng.uniform(0.5, 1.5, n_pts), 1, 1e-3)
+    cfg = KernelConfig(1, 0.2, mode)
+    sw = np.sqrt(mu.weights)
+    kern = kernel_eval(mu.points[:, None, :] - mu.points[None, :, :], cfg)
+    mat = _build_symmetrized_matrix(mu, cfg)
+    assert mat.shape == (d * n_pts, n_pts)
+    for a in range(d):
+        assert np.array_equal(mat[a * n_pts : (a + 1) * n_pts], kern[:, :, a] * sw[:, None] * sw[None, :])
+    dense = _symmetrized_operator(mu, cfg, dense_cache_cap=60_000_000)
+    direct = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
+    u, v = rng.standard_normal(n_pts), rng.standard_normal(d * n_pts)
+    for got, want in ((direct.matvec(u), dense.matvec(u)), (direct.rmatvec(v), dense.rmatvec(v))):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 def test_norm_zero_operator():

@@ -35,6 +35,24 @@ def test_gen_segment_and_union(tmp_path):
     assert rl.support_diameter(mu) >= 5.0
 
 
+def union_hash(path):
+    with open(path) as fh:
+        return [ln for ln in fh if ln.startswith("# input_sha256=")]
+
+
+def test_gen_union_hash_follows_input_contents(tmp_path):
+    # the echo names the --inputs paths only; the hash must see their contents
+    a = tmp_path / "a.measure"
+    u = tmp_path / "u.measure"
+    assert run_cli("gen", "--kind", "segment", "--count", 8, "--output", a) == EXIT_OK
+    assert run_cli("gen", "--kind", "union", "--inputs", a, a, "--output", u) == EXIT_OK
+    before = union_hash(u)
+    assert run_cli("gen", "--kind", "segment", "--count", 16, "--output", a) == EXIT_OK
+    assert run_cli("gen", "--kind", "union", "--inputs", a, a, "--output", u) == EXIT_OK
+    assert len(read_measure(u)) == 32
+    assert len(before) == 1 and union_hash(u) != before
+
+
 def test_gen_failing_write_leaves_no_file(tmp_path, monkeypatch):
     # the measure writer fails after writing part of its file: neither the
     # output nor the temporary file it was written to may stay behind

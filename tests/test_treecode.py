@@ -221,23 +221,24 @@ def test_truncation_boundary_moderate_theta(mode, segment_1024):
     assert scale_relative_error(fast, direct) <= 1e-12
 
 
-def test_truncation_boundary_at_rounded_box_bound():
+def check_rounded_box_bound(d):
     # a node's farthest squared distance taken from its box center and half
     # extent, sum((|t - c| + half)**2), can round below the r2 of its
     # farthest point; with eps*eps equal to such a bound the node straddles
     # the eps sphere, so it must be opened for the strict r2 > eps2 cut
     rng = np.random.default_rng(3)
-    mu = rl.DiscreteMeasure(rng.random((256, 2)), rng.uniform(0.5, 1.5, 256), 1, 1e-3)
+    mu = rl.DiscreteMeasure(rng.random((256, d)), rng.uniform(0.5, 1.5, 256), 1, 1e-3)
     params = TreecodeParams(opening_angle=1e-9, leaf_cap=4)
     tree = build_tree(mu, params)
-    targets = rng.random((64, 2))
+    targets = rng.random((64, d))
     cases = []
     for node in range(tree.n_nodes):
         sub = tree.points[tree.start[node] : tree.end[node]]
         lo, hi = sub.min(axis=0), sub.max(axis=0)
         bound = ((np.abs(targets - 0.5 * (lo + hi)) + 0.5 * (hi - lo)) ** 2).sum(axis=1)
         diff = targets[:, None, :] - sub[None, :, :]
-        r2max = np.einsum("tsd,tsd->ts", diff, diff).max(axis=1)
+        # r2 as the package takes it: squares added axis by axis, in order
+        r2max = sum(diff[:, :, a] * diff[:, :, a] for a in range(d)).max(axis=1)
         eps = np.sqrt(bound)
         cases += [(t, eps[t]) for t in np.flatnonzero((bound < r2max) & (eps * eps == bound))]
     assert len(cases) >= 8
@@ -246,4 +247,49 @@ def test_truncation_boundary_at_rounded_box_bound():
         cfg = KernelConfig(1, float(eps), TRUNCATED)
         direct = riesz_apply(mu, f, cfg, targets[t : t + 1])
         fast = treecode_apply(mu, f, cfg, tree, params, targets[t : t + 1])
+        assert scale_relative_error(fast, direct) <= 1e-12
+
+
+def test_truncation_boundary_at_rounded_box_bound():
+    check_rounded_box_bound(2)
+
+
+def test_truncation_boundary_at_rounded_box_bound_3d():
+    # in d = 3 the order in which the squares are added changes r2
+    check_rounded_box_bound(3)
+
+
+def test_one_squared_distance_rule_in_3d():
+    # points whose distance from the center rounds differently when the
+    # squares are added as einsum adds them, (x0^2 + x2^2) + x1^2, than in
+    # the package's axis order: with the radius and eps at the point's own
+    # distance, every path must put it on the same side (inside the closed
+    # ball, outside the strict truncation)
+    rng = np.random.default_rng(11)
+    points = rng.standard_normal((400, 3))
+    mu = rl.DiscreteMeasure(points, np.ones(len(points)), 1, 1e-3)
+    params = TreecodeParams(opening_angle=1e-9, leaf_cap=4)
+    tree = build_tree(mu, params)
+    center = rng.standard_normal(3)
+    diff = center - points
+    rule = (diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]) + diff[:, 2] * diff[:, 2]
+    other = np.einsum("ij,ij->i", diff, diff)
+    radius = np.sqrt(rule)
+    picks = np.flatnonzero((np.sqrt(other) > radius) & (radius * radius == rule))
+    assert len(picks) >= 4
+    for i in picks[:8]:
+        r = radius[i]
+        want = np.flatnonzero(radius <= r)
+        assert i in want
+        (members,) = rl.measure._ball_members(mu, center, r)
+        assert np.array_equal(members, want)
+        assert rl.ball_masses(mu, center[None], [r])[0, 0] == len(want)
+        cfg = KernelConfig(1, float(r), TRUNCATED)
+        alone = np.zeros(len(mu))
+        alone[i] = 1.0  # only point i carries weight: its term is all there is
+        assert np.all(riesz_apply(mu, alone, cfg, center[None]) == 0.0)
+        assert np.all(treecode_apply(mu, alone, cfg, tree, params, center[None]) == 0.0)
+        f = rng.uniform(0.5, 1.5, len(mu))
+        direct = riesz_apply(mu, f, cfg, center[None])
+        fast = treecode_apply(mu, f, cfg, tree, params, center[None])
         assert scale_relative_error(fast, direct) <= 1e-12
