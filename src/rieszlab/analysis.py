@@ -122,11 +122,13 @@ def operator_norm(
 ) -> NormEstimate:
     """Largest singular value of the transform on L2(mu) by Lanczos on B^T B.
 
-    ARPACK's eigsh (k=1, largest algebraic) runs from u0 = sqrt(w), to the
-    relative tolerance tol.  max_iter caps the number of B^T B products;
-    when it runs out, NonConvergenceError carries the best |Bu| / |u| seen,
-    which is a lower bound.  A start that B^T B annihilates is retried once
-    from a fixed-seed random vector; the norm is 0 only if that vanishes too.
+    ARPACK's eigsh (k=1, largest algebraic) runs to the relative tolerance
+    tol from u0 = sqrt(w) / |sqrt(w)| + r / |r|, r a fixed-seed random
+    vector: sqrt(w) alone can miss a top vector that a symmetry of mu keeps
+    orthogonal to it.  max_iter caps the number of B^T B products; when it
+    runs out, NonConvergenceError carries the best |Bu| / |u| seen, which
+    is a lower bound.  A start that B^T B annihilates is retried once from
+    r; the norm is 0 only if that vanishes too.
     """
     if len(mu) < 2:
         raise ValueError("operator_norm needs at least two support points")
@@ -154,7 +156,8 @@ def operator_norm(
         return out * unorm
 
     gram_op = LinearOperator((n_pts, n_pts), matvec=gram, dtype=float)
-    starts = (sw, np.random.default_rng(_RANDOM_START_SEED).standard_normal(n_pts))
+    rand = np.random.default_rng(_RANDOM_START_SEED).standard_normal(n_pts)
+    starts = (sw / np.linalg.norm(sw) + rand / np.linalg.norm(rand), rand)
     try:
         for u0 in starts:
             try:
@@ -269,13 +272,11 @@ def curvature_c2(
         return CurvatureEstimate(2.0 * total, n_ordered, "exact")
     if mode == "sampled":
         rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n_pts, size=(int(sample_count * 1.2) + 16, 3))
-        distinct = (idx[:, 0] != idx[:, 1]) & (idx[:, 1] != idx[:, 2]) & (idx[:, 0] != idx[:, 2])
-        idx = idx[distinct][:sample_count]
-        while idx.shape[0] < sample_count:  # top up after rejection
-            extra = rng.integers(0, n_pts, size=(sample_count, 3))
-            ok = (extra[:, 0] != extra[:, 1]) & (extra[:, 1] != extra[:, 2]) & (extra[:, 0] != extra[:, 2])
-            idx = np.vstack([idx, extra[ok]])[:sample_count]
+        idx, size = np.empty((0, 3), dtype=np.int64), int(sample_count * 1.2) + 16
+        while idx.shape[0] < sample_count:  # one draw with room for rejects, then top-ups
+            draw = rng.integers(0, n_pts, size=(size, 3))
+            distinct = (draw[:, 0] != draw[:, 1]) & (draw[:, 1] != draw[:, 2]) & (draw[:, 0] != draw[:, 2])
+            idx, size = np.vstack([idx, draw[distinct]])[:sample_count], sample_count
         p = mu.points
         pi, pj, pk = p[idx[:, 0]], p[idx[:, 1]], p[idx[:, 2]]
         a2 = np.einsum("ij,ij->i", pi - pj, pi - pj)

@@ -555,12 +555,7 @@ def split_local_nonlocal(
 
 
 def transfer_ball_averages(
-    g,
-    proxy: DiscreteMeasure,
-    sigma: DiscreteMeasure,
-    cover: CoverReport,
-    proxy_assignment: np.ndarray | None = None,
-    sigma_assignment: np.ndarray | None = None,
+    g, proxy: DiscreteMeasure, sigma: DiscreteMeasure, cover: CoverReport
 ) -> np.ndarray:
     """Ball-constant density f on the proxy matching sigma's ball integrals.
 
@@ -570,8 +565,7 @@ def transfer_ball_averages(
     |f|_{L2(proxy)} <= |g|_{L2(sigma)}.
     """
     g = np.asarray(g, dtype=float)
-    pa = _assign_balls(proxy, cover) if proxy_assignment is None else np.asarray(proxy_assignment)
-    sa = _assign_balls(sigma, cover) if sigma_assignment is None else np.asarray(sigma_assignment)
+    pa, sa = _assign_balls(proxy, cover), _assign_balls(sigma, cover)
     k = len(cover)
     nu_mass = np.bincount(pa, weights=proxy.weights, minlength=k)
     if np.any(nu_mass <= 0.0):
@@ -582,14 +576,7 @@ def transfer_ball_averages(
 
 
 def comparison_mismatch_ratio(
-    f,
-    g,
-    proxy: DiscreteMeasure,
-    sigma: DiscreteMeasure,
-    cover: CoverReport,
-    cfg: KernelConfig,
-    proxy_assignment: np.ndarray | None = None,
-    sigma_assignment: np.ndarray | None = None,
+    f, g, proxy: DiscreteMeasure, sigma: DiscreteMeasure, cover: CoverReport, cfg: KernelConfig
 ) -> tuple[float, float]:
     """Squared nonlocal-transform mismatch between the proxy and sigma.
 
@@ -603,8 +590,7 @@ def comparison_mismatch_ratio(
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    pa = _assign_balls(proxy, cover) if proxy_assignment is None else np.asarray(proxy_assignment)
-    sa = _assign_balls(sigma, cover) if sigma_assignment is None else np.asarray(sigma_assignment)
+    pa, sa = _assign_balls(proxy, cover), _assign_balls(sigma, cover)
     fw_p = f * proxy.weights
     fw_s = g * sigma.weights
     mismatch = 0.0

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 _BALL_LEAF_CAP = 8  # points per leaf of the tree cached for ball sums
 _CENTER_CHUNK = 1024  # centers per ball-sum walk, which bounds its pair lists
@@ -103,16 +103,24 @@ class DiscreteMeasure:
     def diameter(self) -> float:
         """Maximum pairwise distance (0 for N = 1), computed once.
 
-        A farthest pair lies on the convex hull, so the dense max runs over
-        the hull vertices and the points Qhull keeps as coplanar with a facet
-        (within its roundoff of the hull).  Supports Qhull cannot hull
-        (collinear, flat in d = 3, N <= d) are searched in full.
+        For any point c, |p - q| <= |p - c| + R with R = max_q |q - c|, so
+        a point p can end a pair of length >= L only if |p - c| + R >= L.
+        With c the bounding-box center and L a real pairwise distance (two
+        farthest-point sweeps, from the point farthest from c), the dense
+        max runs over the points that pass this test, with a relative slack
+        of 1e-12 that absorbs the rounding of every distance; so it meets
+        both ends of the pair the dense max over all points selects, and
+        returns its value bit for bit.  Segments and flat sets keep a few
+        candidates; a support on a sphere about c keeps every point.
         """
-        try:
-            hull = ConvexHull(self.points, qhull_options="Qc")
-            candidates = self.points[np.union1d(hull.vertices, hull.coplanar[:, 0])]
-        except QhullError:
-            candidates = self.points
+        pts = self.points
+        lo, hi = self.bbox()
+        r = np.sqrt(_sq_norm((pts - (lo + hi) / 2).T))
+        far = pts[np.argmax(r)]
+        for _ in range(2):
+            dist = np.sqrt(_sq_norm((pts - far).T))
+            far = pts[np.argmax(dist)]
+        candidates = pts[r + r.max() >= dist.max() * (1.0 - 1e-12)]
         best = 0.0
         for i0 in range(0, len(candidates), 1024):
             r2 = _sq_norm(c[i0 : i0 + 1024, None] - c[None, :] for c in candidates.T)

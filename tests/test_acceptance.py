@@ -19,7 +19,6 @@ from rieszlab.analysis import (
     operator_norm,
 )
 from rieszlab.construction import (
-    _assign_balls,
     comparison_mismatch_ratio,
     density_params,
     run_construction,
@@ -233,20 +232,19 @@ def test_criterion_5_exact_inequalities(mixed_result):
 
     res = mixed_result
     sigma, proxy = res.patch_measure, res.proxy_measure
-    sa = _assign_balls(sigma, res.cover)
     pa = res.proxy_ball_of_point
     transfer_ok = True
     mismatch_ratios = []
     reg_cfg = KernelConfig(1, 4 * res.source.resolution_h, REGULARIZED)
     for draw in range(50):
         g = rng.standard_normal(len(sigma))
-        f = transfer_ball_averages(g, proxy, sigma, res.cover, pa, sa)
+        f = transfer_ball_averages(g, proxy, sigma, res.cover)
         norm_f = np.sqrt(np.sum(f**2 * proxy.weights))
         norm_g = np.sqrt(np.sum(g**2 * sigma.weights))
         transfer_ok &= norm_f <= norm_g * (1 + 1e-12)
         if draw < 10:  # measured mismatch constant, reported without a bound
             mismatch_ratios.append(
-                comparison_mismatch_ratio(f, g, proxy, sigma, res.cover, reg_cfg, pa, sa)[1]
+                comparison_mismatch_ratio(f, g, proxy, sigma, res.cover, reg_cfg)[1]
             )
 
     cfg = KernelConfig(1, 4 * res.source.resolution_h, REGULARIZED)

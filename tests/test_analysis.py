@@ -84,6 +84,25 @@ def test_matrix_free_path_matches_dense(four_corners_3):
 
 
 @pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
+def test_norm_finds_odd_top_vector_of_mirrored_measure(mode):
+    # 64 points mirrored under x -> -x (the 78th draw of this generator):
+    # the top singular vector is odd, orthogonal to the even sqrt(w), and
+    # Lanczos from sqrt(w) alone stopped 1% short of the dense norm
+    rng = np.random.default_rng(2)
+    for _ in range(78):
+        k = int(rng.integers(12, 40))
+        half = np.column_stack([rng.uniform(0.1, 2, k), rng.uniform(-1, 1, k)])
+        wh = rng.uniform(0.1, 5, k)
+    mu = DiscreteMeasure(np.vstack([half, half * [-1, 1]]), np.concatenate([wh, wh]), 1, 0.01)
+    cfg = KernelConfig(1, 0.05, mode)
+    dense = dense_operator_norm(mu, cfg).value
+    for cap in (0, 60_000_000):
+        for tol in (1e-4, 1e-10):
+            est = operator_norm(mu, cfg, tol=tol, dense_cache_cap=cap)
+            assert est.value == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
 def test_lanczos_residual_is_true_and_within_tol(mode):
     # 1024 points exceed the 20-vector Lanczos basis, so tol decides when
     # the solver stops; the residual is recomputed from the dense matrix

@@ -499,9 +499,10 @@ def test_transfer_matching_and_norm_inequality(mixed_result):
 
     sa = _assign_balls(sigma, res.cover)
     pa = res.proxy_ball_of_point
+    assert np.array_equal(_assign_balls(proxy, res.cover), pa)  # the labels transfer_ball_averages uses
     for _ in range(50):
         g = rng.standard_normal(len(sigma))
-        f = transfer_ball_averages(g, proxy, sigma, res.cover, pa, sa)
+        f = transfer_ball_averages(g, proxy, sigma, res.cover)
         for b in range(len(res.cover)):
             lhs = np.sum(f[pa == b] * proxy.weights[pa == b])
             rhs = np.sum(g[sa == b] * sigma.weights[sa == b])
@@ -600,17 +601,13 @@ def test_comparison_mismatch_ratio_reported(mixed_result):
     # measured constant for matched pairs: finite and recorded, no bound asserted
     res = mixed_result
     sigma, proxy = res.patch_measure, res.proxy_measure
-    from rieszlab.construction import _assign_balls
-
-    sa = _assign_balls(sigma, res.cover)
-    pa = res.proxy_ball_of_point
     cfg = KernelConfig(1, 4 * res.source.resolution_h, REGULARIZED)
     rng = np.random.default_rng(31)
     ratios = []
     for _ in range(5):
         g = rng.standard_normal(len(sigma))
-        f = transfer_ball_averages(g, proxy, sigma, res.cover, pa, sa)
-        mismatch, ratio = comparison_mismatch_ratio(f, g, proxy, sigma, res.cover, cfg, pa, sa)
+        f = transfer_ball_averages(g, proxy, sigma, res.cover)
+        mismatch, ratio = comparison_mismatch_ratio(f, g, proxy, sigma, res.cover, cfg)
         assert np.isfinite(mismatch) and mismatch >= 0.0
         ratios.append(ratio)
     assert all(np.isfinite(r) for r in ratios)
@@ -635,7 +632,7 @@ def test_comparison_mismatch_matches_per_ball_loop(mixed_result):
             diff = kernel_sum(proxy.points[pa != b], (f * proxy.weights)[pa != b], cfg, measure.points[at])
             diff -= kernel_sum(sigma.points[sa != b], (g * sigma.weights)[sa != b], cfg, measure.points[at])
             want += float(np.einsum("ij,ij->i", diff, diff) @ measure.weights[at])
-    mismatch, _ = comparison_mismatch_ratio(f, g, proxy, sigma, res.cover, cfg, pa, sa)
+    mismatch, _ = comparison_mismatch_ratio(f, g, proxy, sigma, res.cover, cfg)
     assert mismatch == pytest.approx(want, rel=1e-13)
 
 
@@ -643,8 +640,7 @@ def test_comparison_mismatch_zero_for_identical_inputs(mixed_result):
     # proxy compared against itself with the same density: exact zero
     res = mixed_result
     proxy = res.proxy_measure
-    pa = res.proxy_ball_of_point
     cfg = KernelConfig(1, 4 * res.source.resolution_h, REGULARIZED)
     f = np.linspace(0.5, 1.5, len(proxy))
-    mismatch, ratio = comparison_mismatch_ratio(f, f, proxy, proxy, res.cover, cfg, pa, pa)
+    mismatch, ratio = comparison_mismatch_ratio(f, f, proxy, proxy, res.cover, cfg)
     assert mismatch == 0.0 and ratio == 0.0

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from rieszlab.generators import gen_plane, gen_segment
 from rieszlab.measure import (
     DiscreteMeasure,
     EmptySelectionError,
@@ -279,6 +282,16 @@ def test_support_diameter_cases(segment_1024):
     assert support_diameter(two) == pytest.approx(5.0, rel=1e-15)
     h = segment_1024.resolution_h
     assert abs(support_diameter(segment_1024) - 1.0) <= h
+
+
+def test_diameter_of_million_point_supports():
+    # a segment and a flat square in d = 3 have known extreme points: the
+    # first and last cell midpoints, and opposite corners of the grid
+    for mu in (gen_segment(10**6), gen_plane(2, 3, 1.0, 1.0 / 1000)):
+        t0 = time.perf_counter()
+        diam = mu.diameter
+        assert time.perf_counter() - t0 < 1.0
+        assert diam == float(np.linalg.norm(mu.points[-1] - mu.points[0]))
 
 
 # -------------------------------------------------------------------- file io

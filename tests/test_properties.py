@@ -304,11 +304,13 @@ COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 @st.composite
 def supports(draw):
     """Point sets on a lattice or in general position, and degenerate ones:
-    collinear, coplanar in d = 3 (axis-aligned, tilted or rounded), and
-    lattices jittered by about an ulp, whose farthest pairs Qhull may keep
-    as coplanar points rather than vertices."""
+    collinear, coplanar in d = 3 (axis-aligned, tilted or rounded),
+    lattices jittered by about an ulp, whose farthest pairs tie to within
+    rounding, and antipodal pairs on a circle or sphere, all about equally
+    far from the bounding-box center, so that the diameter's pruning keeps
+    every point."""
     d = draw(st.sampled_from([2, 3]))
-    kind = draw(st.sampled_from(["lattice", "jittered", "general", "line", "plane"]))
+    kind = draw(st.sampled_from(["lattice", "jittered", "general", "line", "plane", "sphere"]))
     if kind == "lattice":
         return lattice_points(draw, d, 1, max_size=40)
     if kind == "jittered":
@@ -317,6 +319,13 @@ def supports(draw):
         return points + np.array(draw(st.lists(st.tuples(*[jitter] * d), min_size=len(points), max_size=len(points))))
     if kind == "general":
         return np.array(draw(st.lists(st.tuples(*[COORD] * d), min_size=1, max_size=40)))
+    if kind == "sphere":
+        angle = st.floats(0.0, 2 * np.pi, allow_nan=False)
+        t, p = np.array(draw(st.lists(st.tuples(angle, angle), min_size=1, max_size=20))).T
+        axes = [np.cos(t), np.sin(t)] if d == 2 else [np.cos(t) * np.sin(p), np.sin(t) * np.sin(p), np.cos(p)]
+        u = np.column_stack(axes)
+        radius, offset = draw(st.floats(0.1, 10.0)), np.array(draw(st.tuples(*[COORD] * d)))
+        return offset + radius * np.vstack([u, -u])
     # rows of coefficients times one or two spanning vectors, plus an offset
     rank = 1 if kind == "line" or d == 2 else 2
     exact = draw(st.booleans())
