@@ -144,19 +144,20 @@ def extract_core_set(
     """Subset of the dense set that stays dense relative to it.
 
     Applies the weaker threshold 1/(p s) to ratios of the restriction of mu
-    to the dense set.  `ratios` is the table `extract_dense_set` read; when
-    the dense set is the whole support the restriction is mu itself, and
-    that table is reused instead of summed again.
+    to the dense set, read at the dense points from the table at every
+    support point with the weights masked to the dense set (centers at the
+    support points pair the support's tree with itself).  `ratios` is the
+    table `extract_dense_set` read; when the dense set is the whole support
+    the restriction is mu itself, and that table is reused.
     """
     dense_idx = np.asarray(dense_idx, dtype=int)
     if dense_idx.size == 0:
         return dense_idx
-    if dense_idx.size == len(mu):
-        ratios = ratios[dense_idx]
-    else:
+    if dense_idx.size < len(mu):
         mask = np.zeros(len(mu))
         mask[dense_idx] = 1.0
-        ratios = density_ratios(mu, mu.points[dense_idx], params.grid.radii(), values=mu.weights * mask)
+        ratios = density_ratios(mu, mu.points, params.grid.radii(), values=mu.weights * mask)
+    ratios = ratios[dense_idx]
     ok = np.all(ratios >= (1.0 - 1e-12) / (params.p * params.s), axis=1)
     return dense_idx[ok]
 

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 _BALL_LEAF_CAP = 8  # points per leaf of the tree cached for ball sums
-_CENTER_CHUNK = 1024  # centers per ball-sum walk, which bounds its pair lists
-_LEAF_BLOCK = 1 << 18  # padded (center, point) entries per block of leaf pairs
+_LEAF_BLOCK = 1 << 16  # padded (center, point) entries per block of leaf pairs
+_PAIR_CHUNK = 1 << 16  # node pairs per step of the ball-sum walk, which bounds its pair lists
 
 
 class EmptySelectionError(ValueError):
@@ -97,7 +97,7 @@ class DiscreteMeasure:
     @cached_property
     def ball_tree(self) -> "SpatialTree":
         """Median-split tree for ball sums, built once."""
-        return _build_spatial_tree(self, _BALL_LEAF_CAP)
+        return _build_spatial_tree(self.points, self.weights, _BALL_LEAF_CAP)
 
     @cached_property
     def diameter(self) -> float:
@@ -224,56 +224,130 @@ def ball_masses(
     weights when values is None) inside each ball; values stacked as a
     (k, N) array give a (k, len(centers), len(radii)) table, one slice per
     row, each bit-identical to a call with that row alone.  One walk over
-    the cached `ball_tree` serves every radius and row at once.  A node
-    whose distance range [dmin, dmax] from the center holds no radius r
-    with dmin <= r < dmax is inside exactly the balls of radius >= dmax,
-    so its sum is binned at the first such radius; any other node is
-    opened, and the points of an opened leaf are binned by their own
-    distance.  The bins are then accumulated over the sorted radii.  dmin
-    and dmax come from the node's box corners with the same rounded
-    arithmetic as the point distances, so every point meets the
-    closed-ball rule dist <= r exactly as it would alone.  Summation order
-    is fixed by the walk, which makes the output deterministic.
+    (center node, source node) pairs serves every center, radius and row at
+    once (`_pair_bins`).  When the centers are the support points, the walk
+    pairs the cached `ball_tree` with itself and visits each unordered pair
+    of nodes once, binning it for both ends; other centers get a tree of
+    their own.  The bins are then accumulated over the sorted radii.
+    Every point meets the closed-ball rule exactly as it would alone, and
+    the summation order is fixed by the walk, which makes the output
+    deterministic.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.asarray(radii, dtype=float).ravel()
     vals = mu.weights if values is None else np.asarray(values, dtype=float)
+    if centers.shape[0] == 0:
+        return np.zeros(vals.shape[:-1] + (0, radii.size))
     stacked = vals.ndim == 2
     order = np.argsort(radii, kind="stable")
-    sorted_radii = radii[order]
-    n_bins = radii.size + 1  # the last bin holds what lies beyond every radius
     tree = mu.ball_tree
     vals = np.atleast_2d(vals)[:, tree.perm]
-    sums = [_node_sums(tree, v) for v in vals]
-    is_leaf = tree.left < 0
-    width = int((tree.end - tree.start)[is_leaf].max())
+    symmetric = centers.shape == mu.points.shape and np.array_equal(centers, mu.points)
+    if symmetric:
+        ctree, rows = tree, slice(None)
+    else:  # one leaf per distinct center: no center leaf is wider than a point
+        centers, rows = np.unique(centers, axis=0, return_inverse=True)
+        ctree = _build_spatial_tree(centers, np.ones(len(centers)), 1)
+    bins = _pair_bins(ctree, tree, vals, radii[order], symmetric)
     out = np.empty((len(vals), centers.shape[0], radii.size))
-    for c0 in range(0, centers.shape[0], _CENTER_CHUNK):
-        blk = centers[c0 : c0 + _CENTER_CHUNK]
-        acc = np.zeros((len(vals), blk.shape[0] * n_bins))
-
-        def visit(ctr, node):
-            c = blk[ctr]
-            dmin2, dmax2 = _box_dist2(tree, node, c)
-            first_in = np.searchsorted(sorted_radii, np.sqrt(dmin2))
-            first_all = np.searchsorted(sorted_radii, np.sqrt(dmax2))
-            whole = first_in == first_all
-            keys = ctr[whole] * n_bins + first_all[whole]
-            for a, s in zip(acc, sums):
-                a += np.bincount(keys, weights=s[node[whole]], minlength=a.size)
-            leaves = np.flatnonzero(~whole & is_leaf[node])
-            for rows, idx, valid in _leaf_blocks(tree, node[leaves], width):
-                at = leaves[rows]
-                dist = np.sqrt(_sq_norm(ca[at, None] - pa[idx] for ca, pa in zip(c.T, tree.points.T)))
-                keys = (ctr[at, None] * n_bins + np.searchsorted(sorted_radii, dist)).ravel()
-                for a, v in zip(acc, vals):
-                    a += np.bincount(keys, weights=np.where(valid, v[idx], 0.0).ravel(), minlength=a.size)
-            return np.flatnonzero(~whole & ~is_leaf[node])
-
-        tree.walk(blk.shape[0], visit)
-        bins = acc.reshape(len(vals), blk.shape[0], n_bins)
-        out[:, c0 : c0 + blk.shape[0], order] = np.cumsum(bins[:, :, :-1], axis=2)
+    out[:, ctree.perm[:, None], order] = np.cumsum(bins, axis=2, out=bins)[:, :, :-1]
+    out = out[:, rows]
     return out if stacked else out[0]
+
+
+def _pair_bins(ctree: SpatialTree, tree: SpatialTree, vals, sorted_radii, symmetric: bool) -> np.ndarray:
+    """Per-center bins of the value rows: (k, centers in ctree order, radii + 1).
+
+    Bin j of a center holds the values of the points y with
+    sorted_radii[j - 1] < dist <= sorted_radii[j]; the last bin holds what
+    lies beyond every radius.  The pairs (a, b) of a center node and a
+    source node are walked from the roots, a level of at most _PAIR_CHUNK
+    pairs at a time and depth first over those chunks.  A pair whose
+    distance range [dmin, dmax] holds no radius r with dmin <= r < dmax is
+    inside exactly the balls of radius >= dmax, so the sum of b is binned
+    at the first such radius for all of a's centers at once, in a's node
+    bins.  A pair of leaves is binned point by point (`_leaf_pair_bins`);
+    any other pair opens its wider inner node, or both when they are as
+    wide.  dmin and dmax come from the boxes with the same rounded
+    arithmetic as the point distances (`_box_dist2`), so each center-point
+    pair is binned as it would be alone.  A downward pass then adds every
+    node's bins to its centers.
+
+    When symmetric, ctree is tree and only one ordering of each pair is
+    walked: a pair (a, a) opens into (L, L), (L, R) and (R, R), and a pair
+    a != b is binned for both ends, as _sq_norm(c - y) == _sq_norm(y - c)
+    bit for bit (negation is exact).
+    """
+    n_bins = sorted_radii.size + 1
+    sums = [_node_sums(tree, v) for v in vals]
+    node_bins = np.zeros((len(vals), ctree.n_nodes * n_bins))
+    n_centers = ctree.points.shape[0]
+    point_bins = np.zeros((len(vals), (n_centers + 1) * n_bins))  # the last row takes the padding
+    c_leaf, s_leaf = ctree.left < 0, tree.left < 0
+    pending = [(np.zeros(1, dtype=np.int64),) * 2]
+    while pending:
+        a, b = pending.pop()
+        dmin2, dmax2 = _box_dist2(*_boxes(ctree, a), *_boxes(tree, b))
+        first_in = np.searchsorted(sorted_radii, np.sqrt(dmin2))
+        first_all = np.searchsorted(sorted_radii, np.sqrt(dmax2))
+        whole = first_in == first_all
+        mirror = (a != b) if symmetric else np.zeros(a.size, dtype=bool)
+        back = whole & mirror
+        keys = np.concatenate([a[whole] * n_bins + first_all[whole], b[back] * n_bins + first_all[back]])
+        src = np.concatenate([b[whole], a[back]])
+        for nb, s in zip(node_bins, sums):
+            np.add.at(nb, keys, s[src])
+        both_leaves = c_leaf[a] & s_leaf[b]
+        leaf = ~whole & both_leaves
+        _leaf_pair_bins(ctree, tree, a[leaf], b[leaf], mirror[leaf], vals, sorted_radii, point_bins)
+        opened = ~whole & ~both_leaves
+        a, b = a[opened], b[opened]
+        split_a = ~c_leaf[a] & (s_leaf[b] | (ctree.radius[a] >= tree.radius[b]))
+        split_b = ~s_leaf[b] & (c_leaf[a] | (tree.radius[b] >= ctree.radius[a]))
+        ca = np.where(split_a, [ctree.left[a], ctree.right[a]], [a, np.full(a.size, -1)])
+        cb = np.where(split_b, [tree.left[b], tree.right[b]], [b, np.full(b.size, -1)])
+        keep = (ca[:, None] >= 0) & (cb[None, :] >= 0)
+        if symmetric:
+            keep[1, 0] &= a != b  # (R, L) of a self pair is (L, R) again
+        a, b = np.broadcast_to(ca[:, None], keep.shape)[keep], np.broadcast_to(cb[None, :], keep.shape)[keep]
+        pending += [(a[i : i + _PAIR_CHUNK], b[i : i + _PAIR_CHUNK]) for i in range(0, a.size, _PAIR_CHUNK)]
+    node_bins = node_bins.reshape(len(vals), ctree.n_nodes, n_bins)
+    for inner in _inner_levels(ctree):
+        for child in (ctree.left[inner], ctree.right[inner]):
+            node_bins[:, child] += node_bins[:, inner]
+    _, owner = _leaf_owner(ctree)
+    bins = point_bins.reshape(len(vals), -1, n_bins)[:, :n_centers]
+    for pb, nb in zip(bins, node_bins):
+        pb += nb[owner]
+    return bins
+
+
+def _leaf_pair_bins(ctree, tree, a, b, mirror, vals, sorted_radii, point_bins) -> None:
+    """Bin the values of leaf b's points at leaf a's centers, pair by pair.
+
+    Each block of pairs computes its center-point distances once, padded
+    to the widest leaves, with at most _LEAF_BLOCK entries: padded sources
+    carry the value 0.0, and padded centers bin into the spare last row of
+    point_bins.  Where mirror is set (a pair of distinct leaves of one
+    tree), the same distances bin a's values at b's points too.
+    """
+    n_bins = sorted_radii.size + 1
+    wa, wb = (int((t.end - t.start)[t.left < 0].max()) for t in (ctree, tree))
+    per_block = max(1, _LEAF_BLOCK // (wa * wb))
+    for p0 in range(0, a.size, per_block):
+        ia, va = _leaf_rows(ctree, a[p0 : p0 + per_block], wa)
+        ib, vb = _leaf_rows(tree, b[p0 : p0 + per_block], wb)
+        diff = (pc[ia][:, :, None] - ps[ib][:, None, :] for pc, ps in zip(ctree.points.T, tree.points.T))
+        bins = np.searchsorted(sorted_radii, np.sqrt(_sq_norm(diff)))
+        m = np.flatnonzero(mirror[p0 : p0 + per_block])
+        spare = ctree.points.shape[0]
+        row_a, row_b = np.where(va, ia, spare) * n_bins, np.where(vb[m], ib[m], spare) * n_bins
+        keys, back_keys = (row_a[:, :, None] + bins).ravel(), (row_b[:, None, :] + bins[m]).ravel()
+        for pb, v in zip(point_bins, vals):
+            forward = np.where(vb, v[ib], 0.0)[:, None, :]
+            back = np.where(va[m], v[ia[m]], 0.0)[:, :, None]
+            np.add.at(pb, keys, np.broadcast_to(forward, bins.shape).ravel())
+            np.add.at(pb, back_keys, np.broadcast_to(back, (m.size, wa, wb)).ravel())
 
 
 def _check_grid_floor(mu: DiscreteMeasure, grid: ScaleGrid) -> None:
@@ -421,11 +495,12 @@ class SpatialTree:
 
     def walk(self, count: int, visit) -> None:
         """Walk (query, node) pairs level by level, from the root for each of
-        `count` queries.
+        `count` queries: the treecode's walk, one target point per query.
 
         visit(queries, nodes) handles one level of pairs and returns the
         indices of the pairs to open; their children form the next level.
-        Each query's pairs keep the order of its own walk.
+        Each query's pairs keep the order of its own walk.  Ball sums walk
+        pairs of nodes instead (`_pair_bins`).
         """
         query = np.arange(count)
         node = np.zeros(count, dtype=np.int64)
@@ -435,16 +510,16 @@ class SpatialTree:
             node = np.column_stack([self.left[node[split]], self.right[node[split]]]).ravel()
 
 
-def _build_spatial_tree(mu: DiscreteMeasure, leaf_cap: int) -> SpatialTree:
+def _build_spatial_tree(pts: np.ndarray, w: np.ndarray, leaf_cap: int) -> SpatialTree:
     """Median-split tree built one depth at a time, deterministic for a fixed input order.
 
     Every node of a depth with more than leaf_cap points and a positive
     extent is split at once: one stable lexsort over (node, coordinate on
     the node's widest axis) orders each node's points as a stable argsort
     of that node alone would, and the children take the halves
-    [start, mid) and [mid, end), mid = start + count // 2.
+    [start, mid) and [mid, end), mid = start + count // 2.  w weighs the
+    centroids.
     """
-    pts, w = mu.points, mu.weights
     perm = np.arange(pts.shape[0])
     start, end = np.zeros(1, dtype=np.int64), np.full(1, pts.shape[0], dtype=np.int64)
     first_id = 0
@@ -489,36 +564,62 @@ def _build_spatial_tree(mu: DiscreteMeasure, leaf_cap: int) -> SpatialTree:
     )
 
 
-def _box_dist2(tree: SpatialTree, nodes: np.ndarray, queries: np.ndarray):
-    """Least and greatest squared distance from each query to its node's box.
+def _box_dist2(lo_a, hi_a, lo_b, hi_b):
+    """Least and greatest squared distance between the points of two boxes, row by row.
 
-    The box is tight, so per axis its nearest and farthest coordinates are
-    coordinates of the node's points, and every rounded operation on the
-    way is monotone; so for each point y of the node the squared distance
-    computed as in a direct sum, _sq_norm(q - y), lies in [dmin2, dmax2].
+    Per axis the gap is max(lo_b - hi_a, lo_a - hi_b, 0) and the span
+    max(hi_b - lo_a, hi_a - lo_b); a point is the box lo = hi = q.  The
+    boxes are tight, so these are differences of coordinates of the boxes'
+    points, and every rounded operation on the way is monotone; so for
+    points x of a and y of b the squared distance computed as in a direct
+    sum, _sq_norm(x - y), lies in [dmin2, dmax2].
     """
-    below = tree.box_lo[nodes] - queries
-    above = queries - tree.box_hi[nodes]
-    near = np.maximum(np.maximum(below, above), 0.0)
-    far = np.minimum(below, above)  # minus the per-axis max(q - lo, hi - q), exactly
+    near = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
+    far = np.maximum(hi_b - lo_a, hi_a - lo_b)
     return _sq_norm(near.T), _sq_norm(far.T)
+
+
+def _boxes(tree: SpatialTree, nodes: np.ndarray):
+    """(box_lo, box_hi) rows of the given nodes; take is a fast gather of whole rows."""
+    return np.take(tree.box_lo, nodes, axis=0), np.take(tree.box_hi, nodes, axis=0)
+
+
+def _leaf_rows(tree: SpatialTree, leaves: np.ndarray, width: int):
+    """(idx, valid): the (leaves, width) tree-order point indices of the
+    given leaves, padded with each leaf's first point where valid is False."""
+    first = tree.start[leaves, None]
+    idx = first + np.arange(width)
+    valid = idx < tree.end[leaves, None]
+    return np.where(valid, idx, first), valid
 
 
 def _leaf_blocks(tree: SpatialTree, leaves: np.ndarray, width: int):
     """Yield (rows, idx, valid) over blocks of the given leaves.
 
-    rows is a slice of `leaves`, and idx the (rows, width) array of the
-    tree-order point indices of those leaves, padded with each leaf's first
-    point where valid is False.  A block holds at most _LEAF_BLOCK entries.
+    rows is a slice of `leaves`, and (idx, valid) the `_leaf_rows` of those
+    leaves.  A block holds at most _LEAF_BLOCK entries.
     """
-    offsets = np.arange(width)
     rows_per_block = max(1, _LEAF_BLOCK // width)
     for p0 in range(0, leaves.size, rows_per_block):
         rows = slice(p0, p0 + rows_per_block)
-        first = tree.start[leaves[rows], None]
-        idx = first + offsets
-        valid = idx < tree.end[leaves[rows], None]
-        yield rows, np.where(valid, idx, first), valid
+        yield (rows, *_leaf_rows(tree, leaves[rows], width))
+
+
+def _leaf_owner(tree: SpatialTree):
+    """The leaves in tree order, and the leaf of each point of the tree order."""
+    leaves = np.flatnonzero(tree.left < 0)
+    leaves = leaves[np.argsort(tree.start[leaves])]
+    return leaves, np.repeat(leaves, tree.end[leaves] - tree.start[leaves])
+
+
+def _inner_levels(tree: SpatialTree) -> list[np.ndarray]:
+    """The inner nodes of each depth, from the root down."""
+    level, levels = np.zeros(1, dtype=np.int64), []
+    while level.size:
+        inner = level[tree.left[level] >= 0]
+        levels.append(inner)
+        level = np.concatenate([tree.left[inner], tree.right[inner]])
+    return levels
 
 
 def _node_sums(tree: SpatialTree, vals: np.ndarray, shift=lambda sums, delta: sums) -> np.ndarray:
@@ -529,19 +630,11 @@ def _node_sums(tree: SpatialTree, vals: np.ndarray, shift=lambda sums, delta: su
     re-expresses sums about a center x as sums about x - delta.  It moves
     the points to their leaves' centroids and each child to its parent's.
     """
-    is_leaf = tree.left < 0
-    leaves = np.flatnonzero(is_leaf)
-    leaves = leaves[np.argsort(tree.start[leaves])]  # reduceat needs the tree order
-    owner = np.repeat(leaves, tree.end[leaves] - tree.start[leaves])
+    leaves, owner = _leaf_owner(tree)  # reduceat needs the tree order
     leaf_sums = np.add.reduceat(shift(vals, tree.points - tree.centroid[owner]), tree.start[leaves])
     sums = np.empty((tree.n_nodes,) + leaf_sums.shape[1:], dtype=leaf_sums.dtype)
     sums[leaves] = leaf_sums
-    level, inner_levels = np.zeros(1, dtype=np.int64), []
-    while level.size:
-        inner = level[~is_leaf[level]]
-        inner_levels.append(inner)
-        level = np.concatenate([tree.left[inner], tree.right[inner]])
-    for inner in reversed(inner_levels):
+    for inner in reversed(_inner_levels(tree)):
         left, right = tree.left[inner], tree.right[inner]
         sums[inner] = shift(sums[left], tree.centroid[left] - tree.centroid[inner])
         sums[inner] += shift(sums[right], tree.centroid[right] - tree.centroid[inner])

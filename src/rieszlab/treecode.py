@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from rieszlab.measure import DiscreteMeasure, SpatialTree, _build_spatial_tree
-from rieszlab.measure import _box_dist2, _leaf_blocks, _node_sums, _sq_norm  # the tree engine
+from rieszlab.measure import _box_dist2, _boxes, _leaf_blocks, _node_sums, _sq_norm  # the tree engine
 from rieszlab.kernels import TRUNCATED, KernelConfig, _coef_from_r2, _inv_power, riesz_apply
 
 _TARGET_CHUNK = 4096  # targets per traversal chunk
@@ -65,7 +65,7 @@ class TreecodeParams:
 
 def build_tree(mu: DiscreteMeasure, params: TreecodeParams) -> SpatialTree:
     """Median-split tree with params.leaf_cap points per leaf."""
-    return _build_spatial_tree(mu, params.leaf_cap)
+    return _build_spatial_tree(mu.points, mu.weights, params.leaf_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ def _traverse(tree, fw, s0, m1, cfg, theta, far, targets) -> np.ndarray:
         t = targets[tgt]
         # squared distance bounds rounded like the leaf sums' r2, so that
         # inside and beyond eps agree with the direct r2 > eps2 cut
-        dmin2, dmax2 = _box_dist2(tree, node, t)
+        dmin2, dmax2 = _box_dist2(t, t, *_boxes(tree, node))
         rel = t - tree.centroid[node]
         inside = dmax2 <= eps2
         if not truncated:

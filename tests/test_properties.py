@@ -128,6 +128,33 @@ def test_lanczos_norm_matches_dense_svd(case, cap):
         assert weighted_ratio(mu, est.witness, cfg) == pytest.approx(est.value, rel=1e-12)
 
 
+@st.composite
+def mirrored_measures(draw):
+    """A lattice measure in d = 2 or 3 joined to its mirror image, under
+    x -> -x or under the reflection of one axis, with the same weights: its
+    top singular vector may be odd, orthogonal to the even sqrt(w)."""
+    d = draw(st.sampled_from([2, 3]))
+    half = lattice_points(draw, d, 1)
+    axis = draw(st.sampled_from([None] + list(range(d))))
+    flip = -np.ones(d) if axis is None else np.where(np.arange(d) == axis, -1.0, 1.0)
+    points = np.vstack([half, half * flip])
+    span = np.linalg.norm(points.max(axis=0) - points.min(axis=0))
+    assume(span > 0.0)
+    w = draw(st.lists(st.floats(0.1, 2.0), min_size=len(half), max_size=len(half)))
+    mu = DiscreteMeasure(points, w + w, draw(st.integers(1, d - 1)), min(SPACING, span))
+    eps = SPACING * draw(st.integers(1, 4))
+    return mu, KernelConfig(mu.hausdorff_dim, eps, draw(st.sampled_from([TRUNCATED, REGULARIZED])))
+
+
+@PROPERTY_SETTINGS
+@given(case=mirrored_measures(), tol=st.sampled_from([1e-4, 1e-7, 1e-10]), cap=st.sampled_from([0, 60_000_000]))
+def test_norm_of_mirrored_measures_matches_dense_svd(case, tol, cap):
+    mu, cfg = case
+    dense = dense_operator_norm(mu, cfg).value
+    est = operator_norm(mu, cfg, tol=tol, max_iter=2000, dense_cache_cap=cap)
+    assert abs(est.value - dense) <= tol * dense
+
+
 @PROPERTY_SETTINGS
 @given(case=measures_and_kernels(), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_adjoint_sum_is_the_adjoint_of_kernel_sum(case, data, seed):
@@ -261,18 +288,21 @@ def random_points(mu, count, seed):
 
 
 def test_ball_masses_blocks_match_dense_oracle(four_corners_4, monkeypatch):
-    # center chunks and leaf blocks far smaller than the call: the walk is
-    # cut at many boundaries and must still bin every point exactly once
+    # blocks of one and of three leaf pairs and chunks of a few node pairs,
+    # far smaller than the call: the walk is cut at many boundaries and must
+    # still bin every pair of points exactly once, on the self path and on
+    # a tree of other centers
     mu = four_corners_4
-    monkeypatch.setattr(measure, "_CENTER_CHUNK", 7)
-    monkeypatch.setattr(measure, "_LEAF_BLOCK", 20)
-    centers = np.vstack([mu.points, random_points(mu, 50, seed=4)])
     radii = np.geomspace(mu.resolution_h, mu.diameter, 12)
     values = 2.0 ** np.random.default_rng(2).integers(-3, 4, len(mu))
-    assert np.array_equal(
-        ball_masses(mu, centers, radii, np.stack([mu.weights, values])),
-        [dense_ball_masses(mu, centers, radii), dense_ball_masses(mu, centers, radii, values)],
-    )
+    for leaf_block, pair_chunk in ((20, 3), (200, 64)):
+        monkeypatch.setattr(measure, "_LEAF_BLOCK", leaf_block)
+        monkeypatch.setattr(measure, "_PAIR_CHUNK", pair_chunk)
+        for centers in (mu.points, np.vstack([mu.points, random_points(mu, 50, seed=4)])):
+            assert np.array_equal(
+                ball_masses(mu, centers, radii, np.stack([mu.weights, values])),
+                [dense_ball_masses(mu, centers, radii), dense_ball_masses(mu, centers, radii, values)],
+            )
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -418,10 +448,55 @@ def clustered_measures(draw):
     return DiscreteMeasure(points, weights, 1, min(SPACING, span))
 
 
+def dyadic_with_radii(draw, mu):
+    """mu with dyadic weights, which sum exactly in any order, and lattice
+    radii (0 among them), so that points lie on the closed-ball boundary."""
+    w = draw(st.lists(POWERS_OF_TWO, min_size=len(mu), max_size=len(mu)))
+    radii = SPACING * np.sqrt(draw(st.lists(st.integers(0, 110), min_size=1, max_size=8)))
+    return DiscreteMeasure(mu.points, w, 1, mu.resolution_h), radii
+
+
+@PROPERTY_SETTINGS
+@given(mu=clustered_measures(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_self_ball_masses_match_dense_oracle(mu, data, seed):
+    # centers at the support points: the walk pairs the ball tree with
+    # itself, and the cluster makes zero-extent leaves wider than the cap
+    mu, radii = dyadic_with_radii(data.draw, mu)
+    pts = mu.points
+    assert np.array_equal(ball_masses(mu, pts, radii), dense_ball_masses(mu, pts, radii))
+    values = np.random.default_rng(seed).uniform(0.1, 2.0, len(mu))
+    np.testing.assert_allclose(
+        ball_masses(mu, pts, radii, values), dense_ball_masses(mu, pts, radii, values), rtol=1e-13, atol=0.0
+    )
+    stacked = ball_masses(mu, pts, radii, np.stack([mu.weights, values]))
+    assert np.array_equal(stacked, [ball_masses(mu, pts, radii), ball_masses(mu, pts, radii, values)])
+
+
+@PROPERTY_SETTINGS
+@given(mu=clustered_measures(), data=st.data())
+def test_self_path_matches_center_tree_path(mu, data):
+    # the support points in another order take a tree of their own
+    mu, radii = dyadic_with_radii(data.draw, mu)
+    perm = np.array(data.draw(st.permutations(range(len(mu)))))
+    assert np.array_equal(ball_masses(mu, mu.points[perm], radii), ball_masses(mu, mu.points, radii)[perm])
+
+
+@PROPERTY_SETTINGS
+@given(mu=clustered_measures(), data=st.data())
+def test_masked_self_rows_match_subset_centers(mu, data):
+    # the restriction to a subset, summed at every support point (the self
+    # path) or at the subset alone (a tree of the subset's points)
+    mu, radii = dyadic_with_radii(data.draw, mu)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(mu), max_size=len(mu))))
+    assume(keep.any())
+    idx, masked = np.flatnonzero(keep), mu.weights * keep
+    assert np.array_equal(ball_masses(mu, mu.points, radii, masked)[idx], ball_masses(mu, mu.points[idx], radii, masked))
+
+
 @PROPERTY_SETTINGS
 @given(mu=clustered_measures(), cap=st.integers(1, 9))
 def test_depth_build_matches_recursive_build(mu, cap):
-    tree, oracle = measure._build_spatial_tree(mu, cap), recursive_spatial_tree(mu, cap)
+    tree, oracle = measure._build_spatial_tree(mu.points, mu.weights, cap), recursive_spatial_tree(mu, cap)
     assert np.array_equal(tree.perm, oracle.perm)
     # node ids differ between the builds: match the nodes by their ranges
     ids = {(s, e): i for i, (s, e) in enumerate(zip(tree.start, tree.end))}
@@ -446,7 +521,7 @@ def test_depth_build_matches_recursive_build(mu, cap):
 )
 def test_upward_moments_match_per_node_loops(mu, cap, order, seed):
     # d = 2 takes the planar series of the given order, d = 3 the monopole
-    tree = measure._build_spatial_tree(mu, cap)
+    tree = measure._build_spatial_tree(mu.points, mu.weights, cap)
     fw = np.random.default_rng(seed).standard_normal(len(mu))
     if mu.ambient_dim == 2:
         got = measure._node_sums(tree, fw[:, None], partial(treecode._planar_shift, order))
