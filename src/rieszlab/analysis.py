@@ -185,7 +185,7 @@ def dense_operator_norm(mu: DiscreteMeasure, cfg: KernelConfig) -> NormEstimate:
     return NormEstimate(float(svals[0]), 1, 0.0, cfg.epsilon, "dense-decomposition", witness)
 
 
-def adjoint_apply(mu: DiscreteMeasure, cfg: KernelConfig, field, targets=None) -> np.ndarray:
+def adjoint_apply(mu: DiscreteMeasure, cfg: KernelConfig, field) -> np.ndarray:
     """Adjoint of the transform under the weighted inner products.
 
     (R* F)(x_j) = sum_i K(x_i - x_j) . F(x_i) w(x_i); satisfies the bilinear
@@ -194,8 +194,7 @@ def adjoint_apply(mu: DiscreteMeasure, cfg: KernelConfig, field, targets=None) -
     vals = np.asarray(field.values if hasattr(field, "values") else field, dtype=float)
     if vals.shape != (len(mu), mu.ambient_dim):
         raise ValueError("field must align with the measure's points")
-    pts = np.atleast_2d(mu.points if targets is None else np.asarray(targets, dtype=float))
-    return adjoint_sum(mu.points, vals * mu.weights[:, None], cfg, pts)
+    return adjoint_sum(mu.points, vals * mu.weights[:, None], cfg, mu.points)
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,10 @@ def _cmd_density(args) -> int:
     grid = _grid_from_args(mu, args)
     if args.center:
         x = [float(tok) for tok in args.center.split(",")]
-    else:
+    elif 0 <= args.point_index < len(mu):
         x = mu.points[args.point_index]
+    else:
+        raise ValueError(f"--point-index {args.point_index} lies outside 0..{len(mu) - 1}")
     profile = density_profile(mu, x, grid)
     rows = [f"{r:.17g},{ratio:.17g}" for r, ratio in profile]
     rows.append(f"# upper_proxy={profile[:, 1].max():.17g} lower_proxy={profile[:, 1].min():.17g}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rieszlab.measure import DiscreteMeasure, ScaleGrid, _sq_norm, ball_masses, density_ratios
+from rieszlab.measure import DiscreteMeasure, ScaleGrid, _as_points, _sq_norm, ball_masses, density_ratios
 
 TRUNCATED = "truncated"
 REGULARIZED = "regularized"
@@ -154,6 +154,23 @@ def adjoint_sum(
     return out
 
 
+def _check_density(mu: DiscreteMeasure, f, targets) -> tuple[np.ndarray, np.ndarray]:
+    """f as a finite array aligned with mu, and targets as a nonempty (m, d) array.
+
+    The input check of every transform of f against mu at given points:
+    riesz_apply, treecode.treecode_apply and maximal_function.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape != (len(mu),):
+        raise ValueError("f must be a scalar array aligned with the measure")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("f must be finite")
+    targets = _as_points(mu, targets, "target")
+    if targets.shape[0] == 0:
+        raise ValueError("targets must be nonempty")
+    return f, targets
+
+
 def riesz_apply(
     mu: DiscreteMeasure,
     f,
@@ -165,26 +182,16 @@ def riesz_apply(
     Returns sum_y K(x - y) f(y) w(y) for each target x; a target sitting on
     a support point picks up no self-term in either kernel mode.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (len(mu),):
-        raise ValueError("f must be a scalar array aligned with the measure")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("f must be finite")
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if targets.shape[0] == 0:
-        raise ValueError("targets must be nonempty")
-    if targets.shape[1] != mu.ambient_dim:
-        raise ValueError("target dimension mismatch")
+    f, targets = _check_density(mu, f, targets)
     return kernel_sum(mu.points, f * mu.weights, cfg, targets)
 
 
 def maximal_function(mu: DiscreteMeasure, f, x, grid: ScaleGrid) -> float:
     """Centered maximal average of |f| against mu over the grid radii."""
-    f = np.asarray(f, dtype=float)
-    x = np.asarray(x, dtype=float)
+    f, x = _check_density(mu, f, x)
     radii = grid.radii()
     values = np.stack([mu.weights, np.abs(f) * mu.weights])
-    masses, sums = ball_masses(mu, x[None, :], radii, values)[:, 0]
+    masses, sums = ball_masses(mu, x, radii, values)[:, 0]
     occupied = masses > 0.0
     if not occupied.any():
         raise ValueError("all grid balls around x are empty")

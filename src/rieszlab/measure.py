@@ -170,6 +170,14 @@ def _sq_norm(diff) -> np.ndarray:
     return out
 
 
+def _as_points(mu: DiscreteMeasure, pts, what: str) -> np.ndarray:
+    """pts as an (m, d) float array, one row per point, in the ambient dimension of mu."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != mu.ambient_dim:
+        raise ValueError(f"{what} dimension mismatch: {pts.shape} against points in R^{mu.ambient_dim}")
+    return pts
+
+
 def total_mass(mu: DiscreteMeasure) -> float:
     """Sum of the weights, exactly as stored."""
     return float(np.sum(mu.weights))
@@ -233,9 +241,11 @@ def ball_masses(
     the summation order is fixed by the walk, which makes the output
     deterministic.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    centers = _as_points(mu, centers, "center")
     radii = np.asarray(radii, dtype=float).ravel()
     vals = mu.weights if values is None else np.asarray(values, dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[-1] != len(mu):
+        raise ValueError(f"values of shape {vals.shape} do not align with the {len(mu)} points")
     if centers.shape[0] == 0:
         return np.zeros(vals.shape[:-1] + (0, radii.size))
     stacked = vals.ndim == 2
@@ -312,13 +322,12 @@ def _pair_bins(ctree: SpatialTree, tree: SpatialTree, vals, sorted_radii, symmet
         a, b = np.broadcast_to(ca[:, None], keep.shape)[keep], np.broadcast_to(cb[None, :], keep.shape)[keep]
         pending += [(a[i : i + _PAIR_CHUNK], b[i : i + _PAIR_CHUNK]) for i in range(0, a.size, _PAIR_CHUNK)]
     node_bins = node_bins.reshape(len(vals), ctree.n_nodes, n_bins)
-    for inner in _inner_levels(ctree):
+    for inner in ctree.levels:
         for child in (ctree.left[inner], ctree.right[inner]):
             node_bins[:, child] += node_bins[:, inner]
-    _, owner = _leaf_owner(ctree)
+    leaves = ctree.leaves
     bins = point_bins.reshape(len(vals), -1, n_bins)[:, :n_centers]
-    for pb, nb in zip(bins, node_bins):
-        pb += nb[owner]
+    bins += np.repeat(node_bins[:, leaves], ctree.end[leaves] - ctree.start[leaves], axis=1)
     return bins
 
 
@@ -403,7 +412,7 @@ def density_profile(mu: DiscreteMeasure, x, grid: ScaleGrid) -> np.ndarray:
     upper and lower n-dimensional densities at x; true limiting densities
     would need r -> 0, which a discrete cloud cannot resolve.
     """
-    x = np.asarray(x, dtype=float)
+    (x,) = _as_points(mu, x, "center")
     lo, hi = mu.bbox()
     if np.any(x < lo - grid.r_max) or np.any(x > hi + grid.r_max):
         raise ValueError("query point lies outside the inflated bounding box")
@@ -469,9 +478,11 @@ class SpatialTree:
     order, and the leaves partition it.  Nodes are numbered depth by
     depth: the children of a depth's split nodes are numbered, left before
     right and in the tree order of their parents, after every node of
-    that depth.  So leaf ids still do not follow the tree order: a leaf
-    precedes the deeper leaves to its left.  Order leaves by start where
-    the tree order matters.
+    that depth.  So leaf ids do not follow the tree order (a leaf precedes
+    the deeper leaves to its left); `leaves` lists them in tree order.
+    `levels` holds the inner nodes of each depth, root first, so a pass
+    over it in order reaches every parent before its children.  The build
+    sets both; the upward and downward passes read them.
     """
 
     perm: np.ndarray  # (N,) permutation: tree order -> original index
@@ -485,29 +496,12 @@ class SpatialTree:
     centroid: np.ndarray  # (M, d) weight centroid
     radius: np.ndarray  # (M,) max distance centroid -> box corner
     node_weight: np.ndarray  # (M,)
+    leaves: np.ndarray  # leaf ids in tree order
+    levels: tuple[np.ndarray, ...]  # per depth, root first: the ids of its inner nodes (none at the last)
 
     @property
     def n_nodes(self) -> int:
         return self.start.size
-
-    def is_leaf(self, node: int) -> bool:
-        return self.left[node] < 0
-
-    def walk(self, count: int, visit) -> None:
-        """Walk (query, node) pairs level by level, from the root for each of
-        `count` queries: the treecode's walk, one target point per query.
-
-        visit(queries, nodes) handles one level of pairs and returns the
-        indices of the pairs to open; their children form the next level.
-        Each query's pairs keep the order of its own walk.  Ball sums walk
-        pairs of nodes instead (`_pair_bins`).
-        """
-        query = np.arange(count)
-        node = np.zeros(count, dtype=np.int64)
-        while query.size:
-            split = visit(query, node)
-            query = np.repeat(query[split], 2)
-            node = np.column_stack([self.left[node[split]], self.right[node[split]]]).ravel()
 
 
 def _build_spatial_tree(pts: np.ndarray, w: np.ndarray, leaf_cap: int) -> SpatialTree:
@@ -523,7 +517,7 @@ def _build_spatial_tree(pts: np.ndarray, w: np.ndarray, leaf_cap: int) -> Spatia
     perm = np.arange(pts.shape[0])
     start, end = np.zeros(1, dtype=np.int64), np.full(1, pts.shape[0], dtype=np.int64)
     first_id = 0
-    depths = []
+    depths, levels = [], []
     while start.size:
         count = end - start
         first = np.cumsum(count) - count  # each node's offset among the depth's points
@@ -541,6 +535,7 @@ def _build_spatial_tree(pts: np.ndarray, w: np.ndarray, leaf_cap: int) -> Spatia
         # children are numbered after every node of this depth, left before right
         left = np.where(split, first_id + start.size + 2 * np.cumsum(split) - 2, -1)
         right = np.where(split, left + 1, -1)
+        levels.append(first_id + np.flatnonzero(split))
         first_id += start.size
         depths.append((start, end, left, right, lo, hi, centroid, weight))
         mid = start[split] + count[split] // 2
@@ -549,6 +544,7 @@ def _build_spatial_tree(pts: np.ndarray, w: np.ndarray, leaf_cap: int) -> Spatia
 
     start, end, left, right, lo, hi, centroid, weight = (np.concatenate(a) for a in zip(*depths))
     reach = np.maximum(centroid - lo, hi - centroid)
+    leaves = np.flatnonzero(left < 0)
     return SpatialTree(
         perm=perm,
         points=np.ascontiguousarray(pts[perm]),
@@ -561,6 +557,8 @@ def _build_spatial_tree(pts: np.ndarray, w: np.ndarray, leaf_cap: int) -> Spatia
         centroid=centroid,
         radius=np.sqrt(np.einsum("md,md->m", reach, reach)),
         node_weight=weight,
+        leaves=leaves[np.argsort(start[leaves])],
+        levels=tuple(levels),
     )
 
 
@@ -593,35 +591,6 @@ def _leaf_rows(tree: SpatialTree, leaves: np.ndarray, width: int):
     return np.where(valid, idx, first), valid
 
 
-def _leaf_blocks(tree: SpatialTree, leaves: np.ndarray, width: int):
-    """Yield (rows, idx, valid) over blocks of the given leaves.
-
-    rows is a slice of `leaves`, and (idx, valid) the `_leaf_rows` of those
-    leaves.  A block holds at most _LEAF_BLOCK entries.
-    """
-    rows_per_block = max(1, _LEAF_BLOCK // width)
-    for p0 in range(0, leaves.size, rows_per_block):
-        rows = slice(p0, p0 + rows_per_block)
-        yield (rows, *_leaf_rows(tree, leaves[rows], width))
-
-
-def _leaf_owner(tree: SpatialTree):
-    """The leaves in tree order, and the leaf of each point of the tree order."""
-    leaves = np.flatnonzero(tree.left < 0)
-    leaves = leaves[np.argsort(tree.start[leaves])]
-    return leaves, np.repeat(leaves, tree.end[leaves] - tree.start[leaves])
-
-
-def _inner_levels(tree: SpatialTree) -> list[np.ndarray]:
-    """The inner nodes of each depth, from the root down."""
-    level, levels = np.zeros(1, dtype=np.int64), []
-    while level.size:
-        inner = level[tree.left[level] >= 0]
-        levels.append(inner)
-        level = np.concatenate([tree.left[inner], tree.right[inner]])
-    return levels
-
-
 def _node_sums(tree: SpatialTree, vals: np.ndarray, shift=lambda sums, delta: sums) -> np.ndarray:
     """Per-node sums of vals (in tree order, one row per point), by one upward pass.
 
@@ -630,11 +599,12 @@ def _node_sums(tree: SpatialTree, vals: np.ndarray, shift=lambda sums, delta: su
     re-expresses sums about a center x as sums about x - delta.  It moves
     the points to their leaves' centroids and each child to its parent's.
     """
-    leaves, owner = _leaf_owner(tree)  # reduceat needs the tree order
-    leaf_sums = np.add.reduceat(shift(vals, tree.points - tree.centroid[owner]), tree.start[leaves])
+    leaves = tree.leaves  # reduceat needs the tree order
+    delta = tree.points - np.repeat(tree.centroid[leaves], tree.end[leaves] - tree.start[leaves], axis=0)
+    leaf_sums = np.add.reduceat(shift(vals, delta), tree.start[leaves])
     sums = np.empty((tree.n_nodes,) + leaf_sums.shape[1:], dtype=leaf_sums.dtype)
     sums[leaves] = leaf_sums
-    for inner in reversed(_inner_levels(tree)):
+    for inner in reversed(tree.levels):
         left, right = tree.left[inner], tree.right[inner]
         sums[inner] = shift(sums[left], tree.centroid[left] - tree.centroid[inner])
         sums[inner] += shift(sums[right], tree.centroid[right] - tree.centroid[inner])

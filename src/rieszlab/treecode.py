@@ -18,15 +18,16 @@ Interaction with the eps-truncation:
     x / eps**(n+1), linear in the source, so its contribution is evaluated
     exactly from the node's zeroth and first moments.
 
-The traversal is vectorized over (target, node) pairs.  Each round
+The traversal is one loop in _traverse, vectorized over (target, node)
+pairs and walking the tree level by level from the root.  Each pass
 classifies every live pair at once as wholly inside eps, far, a near leaf,
-or to be opened, and replaces the opened pairs by their two children.  Near
-leaves are summed directly as padded blocks with the squared-distance rule
-of kernels.kernel_sum, measure._sq_norm.  Targets are processed in
-fixed-size chunks, which bounds the size of the pair lists.  Each target's
-contributions are accumulated in an order fixed by its own walk alone, so
-results are bit-reproducible and independent of which other targets share
-the call.
+or to be opened, and the opened pairs' children, left before right, form
+the next level.  Near leaves are summed directly as padded blocks of
+measure._leaf_rows with the squared-distance rule of kernels.kernel_sum,
+measure._sq_norm.  Targets are processed in fixed-size chunks, which
+bounds the size of the pair lists.  Each target's contributions are
+accumulated in an order fixed by its own walk alone, so results are
+bit-reproducible and independent of which other targets share the call.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from functools import partial
 import numpy as np
 
 from rieszlab.measure import DiscreteMeasure, SpatialTree, _build_spatial_tree
-from rieszlab.measure import _box_dist2, _boxes, _leaf_blocks, _node_sums, _sq_norm  # the tree engine
-from rieszlab.kernels import TRUNCATED, KernelConfig, _coef_from_r2, _inv_power, riesz_apply
+from rieszlab.measure import _LEAF_BLOCK, _box_dist2, _boxes, _leaf_rows, _node_sums, _sq_norm  # the tree engine
+from rieszlab.kernels import TRUNCATED, KernelConfig, _check_density, _coef_from_r2, _inv_power, riesz_apply
 
 _TARGET_CHUNK = 4096  # targets per traversal chunk
 
@@ -132,12 +133,15 @@ def _near_leaves(tree, fw, cfg, width, targets, leaves) -> np.ndarray:
 
     Leaves are padded to the widest leaf with zero weights and laid out as
     (width, pairs) planes, one per component; r2 and the eps comparison are
-    computed exactly as in kernels.kernel_sum.  Each pair's terms are added
-    one at a time in leaf order, from zero, whatever the block layout.
+    computed exactly as in kernels.kernel_sum.  A block holds at most
+    _LEAF_BLOCK entries.  Each pair's terms are added one at a time in leaf
+    order, from zero, whatever the block layout.
     """
     out = np.empty(targets.shape)
-    for rows, idx, valid in _leaf_blocks(tree, leaves, width):
-        idx, valid = idx.T, valid.T
+    per_block = max(1, _LEAF_BLOCK // width)
+    for p0 in range(0, leaves.size, per_block):
+        rows = slice(p0, p0 + per_block)
+        idx, valid = (a.T for a in _leaf_rows(tree, leaves[rows], width))
         diff = [tc[None, rows] - pc[idx] for tc, pc in zip(targets.T, tree.points.T)]
         cw = _coef_from_r2(_sq_norm(diff), cfg) * np.where(valid, fw[idx], 0.0)
         for a, plane in enumerate(diff):
@@ -162,8 +166,8 @@ def _traverse(tree, fw, s0, m1, cfg, theta, far, targets) -> np.ndarray:
     is_leaf = tree.left < 0
     width = int((tree.end - tree.start)[is_leaf].max())
     out = np.zeros(targets.shape)
-
-    def visit(tgt, node):
+    tgt, node = np.arange(targets.shape[0]), np.zeros(targets.shape[0], dtype=np.int64)
+    while tgt.size:  # one level of (target, node) pairs, each target's in its walk's order
         t = targets[tgt]
         # squared distance bounds rounded like the leaf sums' r2, so that
         # inside and beyond eps agree with the direct r2 > eps2 cut
@@ -184,9 +188,9 @@ def _traverse(tree, fw, s0, m1, cfg, theta, far, targets) -> np.ndarray:
         near = ~(inside | far_mask)
         leaf = np.flatnonzero(near & is_leaf[node])
         _accumulate(out, tgt[leaf], _near_leaves(tree, fw, cfg, width, t[leaf], node[leaf]))
-        return np.flatnonzero(near & ~is_leaf[node])
-
-    tree.walk(targets.shape[0], visit)
+        opened = np.flatnonzero(near & ~is_leaf[node])
+        tgt = np.repeat(tgt[opened], 2)
+        node = np.column_stack([tree.left[node[opened]], tree.right[node[opened]]]).ravel()
     return out
 
 
@@ -203,12 +207,7 @@ def treecode_apply(
     A single-leaf tree delegates to the direct summation, so that case is
     identical to riesz_apply by construction.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (len(mu),):
-        raise ValueError("f must align with the measure")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("f must be finite")
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    f, targets = _check_density(mu, f, targets)
     if tree.n_nodes == 1:
         return riesz_apply(mu, f, cfg, targets)
     fw = (f * mu.weights)[tree.perm]

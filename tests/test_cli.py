@@ -120,6 +120,37 @@ def test_density_command(fc3_file, tmp_path):
     assert len(rows) == 8
 
 
+@pytest.mark.parametrize(
+    "point", [("--center", "0.5"), ("--center", "0.5,0.5,0.5"), ("--point-index", 64), ("--point-index", -1)]
+)
+def test_density_point_outside_the_measure_is_validation_failure(fc3_file, tmp_path, point):
+    # a center of the wrong dimension, or an index outside 0..63 on the
+    # 64-point measure
+    out = tmp_path / "density.csv"
+    assert run_cli("density", "--input", fc3_file, *point, "--output", out) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+def test_density_at_the_last_point_index(fc3_file, tmp_path):
+    out = tmp_path / "density.csv"
+    assert run_cli("density", "--input", fc3_file, "--point-index", 63, "--output", out) == EXIT_OK
+    center = read_measure(fc3_file).points[63]
+    assert f"# center={list(map(float, center))}" in out.read_text().splitlines()
+
+
+def test_norm_dense_decomposition_method(fc3_file, tmp_path):
+    from rieszlab.analysis import dense_operator_norm
+
+    out = tmp_path / "norm.csv"
+    assert run_cli("norm", "--input", fc3_file, "--epsilon", 0.05,
+                   "--method", "dense-decomposition", "--output", out) == EXIT_OK
+    rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    eps, norm, iters, residual = rows[1].split(",")
+    want = dense_operator_norm(read_measure(fc3_file), rl.KernelConfig(1, 0.05, rl.TRUNCATED))
+    assert (float(norm), int(iters), float(residual)) == (want.value, 1, 0.0)
+    assert "# method=dense-decomposition" in out.read_text().splitlines()
+
+
 def test_curvature_command_schema(fc3_file, tmp_path):
     out = tmp_path / "curv.csv"
     assert run_cli("curvature", "--input", fc3_file, "--mode", "exact",

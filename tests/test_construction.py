@@ -8,6 +8,7 @@ from rieszlab.construction import (
     EmptyExclusionError,
     ZeroMassBallError,
     _ball_gaps,
+    _orthonormal_basis,
     adaptive_family,
     attach_patches,
     ball_interaction_field,
@@ -153,6 +154,17 @@ def test_cover_two_far_targets_same_color():
     assert len(cover) == 2
     assert cover.n_colors == 1  # balls of radius ~30 at distance 100: disjoint
     assert np.all(cover.colors == 1)
+
+
+def test_cover_skips_a_target_inside_a_selected_ball():
+    # the target at 101 has the larger clearance, 10.1, and its ball holds
+    # the target at 100, which therefore gets no ball of its own
+    pts = np.array([[0.0, 0.0], [100.0, 0.0], [101.0, 0.0]])
+    mu = DiscreteMeasure(pts, np.ones(3), 1, 1.0)
+    cover = besicovitch_cover(mu, np.array([1, 2]), np.array([0]))
+    assert cover.centers.tolist() == [2]
+    assert cover.radii[0] == pytest.approx(10.1)
+    assert cover.max_overlap == 1
 
 
 def test_cover_overlap_above_cap_is_a_validation_error():
@@ -346,6 +358,24 @@ def test_domination_with_adaptive_family(mixed_measure, mixed_result):
     assert top.backdrop.extent == mixed_result.backdrop.extent == 3.0 * rl.support_diameter(mixed_measure)
     report = verify_construction(mixed_result, family=family, seed=13)
     assert report.domination_pass
+
+
+def test_adaptive_family_of_a_result_that_passes_alone():
+    # every ratio of the uniform segment is about 1, so p* = 2 <= p
+    mu = segment_measure()
+    res = run_construction(mu, density_params(mu, 2, 1))
+    assert int(np.ceil(1.0 / res.ratios.min())) + 1 <= res.params.p
+    family = adaptive_family(res)
+    assert len(family) == 1 and family[0] is res
+
+
+def test_orthonormal_basis_orthogonalizes_later_candidates():
+    basis = _orthonormal_basis(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]), 2, 3)
+    np.testing.assert_allclose(basis @ basis.T, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(basis, np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]) / np.sqrt(2.0), atol=1e-12)
+    # a dependent candidate is dropped, and an axis completes the basis
+    padded = _orthonormal_basis(np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]), 2, 3)
+    np.testing.assert_allclose(padded, basis, atol=1e-12)
 
 
 def test_geometric_shrinking_property(mixed_measure, mixed_result):

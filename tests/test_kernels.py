@@ -178,6 +178,14 @@ def test_maximal_function_mean_between():
     assert got == pytest.approx(1.0)
 
 
+def test_maximal_function_rejects_misshapen_inputs(four_corners_3):
+    grid = ScaleGrid(0.1, 1.0, 6)
+    with pytest.raises(ValueError, match="aligned with the measure"):
+        maximal_function(four_corners_3, np.ones(1), four_corners_3.points[5], grid)
+    with pytest.raises(ValueError, match="target dimension mismatch"):
+        maximal_function(four_corners_3, np.ones(len(four_corners_3)), [0.5], grid)
+
+
 def test_maximal_function_empty_balls_error():
     mu = DiscreteMeasure([[0.0, 0.0]], [1.0], 1, 1e-3)
     with pytest.raises(ValueError):

@@ -108,6 +108,19 @@ def test_ball_masses_grid_matches_single(four_corners_3):
             assert ratios[i, j] == pytest.approx(mass / r, rel=1e-12, abs=1e-15)  # n = 1
 
 
+def test_ball_masses_rejects_misshapen_centers_and_values(four_corners_3):
+    radii = [0.1, 0.5]
+    with pytest.raises(ValueError, match="center dimension mismatch"):
+        ball_masses(four_corners_3, [[0.5]], radii)
+    for x in ([0.5], [0.5, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="center dimension mismatch"):
+            density_profile(four_corners_3, x, ScaleGrid(0.1, 0.5, 2))
+    n_pts = len(four_corners_3)
+    for values in (np.ones(n_pts + 6), np.ones(n_pts - 1), np.ones((2, 3, n_pts))):
+        with pytest.raises(ValueError, match="do not align"):
+            ball_masses(four_corners_3, four_corners_3.points, radii, values)
+
+
 def test_ball_mass_decides_by_the_rounded_distance():
     # points a relative 1e-10 outside the unit ball fall inside the kdtree's
     # inflated candidate query, and only the closed-ball rule drops them;

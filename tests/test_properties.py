@@ -510,6 +510,19 @@ def test_depth_build_matches_recursive_build(mu, cap):
     atol = 1e-13 * np.abs(mu.points).max()
     np.testing.assert_allclose(tree.centroid[match], oracle.centroid, rtol=1e-13, atol=atol)
     np.testing.assert_allclose(tree.node_weight[match], oracle.node_weight, rtol=1e-13, atol=0.0)
+    # the leaves in tree order; each inner node once, in the level of its
+    # depth, so after its parent
+    inner = oracle.left >= 0
+    leaves = np.flatnonzero(~inner)
+    assert np.array_equal(tree.leaves, match[leaves[np.argsort(oracle.start[leaves])]])
+    depth = np.zeros(oracle.n_nodes, dtype=int)
+    for node in np.flatnonzero(inner):  # the oracle numbers parents before children
+        depth[[oracle.left[node], oracle.right[node]]] = depth[node] + 1
+    tree_depth = np.empty_like(depth)
+    tree_depth[match] = depth
+    listed = np.concatenate(tree.levels)
+    assert np.array_equal(np.sort(listed), np.sort(match[inner]))
+    assert np.array_equal(np.repeat(np.arange(len(tree.levels)), [lv.size for lv in tree.levels]), tree_depth[listed])
 
 
 @PROPERTY_SETTINGS

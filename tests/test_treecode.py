@@ -33,7 +33,7 @@ def test_tree_single_point():
     mu = rl.gen_four_corners(0)
     tree = build_tree(mu, TreecodeParams(leaf_cap=4))
     assert tree.n_nodes == 1
-    assert tree.is_leaf(0)
+    assert tree.left[0] < 0
 
 
 def test_tree_single_leaf_when_cap_large(four_corners_3):
@@ -49,13 +49,13 @@ def test_tree_structure_invariants():
     # every point in exactly one leaf
     seen = np.zeros(len(mu), dtype=int)
     for node in range(tree.n_nodes):
-        if tree.is_leaf(node):
+        if tree.left[node] < 0:
             assert tree.end[node] - tree.start[node] <= params.leaf_cap
             seen[tree.perm[tree.start[node] : tree.end[node]]] += 1
     assert np.all(seen == 1)
     # node weight equals the sum of the child weights
     for node in range(tree.n_nodes):
-        if not tree.is_leaf(node):
+        if tree.left[node] >= 0:
             kids = tree.node_weight[tree.left[node]] + tree.node_weight[tree.right[node]]
             assert tree.node_weight[node] == pytest.approx(kids, rel=1e-12)
     # weights match the covered index ranges
@@ -155,6 +155,24 @@ def test_generic_monopole_path(plane_23):
     direct = riesz_apply(plane_23, f, cfg, targets)
     fast = treecode_apply(plane_23, f, cfg, tree, params, targets)
     assert scale_relative_error(fast, direct) <= 5e-3
+
+
+def test_inputs_checked_as_in_riesz_apply(segment_1024):
+    # one check serves both paths: a target of the wrong dimension, no
+    # targets, or an f that does not align with the measure is an error
+    params = TreecodeParams(leaf_cap=32)
+    tree = build_tree(segment_1024, params)
+    cfg = KernelConfig(1, 0.01, TRUNCATED)
+    f = np.ones(len(segment_1024))
+    for dens, targets, message in (
+        (f, [[0.5]], "target dimension mismatch"),
+        (f, np.empty((0, 2)), "targets must be nonempty"),
+        (f[:-1], [[0.5, 0.0]], "aligned with the measure"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            riesz_apply(segment_1024, dens, cfg, targets)
+        with pytest.raises(ValueError, match=message):
+            treecode_apply(segment_1024, dens, cfg, tree, params, targets)
 
 
 def test_expansion_order_rejected_off_plane(plane_23):
