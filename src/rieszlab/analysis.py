@@ -12,6 +12,16 @@ so the norm is the top singular value of B.  Rows are component-major:
 row a * N + i holds component a of target i.  Lanczos (scipy's eigsh)
 runs on B^T B; a dense decomposition of B serves as the oracle for
 moderate N.
+
+The kernel is odd, so each component block B_a is antisymmetric and every
+support pair is stored once.  Below the dense cap, the cache is ceil(d / 2)
+Fortran-order N x N arrays: array k holds B_{2k}[i, j] (i < j) in its
+strict upper triangle and B_{2k+1}[i, j] (i < j), transposed, in its strict
+lower one, on a zero diagonal.  A product reads one triangle per BLAS dtrmv
+call: B_a u = U u - U^T u for an upper component, L^T u - L u for a lower
+one, and B^T v = -sum_a B_a v_a.  Above the cap, chunked direct sums apply
+B and B^T.  The full matrix is built only for the dense decomposition and
+the tests.
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, aslinearoperator, eigsh
+from scipy.linalg.blas import dtrmv
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from rieszlab.measure import DiscreteMeasure, _safe_resolution
 from rieszlab.kernels import TRUNCATED, KernelConfig, _blocks, adjoint_sum, kernel_sum
@@ -43,7 +54,10 @@ class NormEstimate:
     vector v: the value equals |Bv| = |Rf| / |f| in the weighted norms, so
     every estimate is a certified lower bound for the true operator norm.
     `iterations` counts B^T B products (one forward and one adjoint pass
-    each) and `residual` is |B^T B v - value**2 v| / value**2.
+    each) and `residual` is |B^T B v - value**2 v| / value**2.  `method`
+    names the solver and its backend: "lanczos-dense" (the packed cache),
+    "lanczos-direct" (chunked direct sums), "dense-decomposition", or
+    "single-point" for the zero norm of a one-point measure.
     """
 
     value: float
@@ -72,7 +86,8 @@ class CurvatureEstimate:
 
 def _build_symmetrized_matrix(mu: DiscreteMeasure, cfg: KernelConfig) -> np.ndarray:
     """Dense ((d * N), N) matrix B in u = sqrt(w) f coordinates, from the
-    kernel blocks of `kernel_sum`.
+    kernel blocks of `kernel_sum`: the matrix of dense_operator_norm and the
+    oracle of the packed cache.
 
     Rows are component-major: row a * N + i holds component a of target i,
     so each block's component plane is written into one contiguous stripe
@@ -90,13 +105,72 @@ def _build_symmetrized_matrix(mu: DiscreteMeasure, cfg: KernelConfig) -> np.ndar
     return out.reshape(d * n_pts, n_pts)
 
 
-def _symmetrized_operator(mu: DiscreteMeasure, cfg: KernelConfig, dense_cache_cap: int) -> LinearOperator:
-    """B as a LinearOperator: the dense cache while N*N*d <= dense_cache_cap,
-    chunked direct sums above that, both with the cache's component-major
-    row order."""
+def _packed_cache(mu: DiscreteMeasure, cfg: KernelConfig) -> list[np.ndarray]:
+    """The packed cache of B (layout in the module docstring).
+
+    Only the upper strips of the pair matrix are evaluated, by the rule of
+    _build_symmetrized_matrix, so every stored entry equals that matrix's
+    entry bit for bit.  The diagonal stays 0: neither kernel mode has a
+    self-term.
+    """
     n_pts, d = len(mu), mu.ambient_dim
-    if n_pts * n_pts * d <= dense_cache_cap:
-        return aslinearoperator(_build_symmetrized_matrix(mu, cfg))
+    sw = np.sqrt(mu.weights)
+    cache = [np.zeros((n_pts, n_pts), order="F") for _ in range((d + 1) // 2)]
+    for t, s, diff, coef in _blocks(mu.points, mu.points, cfg, upper=True):
+        # a strip's first block starts with its diagonal square, kept for j > i
+        head = coef.shape[0] if s.start == t.start else 0
+        keep = np.triu(np.ones((coef.shape[0], head), dtype=bool), 1)
+        square, rest = slice(s.start, s.start + head), slice(s.start + head, s.stop)
+        for a, plane in enumerate(diff):
+            plane *= coef
+            plane *= sw[t, None]
+            plane *= sw[None, s]
+            tri = cache[a // 2]
+            if a % 2:  # B_{2k+1}, transposed into the lower triangle
+                np.copyto(tri[square, t], plane[:, :head].T, where=keep.T)
+                tri[rest, t] = plane[:, head:].T
+            else:
+                np.copyto(tri[t, square], plane[:, :head], where=keep)
+                tri[t, rest] = plane[:, head:]
+    return cache
+
+
+def _skew_products(cache: list[np.ndarray], vecs) -> np.ndarray:
+    """Rows B_a x_a, one per component a, from the packed cache.
+
+    dtrmv overwrites its vector in place and reads the Fortran-order cache
+    without a copy.
+    """
+    n_pts = cache[0].shape[0]
+    out, tmp = np.empty((len(vecs), n_pts)), np.empty(n_pts)
+    for a, (x, row) in enumerate(zip(vecs, out)):
+        tri, low = cache[a // 2], a % 2
+        row[:] = x
+        tmp[:] = x
+        dtrmv(tri, row, lower=low, trans=low, overwrite_x=1)  # U u or L^T u
+        dtrmv(tri, tmp, lower=low, trans=1 - low, overwrite_x=1)  # U^T u or L u
+        row -= tmp
+    return out
+
+
+def _symmetrized_operator(
+    mu: DiscreteMeasure, cfg: KernelConfig, dense_cache_cap: int
+) -> tuple[LinearOperator, str]:
+    """B as a LinearOperator with its backend's name: the packed cache
+    ("dense") while its ceil(d / 2) * N * N stored entries fit in
+    dense_cache_cap, chunked direct sums ("direct") above that.  Both keep
+    the component-major row order."""
+    n_pts, d = len(mu), mu.ambient_dim
+    if (d + 1) // 2 * n_pts * n_pts <= dense_cache_cap:
+        cache = _packed_cache(mu, cfg)
+
+        def matvec(u: np.ndarray) -> np.ndarray:
+            return _skew_products(cache, [u.ravel()] * d).ravel()
+
+        def rmatvec(v: np.ndarray) -> np.ndarray:
+            return -_skew_products(cache, v.reshape(d, n_pts)).sum(axis=0)
+
+        return LinearOperator((n_pts * d, n_pts), matvec=matvec, rmatvec=rmatvec, dtype=float), "dense"
     sw = np.sqrt(mu.weights)
 
     def matvec(u: np.ndarray) -> np.ndarray:
@@ -106,7 +180,7 @@ def _symmetrized_operator(mu: DiscreteMeasure, cfg: KernelConfig, dense_cache_ca
         # (B^T v)_j = sqrt(w_j) sum_i K(x_i - x_j) . (sqrt(w_i) V_i)
         return sw * adjoint_sum(mu.points, v.reshape(d, n_pts).T * sw[:, None], cfg, mu.points)
 
-    return LinearOperator((n_pts * d, n_pts), matvec=matvec, rmatvec=rmatvec, dtype=float)
+    return LinearOperator((n_pts * d, n_pts), matvec=matvec, rmatvec=rmatvec, dtype=float), "direct"
 
 
 class _BudgetExhausted(Exception):
@@ -128,7 +202,9 @@ def operator_norm(
     orthogonal to it.  max_iter caps the number of B^T B products; when it
     runs out, NonConvergenceError carries the best |Bu| / |u| seen, which
     is a lower bound.  A start that B^T B annihilates is retried once from
-    r; the norm is 0 only if that vanishes too.
+    r; the norm is 0 only if that vanishes too.  dense_cache_cap bounds the
+    packed cache's stored entries, ceil(d / 2) * N * N (8 bytes each);
+    above it, the products run as direct sums.
     """
     if len(mu) < 2:
         raise ValueError("operator_norm needs at least two support points")
@@ -136,7 +212,8 @@ def operator_norm(
         raise ValueError("tol must lie in (0, 0.1)")
     n_pts = len(mu)
     sw = np.sqrt(mu.weights)
-    op = _symmetrized_operator(mu, cfg, dense_cache_cap)
+    op, backend = _symmetrized_operator(mu, cfg, dense_cache_cap)
+    method = f"lanczos-{backend}"
     count = 0
     best = [0.0, None, 0.0]  # |Bu| for unit u, that u, its relative residual
 
@@ -170,9 +247,9 @@ def operator_norm(
             gram(vecs[:, 0])
             break
     except (_BudgetExhausted, ArpackNoConvergence):
-        est = NormEstimate(best[0], count, best[2], cfg.epsilon, "lanczos", witness=best[1] / sw)
+        est = NormEstimate(best[0], count, best[2], cfg.epsilon, method, witness=best[1] / sw)
         raise NonConvergenceError(f"Lanczos did not converge within {max_iter} products", est) from None
-    return NormEstimate(best[0], count, best[2], cfg.epsilon, "lanczos", witness=best[1] / sw)
+    return NormEstimate(best[0], count, best[2], cfg.epsilon, method, witness=best[1] / sw)
 
 
 def dense_operator_norm(mu: DiscreteMeasure, cfg: KernelConfig) -> NormEstimate:
@@ -337,7 +414,7 @@ def merge_measures(mu: DiscreteMeasure, sigma: DiscreteMeasure) -> DiscreteMeasu
 def _norm_or_zero(mu: DiscreteMeasure, cfg: KernelConfig, tol: float, max_iter: int) -> NormEstimate:
     # single-point measures carry no pairwise interaction: the transform is 0
     if len(mu) < 2:
-        return NormEstimate(0.0, 0, 0.0, cfg.epsilon, "lanczos")
+        return NormEstimate(0.0, 0, 0.0, cfg.epsilon, "single-point")
     return operator_norm(mu, cfg, tol=tol, max_iter=max_iter)
 
 

@@ -95,18 +95,21 @@ def kernel_eval(x, cfg: KernelConfig) -> np.ndarray:
     return x * _coef_from_r2(_sq_norm(np.moveaxis(x, -1, 0)), cfg)[..., None]
 
 
-def _blocks(points: np.ndarray, targets: np.ndarray, cfg: KernelConfig):
+def _blocks(points: np.ndarray, targets: np.ndarray, cfg: KernelConfig, upper: bool = False):
     """Yield (t, s, diff, coef) over (target chunk x source chunk) blocks.
 
     t and s slice the targets and the sources, diff is the list of d
     contiguous (T, S) planes of the components of t - y, and coef the
     kernel's 1 / |t - y|^{n+1}.  Blocks run over the sources of one target
-    chunk before the next, in a fixed order.
+    chunk before the next, in a fixed order.  With upper (the targets are
+    the sources), each target chunk meets only the sources from its own
+    first row onward: the upper strips of the pair matrix, whose first
+    block holds the diagonal.
     """
     points, targets = points.T, targets.T  # one row per axis
     for t0 in range(0, targets.shape[1], _TARGET_CHUNK):
         t = slice(t0, t0 + _TARGET_CHUNK)
-        for s0 in range(0, points.shape[1], _SOURCE_CHUNK):
+        for s0 in range(t0 if upper else 0, points.shape[1], _SOURCE_CHUNK):
             s = slice(s0, s0 + _SOURCE_CHUNK)
             diff = [tc[t, None] - pc[None, s] for tc, pc in zip(targets, points)]
             yield t, s, diff, _coef_from_r2(_sq_norm(diff), cfg)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import rieszlab as rl
+from rieszlab import kernels
 from rieszlab.analysis import (
     NonConvergenceError,
     _build_symmetrized_matrix,
+    _packed_cache,
     _symmetrized_operator,
     adjoint_apply,
     curvature_c2,
@@ -137,11 +139,72 @@ def test_symmetrized_rows_are_component_major(d, mode):
     assert mat.shape == (d * n_pts, n_pts)
     for a in range(d):
         assert np.array_equal(mat[a * n_pts : (a + 1) * n_pts], kern[:, :, a] * sw[:, None] * sw[None, :])
-    dense = _symmetrized_operator(mu, cfg, dense_cache_cap=60_000_000)
-    direct = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
+    dense, _ = _symmetrized_operator(mu, cfg, dense_cache_cap=60_000_000)
+    direct, _ = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
     u, v = rng.standard_normal(n_pts), rng.standard_normal(d * n_pts)
     for got, want in ((direct.matvec(u), dense.matvec(u)), (direct.rmatvec(v), dense.rmatvec(v))):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
+@pytest.mark.parametrize("n_pts", [2, 31, 32, 33, 70])
+@pytest.mark.parametrize("chunks", [None, (3, 5)])
+def test_packed_cache_holds_the_oracles_upper_triangles(d, mode, n_pts, chunks, monkeypatch):
+    # sizes around the 32-row chunk, and d = 3 with its unpaired third
+    # component: array k holds B_2k above the diagonal and B_2k+1,
+    # transposed, below it, each entry bit for bit the oracle's; small
+    # chunks split each strip into several source blocks
+    if chunks is not None:
+        monkeypatch.setattr(kernels, "_TARGET_CHUNK", chunks[0])
+        monkeypatch.setattr(kernels, "_SOURCE_CHUNK", chunks[1])
+    rng = np.random.default_rng(n_pts + d)
+    mu = DiscreteMeasure(rng.random((n_pts, d)), rng.uniform(0.5, 1.5, n_pts), 1, 1e-3)
+    cfg = KernelConfig(1, 0.2, mode)
+    oracle = _build_symmetrized_matrix(mu, cfg).reshape(d, n_pts, n_pts)
+    cache = _packed_cache(mu, cfg)
+    assert len(cache) == (d + 1) // 2
+    upper = np.triu_indices(n_pts, 1)
+    for k, tri in enumerate(cache):
+        assert tri.shape == (n_pts, n_pts) and tri.flags.f_contiguous
+        assert np.array_equal(tri[upper], oracle[2 * k][upper])
+        assert not np.any(np.diag(tri))
+        if 2 * k + 1 < d:
+            assert np.array_equal(tri.T[upper], oracle[2 * k + 1][upper])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_norm_method_names_the_backend_at_the_cap(d):
+    # the cap counts the packed cache's ceil(d / 2) * N * N stored entries
+    rng = np.random.default_rng(d)
+    n_pts = 20
+    mu = DiscreteMeasure(rng.random((n_pts, d)), rng.uniform(0.5, 1.5, n_pts), 1, 1e-3)
+    cfg = KernelConfig(1, 0.2, TRUNCATED)
+    cap = (d + 1) // 2 * n_pts * n_pts
+    dense = operator_norm(mu, cfg, tol=1e-10, dense_cache_cap=cap)
+    direct = operator_norm(mu, cfg, tol=1e-10, dense_cache_cap=cap - 1)
+    assert (dense.method, direct.method) == ("lanczos-dense", "lanczos-direct")
+    assert dense.value == pytest.approx(direct.value, rel=1e-12)
+    assert dense_operator_norm(mu, cfg).method == "dense-decomposition"
+
+
+def test_packed_products_copy_no_array():
+    # dtrmv must read the Fortran-order cache in place: a copy of one
+    # 2 MB array would show in the traced peak
+    import tracemalloc
+
+    mu = rl.gen_segment(512)
+    cfg = KernelConfig(1, 4 * mu.resolution_h, TRUNCATED)
+    op, backend = _symmetrized_operator(mu, cfg, dense_cache_cap=60_000_000)
+    assert backend == "dense"
+    u = np.random.default_rng(0).standard_normal(512)
+    tracemalloc.start()
+    try:
+        op.rmatvec(op.matvec(u))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 512 * 512 / 8
 
 
 def test_norm_zero_operator():

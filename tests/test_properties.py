@@ -15,8 +15,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from scipy.sparse.linalg import aslinearoperator
+
 from rieszlab.analysis import (
     NonConvergenceError,
+    _build_symmetrized_matrix,
     _symmetrized_operator,
     dense_operator_norm,
     operator_norm,
@@ -182,14 +185,16 @@ def test_symmetrized_operator_paths_agree_and_are_adjoint(case, seed):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(len(mu))
     v = rng.standard_normal(len(mu) * mu.ambient_dim)
-    dense = _symmetrized_operator(mu, cfg, dense_cache_cap=60_000_000)
-    direct = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
-    for op in (dense, direct):
+    packed, _ = _symmetrized_operator(mu, cfg, dense_cache_cap=60_000_000)
+    direct, _ = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
+    oracle = aslinearoperator(_build_symmetrized_matrix(mu, cfg))
+    for op in (packed, direct, oracle):
         bu, btv = op.matvec(u), op.rmatvec(v)
         scale = np.abs(bu) @ np.abs(v) + np.abs(u) @ np.abs(btv) + 1e-300
         assert abs(bu @ v - u @ btv) <= 1e-13 * scale
-    for got, want in ((direct.matvec(u), dense.matvec(u)), (direct.rmatvec(v), dense.rmatvec(v))):
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    for op in (packed, direct):
+        for got, want in ((op.matvec(u), oracle.matvec(u)), (op.rmatvec(v), oracle.rmatvec(v))):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 @PROPERTY_SETTINGS
