@@ -201,10 +201,10 @@ def operator_norm(
     vector: sqrt(w) alone can miss a top vector that a symmetry of mu keeps
     orthogonal to it.  max_iter caps the number of B^T B products; when it
     runs out, NonConvergenceError carries the best |Bu| / |u| seen, which
-    is a lower bound.  A start that B^T B annihilates is retried once from
-    r; the norm is 0 only if that vanishes too.  dense_cache_cap bounds the
-    packed cache's stored entries, ceil(d / 2) * N * N (8 bytes each);
-    above it, the products run as direct sums.
+    is a lower bound.  B^T B annihilates u0 only when B = 0, as r is
+    random; the norm is then 0, with u0 as its witness.  dense_cache_cap
+    bounds the packed cache's stored entries, ceil(d / 2) * N * N (8 bytes
+    each); above it, the products run as direct sums.
     """
     if len(mu) < 2:
         raise ValueError("operator_norm needs at least two support points")
@@ -234,21 +234,16 @@ def operator_norm(
 
     gram_op = LinearOperator((n_pts, n_pts), matvec=gram, dtype=float)
     rand = np.random.default_rng(_RANDOM_START_SEED).standard_normal(n_pts)
-    starts = (sw / np.linalg.norm(sw) + rand / np.linalg.norm(rand), rand)
+    u0 = sw / np.linalg.norm(sw) + rand / np.linalg.norm(rand)
     try:
-        for u0 in starts:
-            try:
-                _, vecs = eigsh(gram_op, k=1, which="LA", v0=u0, tol=tol, maxiter=max_iter)
-            except ArpackError as exc:
-                # only a start that B^T B annihilates is retried
-                if isinstance(exc, ArpackNoConvergence) or best[0] > 0.0:
-                    raise
-                continue
-            gram(vecs[:, 0])
-            break
+        _, vecs = eigsh(gram_op, k=1, which="LA", v0=u0, tol=tol, maxiter=max_iter)
+        gram(vecs[:, 0])
     except (_BudgetExhausted, ArpackNoConvergence):
         est = NormEstimate(best[0], count, best[2], cfg.epsilon, method, witness=best[1] / sw)
         raise NonConvergenceError(f"Lanczos did not converge within {max_iter} products", est) from None
+    except ArpackError:
+        if best[0] > 0.0:  # ARPACK stops on an annihilated start: then B = 0
+            raise
     return NormEstimate(best[0], count, best[2], cfg.epsilon, method, witness=best[1] / sw)
 
 
@@ -322,8 +317,11 @@ def curvature_c2(
     triples i < j < k via a squared-distance matrix and multiplies by 6.
     Triples with repeated coordinates are excluded rather than counted as
     zero.  Sampled mode is an unbiased Monte Carlo estimate over ordered
-    distinct index triples with a reported relative standard error.
+    distinct index triples with a reported relative standard error, which
+    needs at least two samples.
     """
+    if mode == "sampled" and sample_count < 2:
+        raise ValueError(f"sampled mode needs at least two samples, got {sample_count}")
     n_pts = len(mu)
     if n_pts < 3:
         return CurvatureEstimate(0.0, 0, mode, insufficient_points=True)

@@ -247,8 +247,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="JSON file whose keys (kebab- or snake-case) override flags")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by several subcommands, declared once
+    output, source, solver = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    output.add_argument("--output", required=True)
+    source.add_argument("--input", required=True)
+    solver.add_argument("--mode", choices=["truncated", "regularized"], default="truncated")
+    solver.add_argument("--tol", type=float, default=1e-6)
+    solver.add_argument("--max-iter", type=int, default=500)
 
-    g = sub.add_parser("gen", help="generate a measure file")
+    g = sub.add_parser("gen", help="generate a measure file", parents=[output])
     g.add_argument("--kind", required=True,
                    choices=["plane", "segment", "lipschitz-graph", "four-corners", "sparse-cantor", "union"])
     g.add_argument("--level", type=int, default=3)
@@ -263,48 +270,32 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--d", type=int, default=2)
     g.add_argument("--separation", type=float, default=10.0)
     g.add_argument("--inputs", nargs="*", default=[])
-    g.add_argument("--output", required=True)
     g.set_defaults(func=_cmd_gen)
 
-    dn = sub.add_parser("density", help="density profile at a point")
-    dn.add_argument("--input", required=True)
+    dn = sub.add_parser("density", help="density profile at a point", parents=[source, output])
     dn.add_argument("--center", type=str, default="")
     dn.add_argument("--point-index", type=int, default=0)
     dn.add_argument("--r-min", type=float, default=None)
     dn.add_argument("--r-max", type=float, default=None)
     dn.add_argument("--grid-count", type=int, default=24)
-    dn.add_argument("--output", required=True)
     dn.set_defaults(func=_cmd_density)
 
-    nm = sub.add_parser("norm", help="operator norm at one truncation radius")
-    nm.add_argument("--input", required=True)
+    nm = sub.add_parser("norm", help="operator norm at one truncation radius", parents=[source, solver, output])
     nm.add_argument("--epsilon", type=float, default=None)
-    nm.add_argument("--mode", choices=["truncated", "regularized"], default="truncated")
     nm.add_argument("--method", choices=["lanczos", "dense-decomposition"], default="lanczos")
-    nm.add_argument("--tol", type=float, default=1e-6)
-    nm.add_argument("--max-iter", type=int, default=500)
-    nm.add_argument("--output", required=True)
     nm.set_defaults(func=_cmd_norm)
 
-    sw = sub.add_parser("sweep", help="operator norms across truncation radii")
-    sw.add_argument("--input", required=True)
+    sw = sub.add_parser("sweep", help="operator norms across truncation radii", parents=[source, solver, output])
     sw.add_argument("--epsilons", required=True, help="comma-separated radii")
-    sw.add_argument("--mode", choices=["truncated", "regularized"], default="truncated")
-    sw.add_argument("--tol", type=float, default=1e-6)
-    sw.add_argument("--max-iter", type=int, default=500)
-    sw.add_argument("--output", required=True)
     sw.set_defaults(func=_cmd_sweep)
 
-    cv = sub.add_parser("curvature", help="triple-integral curvature")
-    cv.add_argument("--input", required=True)
+    cv = sub.add_parser("curvature", help="triple-integral curvature", parents=[source, output])
     cv.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     cv.add_argument("--samples", type=int, default=200000)
     cv.add_argument("--seed", type=int, default=0)
-    cv.add_argument("--output", required=True)
     cv.set_defaults(func=_cmd_curvature)
 
-    ct = sub.add_parser("construct", help="run the regularization pipeline")
-    ct.add_argument("--input", required=True)
+    ct = sub.add_parser("construct", help="run the regularization pipeline", parents=[source, output])
     ct.add_argument("--p", type=int, default=2)
     ct.add_argument("--s", type=int, default=2)
     ct.add_argument("--r-min", type=float, default=None)
@@ -314,17 +305,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--no-family", action="store_true",
                     help="check domination against this run alone")
     ct.add_argument("--outdir", default="")
-    ct.add_argument("--output", required=True)
     ct.set_defaults(func=_cmd_construct)
 
-    jt = sub.add_parser("joint", help="two-measure norm experiment")
+    jt = sub.add_parser("joint", help="two-measure norm experiment", parents=[solver, output])
     jt.add_argument("--input-a", required=True)
     jt.add_argument("--input-b", required=True)
     jt.add_argument("--epsilon", type=float, default=None)
-    jt.add_argument("--mode", choices=["truncated", "regularized"], default="truncated")
-    jt.add_argument("--tol", type=float, default=1e-6)
-    jt.add_argument("--max-iter", type=int, default=500)
-    jt.add_argument("--output", required=True)
     jt.set_defaults(func=_cmd_joint)
 
     return parser

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rieszlab.measure import DiscreteMeasure, ScaleGrid, _as_points, _sq_norm, ball_masses, density_ratios
+from rieszlab.measure import DiscreteMeasure, ScaleGrid, _as_points, _read_table, _sq_norm, _write_table
+from rieszlab.measure import ball_masses, density_ratios
 
 TRUNCATED = "truncated"
 REGULARIZED = "regularized"
@@ -260,35 +261,18 @@ def truncation_gap_check(
 
 
 # ---------------------------------------------------------------------------
-# vector field file format: "# d=<d> count=<N>" then N rows of d components.
-# Pairs with the measure file the field was computed against.
+# vector field file: a measure-style text table (measure._write_table) with
+# header "# d=<d> count=<N>" and rows of d components.  Pairs with the
+# measure file the field was computed against.
 # ---------------------------------------------------------------------------
 
-_FIELD_HEADER_RE = re.compile(r"^#\s*d=(\d+)\s+count=(\d+)\s*$")
+_FIELD_HEADER_RE = re.compile(r"^#\s*d=(?P<d>\d+)\s+count=(?P<count>\d+)\s*$")
 
 
 def write_vector_field(field: VectorField, path) -> None:
     vals = field.values
-    lines = [f"# d={vals.shape[1]} count={vals.shape[0]}"]
-    for row in vals:
-        lines.append(" ".join(f"{c:.17g}" for c in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, f"# d={vals.shape[1]} count={vals.shape[0]}", vals)
 
 
 def read_vector_field(path) -> VectorField:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise ValueError(f"{path}: empty vector field file")
-    m = _FIELD_HEADER_RE.match(raw[0])
-    if m is None:
-        raise ValueError(f"{path}: malformed header line {raw[0]!r}")
-    d, count = int(m.group(1)), int(m.group(2))
-    rows = [ln for ln in raw[1:] if ln.strip() and not ln.lstrip().startswith("#")]
-    if len(rows) != count:
-        raise ValueError(f"{path}: header count {count} != {len(rows)} data rows")
-    data = np.array([[float(tok) for tok in ln.split()] for ln in rows])
-    if data.shape[1] != d:
-        raise ValueError(f"{path}: rows must have {d} columns")
-    return VectorField(data)
+    return VectorField(_read_table(path, _FIELD_HEADER_RE, "vector field", 0)[1])

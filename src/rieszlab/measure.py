@@ -171,10 +171,12 @@ def _sq_norm(diff) -> np.ndarray:
 
 
 def _as_points(mu: DiscreteMeasure, pts, what: str) -> np.ndarray:
-    """pts as an (m, d) float array, one row per point, in the ambient dimension of mu."""
+    """pts as a finite (m, d) float array, one row per point, in the ambient dimension of mu."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != mu.ambient_dim:
         raise ValueError(f"{what} dimension mismatch: {pts.shape} against points in R^{mu.ambient_dim}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"{what} coordinates must be finite")
     return pts
 
 
@@ -243,6 +245,8 @@ def ball_masses(
     """
     centers = _as_points(mu, centers, "center")
     radii = np.asarray(radii, dtype=float).ravel()
+    if np.any(np.isnan(radii)):
+        raise ValueError("ball radii must not be NaN")
     vals = mu.weights if values is None else np.asarray(values, dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[-1] != len(mu):
         raise ValueError(f"values of shape {vals.shape} do not align with the {len(mu)} points")
@@ -612,46 +616,49 @@ def _node_sums(tree: SpatialTree, vals: np.ndarray, shift=lambda sums, delta: su
 
 
 # ---------------------------------------------------------------------------
-# measure file format
+# text tables: a "# d=<d> ... count=<N> ..." header line, optional further
+# comment lines starting with '#', then N rows of numbers, written with 17
+# significant digits so the round trip is bit-exact for float64.
 #
-# First line:  # d=<d> n=<n> count=<N> h=<resolution>
-# Optional further comment lines starting with '#'.
-# Then N rows "x1 x2 ... xd w", written with 17 significant digits so the
-# round trip is bit-exact for float64.
+# measure file:  # d=<d> n=<n> count=<N> h=<resolution>, rows "x1 ... xd w"
 # ---------------------------------------------------------------------------
 
 _HEADER_RE = re.compile(
-    r"^#\s*d=(\d+)\s+n=(\d+)\s+count=(\d+)\s+h=([-+0-9.eE]+)\s*$"
+    r"^#\s*d=(?P<d>\d+)\s+n=(?P<n>\d+)\s+count=(?P<count>\d+)\s+h=(?P<h>[-+0-9.eE]+)\s*$"
 )
 
 
-def write_measure(mu: DiscreteMeasure, path, extra_comments: Sequence[str] = ()) -> None:
-    lines = [
-        f"# d={mu.ambient_dim} n={mu.hausdorff_dim} count={len(mu)} "
-        f"h={mu.resolution_h:.17g}"
-    ]
-    for comment in extra_comments:
-        lines.append(f"# {comment}")
-    for p, w in zip(mu.points, mu.weights):
-        coords = " ".join(f"{c:.17g}" for c in p)
-        lines.append(f"{coords} {w:.17g}")
+def _write_table(path, header: str, rows: np.ndarray, comments: Sequence[str] = ()) -> None:
+    lines = [header] + [f"# {comment}" for comment in comments]
+    lines += [" ".join(f"{c:.17g}" for c in row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_measure(path) -> DiscreteMeasure:
+def _read_table(path, header_re: re.Pattern, what: str, extra_columns: int) -> tuple[re.Match, np.ndarray]:
+    """(header match, (count, d + extra_columns) array) of a text table file."""
     with open(path) as fh:
         raw = fh.read().splitlines()
     if not raw:
-        raise ValueError(f"{path}: empty measure file")
-    m = _HEADER_RE.match(raw[0])
+        raise ValueError(f"{path}: empty {what} file")
+    m = header_re.match(raw[0])
     if m is None:
         raise ValueError(f"{path}: malformed header line {raw[0]!r}")
-    d, n, count, h = int(m.group(1)), int(m.group(2)), int(m.group(3)), float(m.group(4))
-    rows = [ln for ln in raw[1:] if ln.strip() and not ln.lstrip().startswith("#")]
+    count, width = int(m["count"]), int(m["d"]) + extra_columns
+    rows = [ln.split() for ln in raw[1:] if ln.strip() and not ln.lstrip().startswith("#")]
     if len(rows) != count:
         raise ValueError(f"{path}: header count {count} != {len(rows)} data rows")
-    data = np.array([[float(tok) for tok in ln.split()] for ln in rows])
-    if data.shape[1] != d + 1:
-        raise ValueError(f"{path}: rows must have d+1 = {d + 1} columns")
-    return DiscreteMeasure(data[:, :d], data[:, d], n, h)
+    if count == 0 or any(len(row) != width for row in rows):
+        raise ValueError(f"{path}: need at least one row, each of {width} columns")
+    return m, np.array([[float(tok) for tok in row] for row in rows])
+
+
+def write_measure(mu: DiscreteMeasure, path, extra_comments: Sequence[str] = ()) -> None:
+    header = f"# d={mu.ambient_dim} n={mu.hausdorff_dim} count={len(mu)} h={mu.resolution_h:.17g}"
+    _write_table(path, header, np.column_stack([mu.points, mu.weights]), extra_comments)
+
+
+def read_measure(path) -> DiscreteMeasure:
+    m, data = _read_table(path, _HEADER_RE, "measure", 1)
+    d = int(m["d"])
+    return DiscreteMeasure(data[:, :d], data[:, d], int(m["n"]), float(m["h"]))

@@ -5,24 +5,22 @@ bounding boxes that ball sums walk too.  Far nodes (radius / distance below
 the opening angle) contribute a truncated far-field expansion: a single
 monopole evaluation at the weighted centroid in the generic case, or a power
 series of configurable order for the planar n=1 kernel, which maps to the
-complex function 1/(z - zeta).  The node moments of both come from the one
-upward pass of measure._node_sums, which shifts each point's expansion to
-its leaf's centroid and each child's to its parent's.
+complex function 1/(z - zeta).  Each reads only its own node moments,
+from the one upward pass of measure._node_sums: plain sums of fw for the
+monopole; for the series, each point's expansion shifted to its leaf's
+centroid and each child's to its parent's.
 
-Interaction with the eps-truncation:
-
-  * truncated mode: a node entirely within distance eps of the target is
-    skipped (its exact contribution is zero); a node straddling the eps
-    sphere is always opened, which keeps the truncation boundary exact.
-  * regularized mode: a node entirely within the eps sphere sees the kernel
-    x / eps**(n+1), linear in the source, so its contribution is evaluated
-    exactly from the node's zeroth and first moments.
+Interaction with the eps-truncation: a far node lies wholly beyond eps,
+and a node that reaches within eps of the target is opened, so the leaf
+sums apply the mode's rule at every point within eps, exactly as the
+direct sum does.  In truncated mode, a node wholly within eps is skipped
+instead, as its exact contribution is zero.
 
 The traversal is one loop in _traverse, vectorized over (target, node)
 pairs and walking the tree level by level from the root.  Each pass
-classifies every live pair at once as wholly inside eps, far, a near leaf,
-or to be opened, and the opened pairs' children, left before right, form
-the next level.  Near leaves are summed directly as padded blocks of
+classifies every live pair at once as far, a near leaf, skipped, or to
+be opened, and the opened pairs' children, left before right, form the
+next level.  Near leaves are summed directly as padded blocks of
 measure._leaf_rows with the squared-distance rule of kernels.kernel_sum,
 measure._sq_norm.  Targets are processed in fixed-size chunks, which
 bounds the size of the pair lists.  Each target's contributions are
@@ -72,11 +70,6 @@ def build_tree(mu: DiscreteMeasure, params: TreecodeParams) -> SpatialTree:
 # ---------------------------------------------------------------------------
 # far fields
 # ---------------------------------------------------------------------------
-
-
-def _monopole_shift(sums: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Rows (s0, m1) of sums of fw and fw * (y - c), re-centered on c - delta."""
-    return np.column_stack([sums[:, 0], sums[:, 1:] + sums[:, :1] * delta])
 
 
 def _planar_shift(order: int, moments: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -153,13 +146,13 @@ def _near_leaves(tree, fw, cfg, width, targets, leaves) -> np.ndarray:
     return out
 
 
-def _traverse(tree, fw, s0, m1, cfg, theta, far, targets) -> np.ndarray:
+def _traverse(tree, fw, cfg, theta, far, targets) -> np.ndarray:
     """Sum fw * K(t - y) over the tree for one chunk of targets.
 
-    s0 and m1 are the node sums of fw and of fw * (y - c) about the node
-    centroid c; far(rel, nodes) evaluates the far field of the nodes at
-    offsets rel from their centroids.  A node is far when its radius is
-    below theta times the target's distance to its centroid.
+    far(rel, nodes) evaluates the far field of the nodes at offsets rel
+    from their centroids.  A node is far when it lies wholly beyond eps
+    and its radius is below theta times the target's distance to its
+    centroid.
     """
     eps2 = cfg.epsilon * cfg.epsilon
     truncated = cfg.mode == TRUNCATED
@@ -173,19 +166,13 @@ def _traverse(tree, fw, s0, m1, cfg, theta, far, targets) -> np.ndarray:
         # inside and beyond eps agree with the direct r2 > eps2 cut
         dmin2, dmax2 = _box_dist2(t, t, *_boxes(tree, node))
         rel = t - tree.centroid[node]
-        inside = dmax2 <= eps2
-        if not truncated:
-            # the regularized kernel is linear inside eps: exact from moments 0 and 1
-            i = np.flatnonzero(inside)
-            vals = (rel[i] * s0[node[i], None] - m1[node[i]]) * _coef_from_r2(eps2, cfg)
-            _accumulate(out, tgt[i], vals)
-        # a node straddling the eps sphere is never far: it is opened; far
-        # nodes lie beyond eps, so their centroid distances are positive
+        # far nodes lie beyond eps, so their centroid distances are positive
         separated = tree.radius[node] ** 2 < theta * theta * np.einsum("pd,pd->p", rel, rel)
-        far_mask = ~inside & (dmin2 > eps2) & separated
+        far_mask = (dmin2 > eps2) & separated
         f = np.flatnonzero(far_mask)
         _accumulate(out, tgt[f], far(rel[f], node[f]))
-        near = ~(inside | far_mask)
+        # the truncated kernel vanishes on a node wholly within eps: skip it
+        near = ~far_mask & (dmax2 > eps2) if truncated else ~far_mask
         leaf = np.flatnonzero(near & is_leaf[node])
         _accumulate(out, tgt[leaf], _near_leaves(tree, fw, cfg, width, t[leaf], node[leaf]))
         opened = np.flatnonzero(near & ~is_leaf[node])
@@ -212,21 +199,16 @@ def treecode_apply(
         return riesz_apply(mu, f, cfg, targets)
     fw = (f * mu.weights)[tree.perm]
     if mu.ambient_dim == 2 and cfg.n == 1:
-        # the inside-eps branch reads moments 0 and 1 even at order 0
-        moments = _node_sums(tree, fw[:, None], partial(_planar_shift, max(params.expansion_order, 1)))
-        s0 = moments[:, 0].real
-        m1 = np.column_stack([moments[:, 1].real, moments[:, 1].imag])
-        far = partial(_planar_series, moments[:, : params.expansion_order + 1])
+        moments = _node_sums(tree, fw[:, None], partial(_planar_shift, params.expansion_order))
+        far = partial(_planar_series, moments)
     elif params.expansion_order > 0:
         raise NotImplementedError(
             "expansion orders above 0 are implemented for the planar n=1 kernel only"
         )
     else:
-        sums = _node_sums(tree, np.column_stack([fw, np.zeros(tree.points.shape)]), _monopole_shift)
-        s0, m1 = sums[:, 0], sums[:, 1:]
-        far = partial(_monopole, s0, cfg.n)
+        far = partial(_monopole, _node_sums(tree, fw), cfg.n)
     out = np.empty(targets.shape)
     for t0 in range(0, targets.shape[0], _TARGET_CHUNK):
         chunk = slice(t0, t0 + _TARGET_CHUNK)
-        out[chunk] = _traverse(tree, fw, s0, m1, cfg, params.opening_angle, far, targets[chunk])
+        out[chunk] = _traverse(tree, fw, cfg, params.opening_angle, far, targets[chunk])
     return out

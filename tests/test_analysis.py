@@ -212,6 +212,7 @@ def test_norm_zero_operator():
     mu = DiscreteMeasure([[0.0, 0.0], [0.5, 0.0]], [1.0, 1.0], 1, 0.25)
     est = operator_norm(mu, KernelConfig(1, 2.0, TRUNCATED), tol=1e-8)
     assert est.value == 0.0
+    assert est.witness is not None and np.all(np.isfinite(est.witness))
 
 
 def test_norm_requires_two_points():
@@ -343,6 +344,13 @@ def test_c2_too_few_points_flagged():
     est = curvature_c2(mu, mode="exact")
     assert est.value == 0.0
     assert est.insufficient_points
+
+
+@pytest.mark.parametrize("samples", [-5, 0, 1])
+def test_c2_sampled_needs_two_samples(four_corners_3, samples):
+    # the mean of no sample is NaN, and so is the spread of one
+    with pytest.raises(ValueError, match="at least two samples"):
+        curvature_c2(four_corners_3, mode="sampled", sample_count=samples)
 
 
 def curvature_c2_naive(mu: DiscreteMeasure) -> float:

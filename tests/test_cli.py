@@ -354,3 +354,25 @@ def test_construct_headers_differ_in_r_min(mixed_measure, tmp_path):
         assert f"# r_min={float(r_min)}" in lines
         headers.append([ln for ln in lines if ln.startswith("#")])
     assert headers[0] != headers[1]
+
+
+def test_density_at_a_nan_center_is_validation_failure(fc3_file, tmp_path):
+    out = tmp_path / "density.csv"
+    assert run_cli("density", "--input", fc3_file, "--center", "nan,0.5", "--output", out) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [-5, 0, 1])
+def test_sampled_curvature_with_fewer_than_two_samples_is_validation_failure(fc3_file, tmp_path, samples):
+    out = tmp_path / "curv.csv"
+    assert run_cli("curvature", "--input", fc3_file, "--mode", "sampled",
+                   "--samples", samples, "--output", out) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+def test_norm_of_an_empty_measure_file_is_validation_failure(tmp_path):
+    empty = tmp_path / "empty.measure"
+    empty.write_text("# d=2 n=1 count=0 h=0.5\n")
+    out = tmp_path / "norm.csv"
+    assert run_cli("norm", "--input", empty, "--output", out) == EXIT_VALIDATION
+    assert not out.exists()

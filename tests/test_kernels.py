@@ -244,3 +244,23 @@ def test_vector_field_roundtrip(tmp_path):
 def test_vector_field_rejects_nonfinite():
     with pytest.raises(ValueError):
         VectorField(np.array([[np.inf, 0.0]]))
+
+
+def test_vector_field_file_rejects_zero_count(tmp_path):
+    path = tmp_path / "empty.vec"
+    path.write_text("# d=2 count=0\n")
+    with pytest.raises(ValueError, match="at least one row"):
+        read_vector_field(path)
+
+
+def test_riesz_apply_rejects_nonfinite_targets():
+    mu = two_points([0.0, 0.0], [1.0, 0.0])
+    for target in ([np.nan, 0.0], [0.0, -np.inf]):
+        with pytest.raises(ValueError, match="target coordinates must be finite"):
+            riesz_apply(mu, np.ones(2), KernelConfig(1, 0.1), [target])
+
+
+def test_maximal_function_rejects_nan_point():
+    mu = two_points([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="target coordinates must be finite"):
+        maximal_function(mu, np.ones(2), [np.nan, 0.0], ScaleGrid(0.5, 2.0, 4))

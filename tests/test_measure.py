@@ -121,6 +121,21 @@ def test_ball_masses_rejects_misshapen_centers_and_values(four_corners_3):
             ball_masses(four_corners_3, four_corners_3.points, radii, values)
 
 
+def test_ball_masses_rejects_nonfinite_centers_and_nan_radii(segment_1024):
+    # a NaN center fails no box comparison and a NaN radius sorts past every
+    # distance: both would report a plausible table of wrong masses
+    for center in ([np.nan, 0.5], [0.5, np.inf]):
+        with pytest.raises(ValueError, match="center coordinates must be finite"):
+            ball_masses(segment_1024, [center], [0.1])
+    with pytest.raises(ValueError, match="radii must not be NaN"):
+        ball_masses(segment_1024, [[0.5, 0.0]], [np.nan])
+
+
+def test_density_ratios_rejects_nonfinite_centers(segment_1024):
+    with pytest.raises(ValueError, match="center coordinates must be finite"):
+        density_ratios(segment_1024, [[np.nan, 0.0]], [0.1, 0.2])
+
+
 def test_ball_mass_decides_by_the_rounded_distance():
     # points a relative 1e-10 outside the unit ball fall inside the kdtree's
     # inflated candidate query, and only the closed-ball rule drops them;
@@ -206,6 +221,11 @@ def test_density_profile_segment_interior(segment_1024):
 def test_density_profile_outside_bbox_rejected(segment_1024):
     with pytest.raises(ValueError):
         density_profile(segment_1024, [50.0, 0.0], ScaleGrid(0.01, 0.1, 4))
+
+
+def test_density_profile_rejects_nan_point(segment_1024):
+    with pytest.raises(ValueError, match="center coordinates must be finite"):
+        density_profile(segment_1024, [np.nan, 0.0], ScaleGrid(0.01, 0.1, 4))
 
 
 def test_density_profile_sparse_cantor_decays():
@@ -331,4 +351,11 @@ def test_measure_file_rejects_malformed(tmp_path):
     path = tmp_path / "bad.measure"
     path.write_text("not a header\n0 0 1\n")
     with pytest.raises(ValueError):
+        read_measure(path)
+
+
+def test_measure_file_rejects_zero_count(tmp_path):
+    path = tmp_path / "empty.measure"
+    path.write_text("# d=2 n=1 count=0 h=0.5\n")
+    with pytest.raises(ValueError, match="at least one row"):
         read_measure(path)

@@ -183,9 +183,17 @@ def test_expansion_order_rejected_off_plane(plane_23):
         treecode_apply(plane_23, np.ones(len(plane_23)), cfg, tree, params, plane_23.points[:3])
 
 
+def test_treecode_rejects_nonfinite_targets(segment_1024):
+    params = TreecodeParams(opening_angle=0.3, leaf_cap=32)
+    tree = build_tree(segment_1024, params)
+    targets = np.array([[0.5, 0.0], [np.nan, 0.0]])
+    with pytest.raises(ValueError, match="target coordinates must be finite"):
+        treecode_apply(segment_1024, np.ones(len(segment_1024)), KernelConfig(1, 0.01), tree, params, targets)
+
+
 def test_regularized_inside_eps_exact():
-    # a cluster entirely within eps of the target: the regularized kernel is
-    # linear there and the node moments reproduce it exactly even when far
+    # a cluster entirely within eps of the target: every node reaching
+    # within eps is opened, and the leaf sums apply the regularized rule
     mu = rl.gen_four_corners(4)
     f = np.linspace(0.5, 1.5, len(mu))
     eps = 8.0  # the whole unit square sits inside the eps-ball of any target
