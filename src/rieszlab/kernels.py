@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rieszlab.measure import DiscreteMeasure, ScaleGrid, _as_points, _read_table, _sq_norm, _write_table
+from rieszlab.measure import DiscreteMeasure, ScaleGrid, _as_points, _local_sums, _read_table, _sq_norm, _write_table
 from rieszlab.measure import ball_masses, density_ratios
 
 TRUNCATED = "truncated"
@@ -218,34 +218,31 @@ def truncation_gap_check(
     """Check |regularized - truncated| <= G * M(f) at every support point.
 
     The two transforms differ only over the punctured ball 0 < |x-y| <= eps,
-    where the regularized kernel is bounded by eps**(-n).  That makes the gap
-    at x at most (mu(B(x, eps)) / eps**n) times the maximal average of |f|,
-    hence at most G * Mf(x) with G the measured growth constant.  This is an
-    exact inequality at the discrete level, so `passed` must come back True;
-    only float rounding slack (1e-9 relative) is tolerated.
+    where the regularized kernel is (x-y) / eps**(n+1): the gap is that
+    eps-local sum (`measure._local_sums`), with no full transform.  It is at
+    most (mu(B(x, eps)) / eps**n) times the maximal average of |f|, hence at
+    most G * Mf(x) with G the measured growth constant, for cfg.n the
+    measure's n.  This is an exact inequality at the discrete level, so
+    `passed` must come back True; only float rounding slack (1e-9 relative)
+    is tolerated.  cfg.mode plays no part.
 
-    Both G and Mf come from `density_ratios` tables at the support points:
-    G is the largest ratio, and each average of |f| is the quotient of the
-    |f|-weighted ratio by the plain one, in which r**n cancels.  No ball in
-    the quotient is empty, as it holds its center's own weight.  The
-    truncation radius is appended to the radius grid if missing, for both
-    tables, as the inequality needs the scale eps itself to be visible.
+    G and Mf come from `density_ratios` at the support points, on the grid
+    with eps appended: G is the largest ratio, and each average of |f| the
+    |f|-weighted ratio over the plain one (never over an empty ball).
     """
     eps = cfg.epsilon
+    if cfg.n != mu.hausdorff_dim:
+        raise ValueError(f"kernel n={cfg.n} differs from the measure's hausdorff_dim={mu.hausdorff_dim}")
     if not (grid.r_min <= eps <= grid.r_max):
         raise ValueError("epsilon must lie within the grid range")
-    f = np.asarray(f, dtype=float)
+    f, _ = _check_density(mu, f, mu.points)
     radii = np.unique(np.append(grid.radii(), eps))
 
-    trunc = riesz_apply(mu, f, KernelConfig(cfg.n, eps, TRUNCATED), mu.points)
-    reg = riesz_apply(mu, f, KernelConfig(cfg.n, eps, REGULARIZED), mu.points)
-    gaps = np.sqrt(np.einsum("ij,ij->i", reg - trunc, reg - trunc))
+    gap = _inv_power(eps * eps, cfg.n) * _local_sums(mu, f * mu.weights, eps)
+    gaps = np.sqrt(np.einsum("ij,ij->i", gap, gap))
 
-    values = np.stack([mu.weights, np.abs(f) * mu.weights])
-    ratios, f_ratios = density_ratios(mu, mu.points, radii, values)
-    growth = float(ratios.max())
-    averages = f_ratios / ratios
-    bounds = growth * averages.max(axis=1)
+    ratios, f_ratios = density_ratios(mu, mu.points, radii, np.stack([mu.weights, np.abs(f) * mu.weights]))
+    bounds = float(ratios.max()) * (f_ratios / ratios).max(axis=1)
 
     scale = max(float(bounds.max()), float(gaps.max()), 1.0)
     ok = np.all(gaps <= bounds * (1.0 + 1e-9) + 1e-13 * scale)

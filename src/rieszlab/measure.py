@@ -245,8 +245,8 @@ def ball_masses(
     """
     centers = _as_points(mu, centers, "center")
     radii = np.asarray(radii, dtype=float).ravel()
-    if np.any(np.isnan(radii)):
-        raise ValueError("ball radii must not be NaN")
+    if not np.all(radii >= 0.0):  # radius 0 is the closed ball of the points at the center
+        raise ValueError("ball radii must not be NaN or negative")
     vals = mu.weights if values is None else np.asarray(values, dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[-1] != len(mu):
         raise ValueError(f"values of shape {vals.shape} do not align with the {len(mu)} points")
@@ -269,52 +269,24 @@ def ball_masses(
     return out if stacked else out[0]
 
 
-def _pair_bins(ctree: SpatialTree, tree: SpatialTree, vals, sorted_radii, symmetric: bool) -> np.ndarray:
-    """Per-center bins of the value rows: (k, centers in ctree order, radii + 1).
+def _pair_walk(ctree: SpatialTree, tree: SpatialTree, symmetric: bool, settle) -> None:
+    """Walk the pairs (a, b) of a center node and a source node from the roots.
 
-    Bin j of a center holds the values of the points y with
-    sorted_radii[j - 1] < dist <= sorted_radii[j]; the last bin holds what
-    lies beyond every radius.  The pairs (a, b) of a center node and a
-    source node are walked from the roots, a level of at most _PAIR_CHUNK
-    pairs at a time and depth first over those chunks.  A pair whose
-    distance range [dmin, dmax] holds no radius r with dmin <= r < dmax is
-    inside exactly the balls of radius >= dmax, so the sum of b is binned
-    at the first such radius for all of a's centers at once, in a's node
-    bins.  A pair of leaves is binned point by point (`_leaf_pair_bins`);
-    any other pair opens its wider inner node, or both when they are as
-    wide.  dmin and dmax come from the boxes with the same rounded
-    arithmetic as the point distances (`_box_dist2`), so each center-point
-    pair is binned as it would be alone.  A downward pass then adds every
-    node's bins to its centers.
-
-    When symmetric, ctree is tree and only one ordering of each pair is
-    walked: a pair (a, a) opens into (L, L), (L, R) and (R, R), and a pair
-    a != b is binned for both ends, as _sq_norm(c - y) == _sq_norm(y - c)
-    bit for bit (negation is exact).
+    Chunks of at most _PAIR_CHUNK pairs go depth first to settle(a, b, dmin2,
+    dmax2, mirror, leaves): [dmin2, dmax2] holds every point pair's _sq_norm
+    as rounded (`_box_dist2`), and leaves marks the pairs of two leaves, which
+    settle must settle.  It returns the mask of the pairs to open; each opens
+    its wider inner node, or both when they are as wide.  When symmetric
+    (ctree is tree), each unordered pair is walked once: (a, a) opens into
+    (L, L), (L, R) and (R, R), and settle counts the pairs marked mirror
+    (a != b) for both ends, exactly, as _sq_norm(c - y) == _sq_norm(y - c).
     """
-    n_bins = sorted_radii.size + 1
-    sums = [_node_sums(tree, v) for v in vals]
-    node_bins = np.zeros((len(vals), ctree.n_nodes * n_bins))
-    n_centers = ctree.points.shape[0]
-    point_bins = np.zeros((len(vals), (n_centers + 1) * n_bins))  # the last row takes the padding
     c_leaf, s_leaf = ctree.left < 0, tree.left < 0
     pending = [(np.zeros(1, dtype=np.int64),) * 2]
     while pending:
         a, b = pending.pop()
-        dmin2, dmax2 = _box_dist2(*_boxes(ctree, a), *_boxes(tree, b))
-        first_in = np.searchsorted(sorted_radii, np.sqrt(dmin2))
-        first_all = np.searchsorted(sorted_radii, np.sqrt(dmax2))
-        whole = first_in == first_all
         mirror = (a != b) if symmetric else np.zeros(a.size, dtype=bool)
-        back = whole & mirror
-        keys = np.concatenate([a[whole] * n_bins + first_all[whole], b[back] * n_bins + first_all[back]])
-        src = np.concatenate([b[whole], a[back]])
-        for nb, s in zip(node_bins, sums):
-            np.add.at(nb, keys, s[src])
-        both_leaves = c_leaf[a] & s_leaf[b]
-        leaf = ~whole & both_leaves
-        _leaf_pair_bins(ctree, tree, a[leaf], b[leaf], mirror[leaf], vals, sorted_radii, point_bins)
-        opened = ~whole & ~both_leaves
+        opened = settle(a, b, *_box_dist2(*_boxes(ctree, a), *_boxes(tree, b)), mirror, c_leaf[a] & s_leaf[b])
         a, b = a[opened], b[opened]
         split_a = ~c_leaf[a] & (s_leaf[b] | (ctree.radius[a] >= tree.radius[b]))
         split_b = ~s_leaf[b] & (c_leaf[a] | (tree.radius[b] >= ctree.radius[a]))
@@ -325,6 +297,40 @@ def _pair_bins(ctree: SpatialTree, tree: SpatialTree, vals, sorted_radii, symmet
             keep[1, 0] &= a != b  # (R, L) of a self pair is (L, R) again
         a, b = np.broadcast_to(ca[:, None], keep.shape)[keep], np.broadcast_to(cb[None, :], keep.shape)[keep]
         pending += [(a[i : i + _PAIR_CHUNK], b[i : i + _PAIR_CHUNK]) for i in range(0, a.size, _PAIR_CHUNK)]
+
+
+def _pair_bins(ctree: SpatialTree, tree: SpatialTree, vals, sorted_radii, symmetric: bool) -> np.ndarray:
+    """Per-center bins of the value rows: (k, centers in ctree order, radii + 1).
+
+    Bin j of a center holds the values of the points y with
+    sorted_radii[j - 1] < dist <= sorted_radii[j]; the last bin holds what
+    lies beyond every radius.  On `_pair_walk`, a pair whose [dmin, dmax]
+    holds no radius r with dmin <= r < dmax is inside exactly the balls of
+    radius >= dmax: b's sum is binned at the first such radius in a's node
+    bins (and a's in b's when mirrored).  A pair of leaves is binned point by
+    point (`_leaf_pair_bins`), any other opened.  Each center-point pair is
+    binned as it would be alone.  A downward pass adds node bins to centers.
+    """
+    n_bins = sorted_radii.size + 1
+    sums = [_node_sums(tree, v) for v in vals]
+    node_bins = np.zeros((len(vals), ctree.n_nodes * n_bins))
+    n_centers = ctree.points.shape[0]
+    point_bins = np.zeros((len(vals), (n_centers + 1) * n_bins))  # the last row takes the padding
+
+    def settle(a, b, dmin2, dmax2, mirror, both_leaves):
+        first_in = np.searchsorted(sorted_radii, np.sqrt(dmin2))
+        first_all = np.searchsorted(sorted_radii, np.sqrt(dmax2))
+        whole = first_in == first_all
+        back = whole & mirror
+        keys = np.concatenate([a[whole] * n_bins + first_all[whole], b[back] * n_bins + first_all[back]])
+        src = np.concatenate([b[whole], a[back]])
+        for nb, s in zip(node_bins, sums):
+            np.add.at(nb, keys, s[src])
+        leaf = ~whole & both_leaves
+        _leaf_pair_bins(ctree, tree, a[leaf], b[leaf], mirror[leaf], vals, sorted_radii, point_bins)
+        return ~whole & ~both_leaves
+
+    _pair_walk(ctree, tree, symmetric, settle)
     node_bins = node_bins.reshape(len(vals), ctree.n_nodes, n_bins)
     for inner in ctree.levels:
         for child in (ctree.left[inner], ctree.right[inner]):
@@ -363,6 +369,41 @@ def _leaf_pair_bins(ctree, tree, a, b, mirror, vals, sorted_radii, point_bins) -
             np.add.at(pb, back_keys, np.broadcast_to(back, (m.size, wa, wb)).ravel())
 
 
+def _local_sums(mu: DiscreteMeasure, fw: np.ndarray, eps: float) -> np.ndarray:
+    """(N, d): at each support point x, the sum of (x - y) * fw[y] over the y with _sq_norm(x - y) <= eps**2.
+
+    That is the exact complement of the truncation cut r2 > eps**2, so the
+    pairs where the two kernel modes differ (y = x adds 0).  On `_pair_walk`
+    over the cached `ball_tree` and itself: pairs with dmin2 > eps**2 drop,
+    leaf pairs are summed in padded blocks as in `_leaf_pair_bins`, and a
+    mirrored pair adds -(x - y) * fw[x] at y.
+    """
+    tree, eps2, fw = mu.ball_tree, eps * eps, fw[mu.ball_tree.perm]
+    out = np.zeros((mu.ambient_dim, len(mu) + 1))  # the last column takes the padding
+    width = int((tree.end - tree.start)[tree.leaves].max())
+    per_block = max(1, _LEAF_BLOCK // width**2)
+
+    def settle(a, b, dmin2, dmax2, mirror, leaves):
+        near = dmin2 <= eps2
+        pairs = np.flatnonzero(near & leaves)
+        for p0 in range(0, pairs.size, per_block):
+            blk = pairs[p0 : p0 + per_block]
+            (ia, va), (ib, vb) = _leaf_rows(tree, a[blk], width), _leaf_rows(tree, b[blk], width)
+            diff = [pc[ia][:, :, None] - pc[ib][:, None, :] for pc in tree.points.T]
+            inside = _sq_norm(diff) <= eps2
+            forward = np.where(inside & vb[:, None, :], fw[ib][:, None, :], 0.0)
+            m = np.flatnonzero(mirror[blk])
+            back = np.where(inside[m] & va[m][:, :, None], fw[ia[m]][:, :, None], 0.0)
+            rows_a, rows_b = np.where(va, ia, -1).ravel(), np.where(vb[m], ib[m], -1).ravel()
+            for o, plane in zip(out, diff):
+                np.add.at(o, rows_a, np.einsum("pij,pij->pi", plane, forward).ravel())
+                np.add.at(o, rows_b, -np.einsum("pij,pij->pj", plane[m], back).ravel())
+        return near & ~leaves
+
+    _pair_walk(tree, tree, True, settle)
+    return out[:, :-1].T[np.argsort(tree.perm)]
+
+
 def _check_grid_floor(mu: DiscreteMeasure, grid: ScaleGrid) -> None:
     if grid.r_min < mu.resolution_h * (1.0 - 1e-12):
         raise ValueError(
@@ -386,6 +427,8 @@ def density_ratios(
     where ball sums meet the scale r**n.
     """
     radii = np.asarray(radii, dtype=float).ravel()
+    if not np.all(radii > 0.0):
+        raise ValueError("density ratio radii must be positive")
     return ball_masses(mu, centers, radii, values) / radii**mu.hausdorff_dim
 
 

@@ -230,6 +230,32 @@ def test_gap_check_corpus_three_scales(corpus):
             assert res.passed, f"{name} eps={eps}"
 
 
+def test_gap_check_rejects_a_kernel_n_other_than_the_measures():
+    # G is measured against r**mu.n, the gap scaled by eps**-(cfg.n + 1):
+    # with cfg.n != mu.n the bound is no bound, and a check of it fails
+    # where the inequality holds
+    mu = rl.gen_segment(64)
+    eps = 4 * mu.resolution_h
+    grid = ScaleGrid(mu.resolution_h, 1.0, 8)
+    with pytest.raises(ValueError, match="hausdorff_dim"):
+        truncation_gap_check(mu, np.ones(len(mu)), KernelConfig(2, eps, TRUNCATED), grid)
+
+
+@pytest.mark.parametrize(
+    "f, eps, match",
+    [
+        (np.array([1.0, np.nan, 1.0, 1.0]), 0.5, "f must be finite"),
+        (np.ones(3), 0.5, "aligned with the measure"),
+        (np.ones(4), 4.0, "within the grid range"),
+    ],
+    ids=["nan_f", "misaligned_f", "eps_outside_grid"],
+)
+def test_gap_check_rejects_bad_input(f, eps, match):
+    mu = DiscreteMeasure(np.column_stack([np.arange(4.0) / 4, np.zeros(4)]), np.ones(4), 1, 0.25)
+    with pytest.raises(ValueError, match=match):
+        truncation_gap_check(mu, f, KernelConfig(1, eps, TRUNCATED), ScaleGrid(0.25, 1.0, 4))
+
+
 # ---------------------------------------------------------------- vectorfield
 
 

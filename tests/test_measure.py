@@ -131,6 +131,18 @@ def test_ball_masses_rejects_nonfinite_centers_and_nan_radii(segment_1024):
         ball_masses(segment_1024, [[0.5, 0.0]], [np.nan])
 
 
+def test_ball_sums_reject_radii_below_zero(segment_1024):
+    # a negative radius would report an empty ball, and a ratio at r = 0 is
+    # 0 / 0; the closed ball of radius 0 itself holds the points at its center
+    center = segment_1024.points[:1]
+    with pytest.raises(ValueError, match="radii must not be NaN or negative"):
+        ball_masses(segment_1024, center, [-1.0, 0.1])
+    for radii in ([-1.0, 0.0], [0.0, 0.1]):
+        with pytest.raises(ValueError, match="radii must be positive"):
+            density_ratios(segment_1024, center, radii)
+    assert ball_masses(segment_1024, center, [0.0])[0, 0] == segment_1024.weights[0]
+
+
 def test_density_ratios_rejects_nonfinite_centers(segment_1024):
     with pytest.raises(ValueError, match="center coordinates must be finite"):
         density_ratios(segment_1024, [[np.nan, 0.0]], [0.1, 0.2])

@@ -35,6 +35,7 @@ from rieszlab.kernels import (
     KernelConfig,
     VectorField,
     adjoint_sum,
+    kernel_eval,
     kernel_sum,
     read_vector_field,
     riesz_apply,
@@ -496,6 +497,68 @@ def test_masked_self_rows_match_subset_centers(mu, data):
     assume(keep.any())
     idx, masked = np.flatnonzero(keep), mu.weights * keep
     assert np.array_equal(ball_masses(mu, mu.points, radii, masked)[idx], ball_masses(mu, mu.points[idx], radii, masked))
+
+
+@st.composite
+def local_sum_cases(draw, dyadic):
+    """A lattice measure with (n, d) in {(1, 2), (1, 3), (2, 3)}, duplicate
+    points and a cluster of copies, a density f, and eps**2 = k / 16: a
+    lattice distance (k a square) or one that rounds (k not).  With dyadic,
+    the weights and f are powers of two, so every sum is exact."""
+    n, d = draw(st.sampled_from([(1, 2), (1, 3), (2, 3)]))
+    points = lattice_points(draw, d, 2, max_size=48)
+    copied = points[draw(st.integers(0, len(points) - 1))]
+    points = np.vstack([points, np.repeat(copied[None, :], draw(st.integers(0, 12)), axis=0)])
+    points = points[draw(st.permutations(range(len(points))))]
+    span = np.linalg.norm(points.max(axis=0) - points.min(axis=0))
+    assume(span > 0.0)
+    values = POWERS_OF_TWO if dyadic else st.floats(0.1, 2.0)
+    w = draw(st.lists(values, min_size=len(points), max_size=len(points)))
+    f = draw(st.lists(values, min_size=len(points), max_size=len(points)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(points), max_size=len(points)))
+    mu = DiscreteMeasure(points, w, n, min(SPACING, span))
+    return mu, np.multiply(f, signs), SPACING * np.sqrt(draw(st.integers(1, 20)))
+
+
+def dense_local_sums(mu, fw, eps):
+    """Oracle for measure._local_sums: (x - y) * fw[y] summed over every y
+    with r2 <= eps**2, r2 by the package's rule."""
+    diff = mu.points[:, None, :] - mu.points[None, :, :]
+    inside = sq_dist(diff) <= eps * eps
+    return np.einsum("xyd,xy->xd", diff, np.where(inside, fw[None, :], 0.0))
+
+
+@PROPERTY_SETTINGS
+@given(case=local_sum_cases(dyadic=True))
+def test_local_sums_match_dense_oracle(case):
+    # pairs exactly eps apart, duplicates and mirrored node pairs: every
+    # in/out decision and every sign shows, as dyadic sums are exact
+    mu, f, eps = case
+    fw = f * mu.weights
+    want = dense_local_sums(mu, fw, eps)
+    assert np.array_equal(measure._local_sums(mu, fw, eps), want)
+    # blocks of one leaf pair and chunks of a few node pairs
+    for leaf_block, pair_chunk in ((1, 1), (100, 3)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measure, "_LEAF_BLOCK", leaf_block)
+            patch.setattr(measure, "_PAIR_CHUNK", pair_chunk)
+            assert np.array_equal(measure._local_sums(mu, fw, eps), want)
+
+
+@PROPERTY_SETTINGS
+@given(case=local_sum_cases(dyadic=False))
+def test_local_sums_are_the_gap_of_the_two_modes(case):
+    # the regularized minus the truncated transform differs from zero
+    # exactly on the pairs that the local sum covers
+    mu, f, eps = case
+    reg = riesz_apply(mu, f, KernelConfig(mu.hausdorff_dim, eps, REGULARIZED), mu.points)
+    trunc = riesz_apply(mu, f, KernelConfig(mu.hausdorff_dim, eps, TRUNCATED), mu.points)
+    fw = f * mu.weights
+    gap = kernels._inv_power(eps * eps, mu.hausdorff_dim) * measure._local_sums(mu, fw, eps)
+    # the largest absolute term of either transform: |K_reg(x - y) fw[y]|
+    terms = kernel_eval(mu.points[:, None, :] - mu.points[None, :, :], KernelConfig(mu.hausdorff_dim, eps, REGULARIZED))
+    scale = max(float((np.abs(terms) * np.abs(fw)[None, :, None]).max()), 1e-300)
+    assert np.abs(gap - (reg - trunc)).max() <= 1e-12 * scale
 
 
 @PROPERTY_SETTINGS
