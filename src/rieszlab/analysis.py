@@ -19,21 +19,22 @@ Fortran-order N x N arrays: array k holds B_{2k}[i, j] (i < j) in its
 strict upper triangle and B_{2k+1}[i, j] (i < j), transposed, in its strict
 lower one, on a zero diagonal.  A product reads one triangle per BLAS dtrmv
 call: B_a u = U u - U^T u for an upper component, L^T u - L u for a lower
-one, and B^T v = -sum_a B_a v_a.  Above the cap, chunked direct sums apply
-B and B^T.  The full matrix is built only for the dense decomposition and
-the tests.
+one, and B^T v = -sum_a B_a v_a.  Above the cap, and in adjoint_apply, the
+same blocks are applied as they are evaluated, unstored.  The full matrix
+is built only for the dense decomposition and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import dtrmv
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from rieszlab.measure import DiscreteMeasure, _safe_resolution
-from rieszlab.kernels import TRUNCATED, KernelConfig, _blocks, adjoint_sum, kernel_sum
+from rieszlab.kernels import TRUNCATED, KernelConfig, _blocks
 
 _RANDOM_START_SEED = 20240817
 
@@ -56,7 +57,7 @@ class NormEstimate:
     `iterations` counts B^T B products (one forward and one adjoint pass
     each) and `residual` is |B^T B v - value**2 v| / value**2.  `method`
     names the solver and its backend: "lanczos-dense" (the packed cache),
-    "lanczos-direct" (chunked direct sums), "dense-decomposition", or
+    "lanczos-direct" (its blocks, unstored), "dense-decomposition", or
     "single-point" for the zero norm of a one-point measure.
     """
 
@@ -105,33 +106,38 @@ def _build_symmetrized_matrix(mu: DiscreteMeasure, cfg: KernelConfig) -> np.ndar
     return out.reshape(d * n_pts, n_pts)
 
 
-def _packed_cache(mu: DiscreteMeasure, cfg: KernelConfig) -> list[np.ndarray]:
-    """The packed cache of B (layout in the module docstring).
-
-    Only the upper strips of the pair matrix are evaluated, by the rule of
-    _build_symmetrized_matrix, so every stored entry equals that matrix's
-    entry bit for bit.  The diagonal stays 0: neither kernel mode has a
-    self-term.
+def _skew_blocks(mu: DiscreteMeasure, cfg: KernelConfig):
+    """Yield (t, s, planes, keep) over the upper strips of B: planes[a] is
+    B_a on rows t, columns s, bit for bit by the rule of
+    _build_symmetrized_matrix, except in a strip's leading diagonal square,
+    keep.shape[1] columns wide, which keeps j > i (keep) and is 0 elsewhere:
+    the blocks of B_a sum to its strict upper triangle U_a, B_a = U_a - U_a^T.
     """
-    n_pts, d = len(mu), mu.ambient_dim
     sw = np.sqrt(mu.weights)
-    cache = [np.zeros((n_pts, n_pts), order="F") for _ in range((d + 1) // 2)]
     for t, s, diff, coef in _blocks(mu.points, mu.points, cfg, upper=True):
-        # a strip's first block starts with its diagonal square, kept for j > i
         head = coef.shape[0] if s.start == t.start else 0
-        keep = np.triu(np.ones((coef.shape[0], head), dtype=bool), 1)
-        square, rest = slice(s.start, s.start + head), slice(s.start + head, s.stop)
-        for a, plane in enumerate(diff):
+        drop = np.tri(coef.shape[0], head, dtype=bool)  # j <= i
+        for plane in diff:
             plane *= coef
             plane *= sw[t, None]
             plane *= sw[None, s]
-            tri = cache[a // 2]
-            if a % 2:  # B_{2k+1}, transposed into the lower triangle
-                np.copyto(tri[square, t], plane[:, :head].T, where=keep.T)
-                tri[rest, t] = plane[:, head:].T
-            else:
-                np.copyto(tri[t, square], plane[:, :head], where=keep)
-                tri[t, rest] = plane[:, head:]
+            np.copyto(plane[:, :head], 0.0, where=drop)
+        yield t, s, diff, ~drop
+
+
+def _packed_cache(mu: DiscreteMeasure, cfg: KernelConfig) -> list[np.ndarray]:
+    """The packed cache of B (layout in the module docstring), written from
+    _skew_blocks.  The diagonal stays 0: neither kernel mode has a self-term.
+    """
+    n_pts, d = len(mu), mu.ambient_dim
+    cache = [np.zeros((n_pts, n_pts), order="F") for _ in range((d + 1) // 2)]
+    for t, s, planes, keep in _skew_blocks(mu, cfg):
+        head = keep.shape[1]
+        for a, plane in enumerate(planes):
+            # a view: B_{2k+1} goes transposed into the lower triangle
+            blk = cache[a // 2][s, t].T if a % 2 else cache[a // 2][t, s]
+            np.copyto(blk[:, :head], plane[:, :head], where=keep)
+            blk[:, head:] = plane[:, head:]
     return cache
 
 
@@ -153,34 +159,38 @@ def _skew_products(cache: list[np.ndarray], vecs) -> np.ndarray:
     return out
 
 
+def _strip_products(mu: DiscreteMeasure, cfg: KernelConfig, vecs) -> np.ndarray:
+    """Rows B_a x_a, one per component a, with nothing stored: each block U
+    of _skew_blocks adds U x to rows t and subtracts U^T x from rows s."""
+    out = np.zeros((len(vecs), len(mu)))
+    for t, s, planes, _ in _skew_blocks(mu, cfg):
+        for plane, x, row in zip(planes, vecs, out):
+            row[t] += plane @ x[s]
+            row[s] -= x[t] @ plane
+    return out
+
+
 def _symmetrized_operator(
     mu: DiscreteMeasure, cfg: KernelConfig, dense_cache_cap: int
 ) -> tuple[LinearOperator, str]:
     """B as a LinearOperator with its backend's name: the packed cache
     ("dense") while its ceil(d / 2) * N * N stored entries fit in
-    dense_cache_cap, chunked direct sums ("direct") above that.  Both keep
-    the component-major row order."""
+    dense_cache_cap, the same blocks applied as they are evaluated
+    ("direct") above that.  Either backend gives the rows B_a x_a, so
+    B u = [B_a u]_a and B^T v = -sum_a B_a v_a."""
     n_pts, d = len(mu), mu.ambient_dim
     if (d + 1) // 2 * n_pts * n_pts <= dense_cache_cap:
-        cache = _packed_cache(mu, cfg)
-
-        def matvec(u: np.ndarray) -> np.ndarray:
-            return _skew_products(cache, [u.ravel()] * d).ravel()
-
-        def rmatvec(v: np.ndarray) -> np.ndarray:
-            return -_skew_products(cache, v.reshape(d, n_pts)).sum(axis=0)
-
-        return LinearOperator((n_pts * d, n_pts), matvec=matvec, rmatvec=rmatvec, dtype=float), "dense"
-    sw = np.sqrt(mu.weights)
+        products, backend = partial(_skew_products, _packed_cache(mu, cfg)), "dense"
+    else:
+        products, backend = partial(_strip_products, mu, cfg), "direct"
 
     def matvec(u: np.ndarray) -> np.ndarray:
-        return (kernel_sum(mu.points, sw * u.ravel(), cfg, mu.points) * sw[:, None]).T.ravel()
+        return products([u.ravel()] * d).ravel()
 
     def rmatvec(v: np.ndarray) -> np.ndarray:
-        # (B^T v)_j = sqrt(w_j) sum_i K(x_i - x_j) . (sqrt(w_i) V_i)
-        return sw * adjoint_sum(mu.points, v.reshape(d, n_pts).T * sw[:, None], cfg, mu.points)
+        return -products(v.reshape(d, n_pts)).sum(axis=0)
 
-    return LinearOperator((n_pts * d, n_pts), matvec=matvec, rmatvec=rmatvec, dtype=float), "direct"
+    return LinearOperator((n_pts * d, n_pts), matvec=matvec, rmatvec=rmatvec, dtype=float), backend
 
 
 class _BudgetExhausted(Exception):
@@ -204,7 +214,7 @@ def operator_norm(
     is a lower bound.  B^T B annihilates u0 only when B = 0, as r is
     random; the norm is then 0, with u0 as its witness.  dense_cache_cap
     bounds the packed cache's stored entries, ceil(d / 2) * N * N (8 bytes
-    each); above it, the products run as direct sums.
+    each); above it, each product evaluates the cache's blocks anew.
     """
     if len(mu) < 2:
         raise ValueError("operator_norm needs at least two support points")
@@ -261,12 +271,14 @@ def adjoint_apply(mu: DiscreteMeasure, cfg: KernelConfig, field) -> np.ndarray:
     """Adjoint of the transform under the weighted inner products.
 
     (R* F)(x_j) = sum_i K(x_i - x_j) . F(x_i) w(x_i); satisfies the bilinear
-    identity <R f, F>_mu = <f, R* F>_mu.
+    identity <R f, F>_mu = <f, R* F>_mu; it is B^T (sqrt(w) F) / sqrt(w).
     """
     vals = np.asarray(field.values if hasattr(field, "values") else field, dtype=float)
     if vals.shape != (len(mu), mu.ambient_dim):
         raise ValueError("field must align with the measure's points")
-    return adjoint_sum(mu.points, vals * mu.weights[:, None], cfg, mu.points)
+    sw = np.sqrt(mu.weights)
+    op, _ = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
+    return op.rmatvec((vals * sw[:, None]).T.ravel()) / sw
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,8 @@ def _cmd_construct(args) -> int:
         verify_construction,
     )
 
+    if args.patch_cells < 1:
+        raise ValueError(f"--patch-cells must be at least 1, got {args.patch_cells}")
     mu = _load_measure(args.input)
     params = density_params(mu, args.p, args.s, count=args.grid_count, r_floor=args.r_min)
     result = run_construction(mu, params, spacing_frac=1.0 / args.patch_cells)

@@ -392,6 +392,8 @@ def attach_patches(
     (diam / 128 without patches); its far tail contributes O(1/extent) to
     every tested functional.
     """
+    if not (spacing_frac > 0.0 and np.isfinite(spacing_frac)):
+        raise ValueError(f"spacing_frac must be positive and finite, got {spacing_frac}")
     core_idx = np.asarray(core_idx, dtype=int)
     if core_idx.size == 0:
         raise EmptyCoreError("backdrop plane needs a nonempty core")
@@ -769,10 +771,11 @@ def verify_construction(
     [16 * patch spacing, diam]; (ii) proxy-vs-patch ball-mass matching,
     recomputed geometrically so tampering is caught; (iii) per-color
     disjointness of the doubled patch balls (the cover balls); (iv) coverage
-    of every target point; (v) domination of the source by the family of
-    regularized measures on random ball queries (family defaults to this
-    result alone).  The lower-regularity floor 1/(p s * 64) is a harness
-    constant, not an asserted theory value.
+    of every target point and pointwise overlap within the cover's cap, from
+    the cover balls recomputed on the source; (v) domination of the source
+    by the family of regularized measures on random ball queries (family
+    defaults to this result alone).  The lower-regularity floor
+    1/(p s * 64) is a harness constant, not an asserted theory value.
     """
     mu = result.source
     reg = result.regularized_measure
@@ -799,12 +802,12 @@ def verify_construction(
     np.fill_diagonal(same_color, False)
     color_ok = bool(np.all(_ball_gaps(cover.center_points, cover.radii)[same_color] > 0.0))
 
-    covered = np.zeros(len(mu), dtype=bool)
+    hits = np.zeros(len(mu), dtype=int)  # cover balls holding each point
     for ball in _ball_members(mu, cover.center_points, cover.radii):
-        covered[ball] = True
-    coverage_ok = bool(covered[result.target_idx].all())
-
-    overlap_ok = cover.max_overlap <= cover.overlap_cap
+        hits[ball] += 1
+    coverage_ok = bool(hits[result.target_idx].all())
+    max_overlap = int(hits.max())
+    overlap_ok = max_overlap <= cover.overlap_cap
 
     members = list(family) if family is not None else [result]
     rng = np.random.default_rng(seed)
@@ -838,7 +841,7 @@ def verify_construction(
         matching_pass=matching_pass,
         color_disjoint_pass=color_ok,
         coverage_pass=coverage_ok,
-        max_overlap=cover.max_overlap,
+        max_overlap=max_overlap,
         overlap_cap=cover.overlap_cap,
         overlap_pass=overlap_ok,
         domination_checked=n_queries,

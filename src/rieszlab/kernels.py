@@ -136,28 +136,6 @@ def kernel_sum(
     return np.ascontiguousarray(out.T)
 
 
-def adjoint_sum(
-    points: np.ndarray, fields: np.ndarray, cfg: KernelConfig, targets: np.ndarray
-) -> np.ndarray:
-    """Sum_j K(y_j - t) . fields_j at each target t.
-
-    Adjoint of kernel_sum: fields is the already-multiplied (N, d) array
-    F * w, so <kernel_sum(Y, f, T), F> = <f, adjoint_sum(T, F, Y)>.  Same
-    blocks and fixed accumulation order as kernel_sum; K is odd, so each
-    block's sum is subtracted, which is exact.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    fields = np.ascontiguousarray(np.asarray(fields, dtype=float).T)  # one row per component
-    out = np.zeros(targets.shape[0])
-    for t, s, diff, coef in _blocks(points, targets, cfg):
-        dot = diff[0] * fields[0, None, s]
-        for plane, comp in zip(diff[1:], fields[1:]):
-            dot += plane * comp[None, s]
-        out[t] -= np.einsum("ts,ts->t", coef, dot)
-    return out
-
-
 def _check_density(mu: DiscreteMeasure, f, targets) -> tuple[np.ndarray, np.ndarray]:
     """f as a finite array aligned with mu, and targets as a nonempty (m, d) array.
 

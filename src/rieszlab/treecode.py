@@ -192,9 +192,12 @@ def treecode_apply(
     """Hierarchical evaluation of the transform at the given targets.
 
     A single-leaf tree delegates to the direct summation, so that case is
-    identical to riesz_apply by construction.
+    identical to riesz_apply by construction.  The tree must be built on
+    mu's points (ValueError otherwise).
     """
     f, targets = _check_density(mu, f, targets)
+    if tree.points.shape != mu.points.shape or not np.array_equal(tree.points, mu.points[tree.perm]):
+        raise ValueError("tree was not built on the measure's points")
     if tree.n_nodes == 1:
         return riesz_apply(mu, f, cfg, targets)
     fw = (f * mu.weights)[tree.perm]

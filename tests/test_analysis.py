@@ -78,7 +78,7 @@ def test_norm_witness_is_certified_lower_bound(four_corners_3):
 
 
 def test_matrix_free_path_matches_dense(four_corners_3):
-    # dense_cache_cap=0 forces the chunked matrix-free forward/adjoint pair
+    # dense_cache_cap=0 forces the matrix-free products on the cache's blocks
     cfg = KernelConfig(1, 0.05, TRUNCATED)
     dense = dense_operator_norm(four_corners_3, cfg).value
     power = operator_norm(four_corners_3, cfg, tol=1e-10, max_iter=2000, dense_cache_cap=0)
@@ -126,9 +126,9 @@ def test_lanczos_residual_is_true_and_within_tol(mode):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
 def test_symmetrized_rows_are_component_major(d, mode):
-    # row a * N + i of the cache is component a of target i, entry for entry
-    # the kernel times sqrt(w_i) sqrt(w_j); the matrix-free branch uses the
-    # same row order, so both give the same products
+    # row a * N + i of the oracle is component a of target i, entry for
+    # entry the kernel times sqrt(w_i) sqrt(w_j); both backends use the
+    # same row order, so they give the same products
     rng = np.random.default_rng(d)
     n_pts = 40
     mu = DiscreteMeasure(rng.random((n_pts, d)), rng.uniform(0.5, 1.5, n_pts), 1, 1e-3)
@@ -171,6 +171,33 @@ def test_packed_cache_holds_the_oracles_upper_triangles(d, mode, n_pts, chunks, 
         assert not np.any(np.diag(tri))
         if 2 * k + 1 < d:
             assert np.array_equal(tri.T[upper], oracle[2 * k + 1][upper])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
+@pytest.mark.parametrize("chunks", [None, (3, 5)])
+def test_matrix_free_products_match_the_oracle(d, mode, chunks, monkeypatch):
+    # past the cap the packed cache's blocks are applied as they are
+    # evaluated, and adjoint_apply is B^T (sqrt(w) F) / sqrt(w) on them;
+    # small chunks put strip heads and diagonal squares across block edges
+    if chunks is not None:
+        monkeypatch.setattr(kernels, "_TARGET_CHUNK", chunks[0])
+        monkeypatch.setattr(kernels, "_SOURCE_CHUNK", chunks[1])
+    rng = np.random.default_rng(d)
+    n_pts = 70
+    mu = DiscreteMeasure(rng.random((n_pts, d)), rng.uniform(0.5, 1.5, n_pts), 1, 1e-3)
+    cfg = KernelConfig(1, 0.2, mode)
+    mat = _build_symmetrized_matrix(mu, cfg)
+    op, backend = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
+    assert backend == "direct"
+    u, v, field = rng.standard_normal(n_pts), rng.standard_normal(d * n_pts), rng.standard_normal((n_pts, d))
+    sw = np.sqrt(mu.weights)
+    for got, want in (
+        (op.matvec(u), mat @ u),
+        (op.rmatvec(v), mat.T @ v),
+        (adjoint_apply(mu, cfg, VectorField(field)), mat.T @ (field * sw[:, None]).T.ravel() / sw),
+    ):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -209,6 +209,16 @@ def test_construct_command(tmp_path, mixed_measure, monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("cells", [0, -4])
+def test_construct_patch_cells_below_one_is_validation_failure(tmp_path, mixed_measure, cells):
+    # 0 once exited 1 with a ZeroDivisionError, and -4 ran without complaint
+    src = tmp_path / "mixed.measure"
+    rl.write_measure(mixed_measure, src)
+    out = tmp_path / "construct.csv"
+    assert run_cli("construct", "--input", src, "--patch-cells", cells, "--output", out) == EXIT_VALIDATION
+    assert not out.exists()
+
+
 def test_construct_family_member_runs_on_the_callers_grid(tmp_path, monkeypatch):
     # p* is read off the caller's grid, so the member must run on it too;
     # there the whole lattice is dense and nothing needs a cover

@@ -342,6 +342,25 @@ def test_corrupted_cover_fails_color_and_coverage(mixed_result):
     assert report.color_disjoint_pass and not report.coverage_pass
 
 
+def test_overlap_is_recomputed_from_the_cover_balls(mixed_result):
+    # 16 copies of ball 0 put its points in 17 balls, above the cap 4**2,
+    # while the cover still records its own max_overlap
+    import dataclasses
+
+    res = mixed_result
+    cover = res.cover
+    assert verify_construction(res, seed=11).max_overlap == cover.max_overlap
+    copies = {
+        name: np.concatenate([getattr(cover, name)] + [getattr(cover, name)[:1]] * 16)
+        for name in ("centers", "center_points", "radii", "colors")
+    }
+    patches = res.patches + [res.patches[0]] * 16
+    tampered = dataclasses.replace(res, cover=dataclasses.replace(cover, **copies), patches=patches)
+    report = verify_construction(tampered, seed=11)
+    assert tampered.cover.max_overlap == cover.max_overlap
+    assert report.max_overlap == 17 and not report.overlap_pass
+
+
 def test_domination_with_adaptive_family(mixed_measure, mixed_result):
     # a large-p member makes the dense set the whole support, so the family
     # dominates the source on every ball query
@@ -410,6 +429,17 @@ def test_attach_patches_zero_centers(mixed_measure):
     assert patches == []
     assert patch_measure is None
     assert len(flat) == backdrop.count
+
+
+@pytest.mark.parametrize("frac", [0.0, -0.25, np.inf, np.nan])
+def test_patch_spacing_must_be_positive_and_finite(mixed_measure, frac):
+    params = density_params(mixed_measure, 2, 2)
+    with pytest.raises(ValueError, match="spacing_frac"):
+        run_construction(mixed_measure, params, spacing_frac=frac)
+    core = np.arange(len(mixed_measure))
+    empty_cover = besicovitch_cover(mixed_measure, np.array([], dtype=int), core)
+    with pytest.raises(ValueError, match="spacing_frac"):
+        attach_patches(mixed_measure, empty_cover, core, spacing_frac=frac)
 
 
 def test_disk_patch_area_2d():

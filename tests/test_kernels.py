@@ -44,9 +44,9 @@ def test_kernel_truncated_boundary_is_excluded():
 
 
 def test_kernel_antisymmetry_random():
-    # bit for bit, as adjoint_sum subtracts kernel_sum's blocks; the random
-    # rows come with x = 0 and with |(0.75, 1, 0)| = 1.25 = eps, whose
-    # squares are exact in binary
+    # bit for bit, as the norm operator stores each pair once and applies
+    # it with both signs; the random rows come with x = 0 and with
+    # |(0.75, 1, 0)| = 1.25 = eps, whose squares are exact in binary
     rng = np.random.default_rng(0)
     x = np.vstack([rng.standard_normal((100, 3)), [[0.0, 0.0, 0.0], [0.75, 1.0, 0.0], [0.0, -1.0, 0.75]]])
     for mode in (TRUNCATED, REGULARIZED):

@@ -191,6 +191,17 @@ def test_treecode_rejects_nonfinite_targets(segment_1024):
         treecode_apply(segment_1024, np.ones(len(segment_1024)), KernelConfig(1, 0.01), tree, params, targets)
 
 
+def test_treecode_rejects_a_tree_of_another_measure(segment_1024):
+    # a tree of another support with the same N once gave a wrong field
+    # without an error, and one with another N an IndexError
+    params = TreecodeParams(leaf_cap=32)
+    cfg = KernelConfig(1, 0.01, TRUNCATED)
+    f = np.ones(len(segment_1024))
+    for other in (rl.gen_four_corners(5), rl.gen_four_corners(4)):  # 1024 and 256 points
+        with pytest.raises(ValueError, match="tree was not built on the measure's points"):
+            treecode_apply(segment_1024, f, cfg, build_tree(other, params), params, segment_1024.points[:3])
+
+
 def test_regularized_inside_eps_exact():
     # a cluster entirely within eps of the target: every node reaching
     # within eps is opened, and the leaf sums apply the regularized rule
