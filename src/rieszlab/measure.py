@@ -21,6 +21,7 @@ from scipy.spatial import cKDTree
 _BALL_LEAF_CAP = 8  # points per leaf of the tree cached for ball sums
 _LEAF_BLOCK = 1 << 16  # padded (center, point) entries per block of leaf pairs
 _PAIR_CHUNK = 1 << 16  # node pairs per step of the ball-sum walk, which bounds its pair lists
+_UPWARD_BLOCK = 4096  # points per block of whole leaves in the upward pass's leaf step
 
 
 class EmptySelectionError(ValueError):
@@ -98,6 +99,11 @@ class DiscreteMeasure:
     def ball_tree(self) -> "SpatialTree":
         """Median-split tree for ball sums, built once."""
         return _build_spatial_tree(self.points, self.weights, _BALL_LEAF_CAP)
+
+    @cached_property
+    def ball_tree_weights(self) -> np.ndarray:
+        """Per-node weight sums of `ball_tree` by its upward pass, computed once."""
+        return _node_sums(self.ball_tree, self.weights[self.ball_tree.perm])
 
     @cached_property
     def diameter(self) -> float:
@@ -255,14 +261,17 @@ def ball_masses(
     stacked = vals.ndim == 2
     order = np.argsort(radii, kind="stable")
     tree = mu.ball_tree
-    vals = np.atleast_2d(vals)[:, tree.perm]
+    vals = np.atleast_2d(vals)
+    # a row equal to the weights takes their node sums cached on the measure
+    sums = [mu.ball_tree_weights if np.array_equal(v, mu.weights) else _node_sums(tree, v[tree.perm]) for v in vals]
+    vals = vals[:, tree.perm]
     symmetric = centers.shape == mu.points.shape and np.array_equal(centers, mu.points)
     if symmetric:
         ctree, rows = tree, slice(None)
     else:  # one leaf per distinct center: no center leaf is wider than a point
         centers, rows = np.unique(centers, axis=0, return_inverse=True)
         ctree = _build_spatial_tree(centers, np.ones(len(centers)), 1)
-    bins = _pair_bins(ctree, tree, vals, radii[order], symmetric)
+    bins = _pair_bins(ctree, tree, vals, sums, radii[order], symmetric)
     out = np.empty((len(vals), centers.shape[0], radii.size))
     out[:, ctree.perm[:, None], order] = np.cumsum(bins, axis=2, out=bins)[:, :, :-1]
     out = out[:, rows]
@@ -299,7 +308,7 @@ def _pair_walk(ctree: SpatialTree, tree: SpatialTree, symmetric: bool, settle) -
         pending += [(a[i : i + _PAIR_CHUNK], b[i : i + _PAIR_CHUNK]) for i in range(0, a.size, _PAIR_CHUNK)]
 
 
-def _pair_bins(ctree: SpatialTree, tree: SpatialTree, vals, sorted_radii, symmetric: bool) -> np.ndarray:
+def _pair_bins(ctree: SpatialTree, tree: SpatialTree, vals, sums, sorted_radii, symmetric: bool) -> np.ndarray:
     """Per-center bins of the value rows: (k, centers in ctree order, radii + 1).
 
     Bin j of a center holds the values of the points y with
@@ -307,12 +316,12 @@ def _pair_bins(ctree: SpatialTree, tree: SpatialTree, vals, sorted_radii, symmet
     lies beyond every radius.  On `_pair_walk`, a pair whose [dmin, dmax]
     holds no radius r with dmin <= r < dmax is inside exactly the balls of
     radius >= dmax: b's sum is binned at the first such radius in a's node
-    bins (and a's in b's when mirrored).  A pair of leaves is binned point by
+    bins (and a's in b's when mirrored), read from sums, the rows'
+    `_node_sums` over tree.  A pair of leaves is binned point by
     point (`_leaf_pair_bins`), any other opened.  Each center-point pair is
     binned as it would be alone.  A downward pass adds node bins to centers.
     """
     n_bins = sorted_radii.size + 1
-    sums = [_node_sums(tree, v) for v in vals]
     node_bins = np.zeros((len(vals), ctree.n_nodes * n_bins))
     n_centers = ctree.points.shape[0]
     point_bins = np.zeros((len(vals), (n_centers + 1) * n_bins))  # the last row takes the padding
@@ -617,11 +626,14 @@ def _box_dist2(lo_a, hi_a, lo_b, hi_b):
     boxes are tight, so these are differences of coordinates of the boxes'
     points, and every rounded operation on the way is monotone; so for
     points x of a and y of b the squared distance computed as in a direct
-    sum, _sq_norm(x - y), lies in [dmin2, dmax2].
+    sum, _sq_norm(x - y), lies in [dmin2, dmax2].  Gap and span share one
+    buffer, so that at most two (rows, d) temporaries are live at once.
     """
-    near = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
-    far = np.maximum(hi_b - lo_a, hi_a - lo_b)
-    return _sq_norm(near.T), _sq_norm(far.T)
+    diff = np.subtract(lo_b, hi_a)
+    np.maximum(np.maximum(diff, lo_a - hi_b, out=diff), 0.0, out=diff)
+    dmin2 = _sq_norm(diff.T)
+    np.maximum(np.subtract(hi_b, lo_a, out=diff), hi_a - lo_b, out=diff)
+    return dmin2, _sq_norm(diff.T)
 
 
 def _boxes(tree: SpatialTree, nodes: np.ndarray):
@@ -647,8 +659,16 @@ def _node_sums(tree: SpatialTree, vals: np.ndarray, shift=lambda sums, delta: su
     the points to their leaves' centroids and each child to its parent's.
     """
     leaves = tree.leaves  # reduceat needs the tree order
-    delta = tree.points - np.repeat(tree.centroid[leaves], tree.end[leaves] - tree.start[leaves], axis=0)
-    leaf_sums = np.add.reduceat(shift(vals, delta), tree.start[leaves])
+    first, count = tree.start[leaves], tree.end[leaves] - tree.start[leaves]
+    # the leaf step runs in blocks of whole leaves, each opened by the leaf
+    # that holds a multiple of _UPWARD_BLOCK, so its shifted rows stay small
+    cuts = np.unique(np.searchsorted(first, np.arange(0, len(tree.points), _UPWARD_BLOCK), "right") - 1)
+    leaf_sums = []
+    for blk in np.split(np.arange(leaves.size), cuts[1:]):
+        lo, hi = first[blk[0]], first[blk[-1]] + count[blk[-1]]
+        delta = tree.points[lo:hi] - np.repeat(tree.centroid[leaves[blk]], count[blk], axis=0)
+        leaf_sums.append(np.add.reduceat(shift(vals[lo:hi], delta), first[blk] - lo))
+    leaf_sums = np.concatenate(leaf_sums)
     sums = np.empty((tree.n_nodes,) + leaf_sums.shape[1:], dtype=leaf_sums.dtype)
     sums[leaves] = leaf_sums
     for inner in reversed(tree.levels):

@@ -23,14 +23,20 @@ be opened, and the opened pairs' children, left before right, form the
 next level.  Near leaves are summed directly as padded blocks of
 measure._leaf_rows with the squared-distance rule of kernels.kernel_sum,
 measure._sq_norm.  Targets are processed in fixed-size chunks, which
-bounds the size of the pair lists.  Each target's contributions are
-accumulated in an order fixed by its own walk alone, so results are
-bit-reproducible and independent of which other targets share the call.
+bounds the size of the pair lists; the caller and, on two or more CPUs,
+one helper thread take chunks from one shared queue until it is empty.
+Each target's contributions are accumulated in an order fixed by its own
+walk alone, and each chunk writes only its own rows, so results are
+bit-reproducible and independent of which other targets share the call
+and of which thread ran their chunk.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -40,7 +46,7 @@ from rieszlab.measure import DiscreteMeasure, SpatialTree, _build_spatial_tree
 from rieszlab.measure import _LEAF_BLOCK, _box_dist2, _boxes, _leaf_rows, _node_sums, _sq_norm  # the tree engine
 from rieszlab.kernels import TRUNCATED, KernelConfig, _check_density, _coef_from_r2, _inv_power, riesz_apply
 
-_TARGET_CHUNK = 4096  # targets per traversal chunk
+_TARGET_CHUNK = 2048  # targets per traversal chunk; the caller and one helper thread each hold one
 
 
 @dataclass(frozen=True)
@@ -171,10 +177,11 @@ def _traverse(tree, fw, cfg, theta, far, targets) -> np.ndarray:
         far_mask = (dmin2 > eps2) & separated
         f = np.flatnonzero(far_mask)
         _accumulate(out, tgt[f], far(rel[f], node[f]))
+        del t, rel  # room for the near leaves' blocks
         # the truncated kernel vanishes on a node wholly within eps: skip it
         near = ~far_mask & (dmax2 > eps2) if truncated else ~far_mask
         leaf = np.flatnonzero(near & is_leaf[node])
-        _accumulate(out, tgt[leaf], _near_leaves(tree, fw, cfg, width, t[leaf], node[leaf]))
+        _accumulate(out, tgt[leaf], _near_leaves(tree, fw, cfg, width, targets[tgt[leaf]], node[leaf]))
         opened = np.flatnonzero(near & ~is_leaf[node])
         tgt = np.repeat(tgt[opened], 2)
         node = np.column_stack([tree.left[node[opened]], tree.right[node[opened]]]).ravel()
@@ -193,7 +200,10 @@ def treecode_apply(
 
     A single-leaf tree delegates to the direct summation, so that case is
     identical to riesz_apply by construction.  The tree must be built on
-    mu's points (ValueError otherwise).
+    mu's points (ValueError otherwise).  The target chunks are drained by
+    the caller and at most one helper thread, when the process may use two
+    CPUs; the result does not depend on which thread ran a chunk, and an
+    error in either thread is raised here once both have stopped.
     """
     f, targets = _check_density(mu, f, targets)
     if tree.points.shape != mu.points.shape or not np.array_equal(tree.points, mu.points[tree.perm]):
@@ -211,7 +221,21 @@ def treecode_apply(
     else:
         far = partial(_monopole, _node_sums(tree, fw), cfg.n)
     out = np.empty(targets.shape)
-    for t0 in range(0, targets.shape[0], _TARGET_CHUNK):
-        chunk = slice(t0, t0 + _TARGET_CHUNK)
-        out[chunk] = _traverse(tree, fw, cfg, params.opening_angle, far, targets[chunk])
+    chunks = iter([slice(t0, t0 + _TARGET_CHUNK) for t0 in range(0, targets.shape[0], _TARGET_CHUNK)])
+
+    def drain():  # each chunk writes its own rows of out alone
+        try:
+            for chunk in chunks:
+                out[chunk] = _traverse(tree, fw, cfg, params.opening_angle, far, targets[chunk])
+        except BaseException:
+            deque(chunks, maxlen=0)  # leave the other thread no chunk to start
+            raise
+
+    if len(os.sched_getaffinity(0)) < 2 or targets.shape[0] <= _TARGET_CHUNK:
+        drain()
+        return out
+    with ThreadPoolExecutor(1) as pool:
+        helper = pool.submit(drain)
+        drain()
+        helper.result()
     return out

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from rieszlab import measure
 from rieszlab.generators import gen_plane, gen_segment
 from rieszlab.measure import (
     DiscreteMeasure,
@@ -106,6 +107,23 @@ def test_ball_masses_grid_matches_single(four_corners_3):
             mass = ball_mass(four_corners_3, four_corners_3.points[i], r)
             assert table[i, j] == pytest.approx(mass, rel=1e-12, abs=1e-15)
             assert ratios[i, j] == pytest.approx(mass / r, rel=1e-12, abs=1e-15)  # n = 1
+
+
+def test_ball_masses_reuse_the_weights_node_sums(monkeypatch):
+    # the weights' upward pass runs once per measure, for every call and
+    # every stacked row equal to the weights; other rows get their own
+    mu = gen_segment(300)
+    calls = []
+    node_sums = measure._node_sums
+    monkeypatch.setattr(measure, "_node_sums", lambda *a: calls.append(None) or node_sums(*a))
+    radii = [0.01, 0.1]
+    single = ball_masses(mu, mu.points, radii)
+    other = np.linspace(1.0, 2.0, len(mu))
+    stacked = ball_masses(mu, mu.points, radii, np.stack([mu.weights.copy(), other, mu.weights]))
+    assert len(calls) == 2
+    assert np.array_equal(stacked[0], single) and np.array_equal(stacked[2], single)
+    ball_masses(mu, mu.points[:5], radii)
+    assert len(calls) == 2
 
 
 def test_ball_masses_rejects_misshapen_centers_and_values(four_corners_3):

@@ -9,6 +9,7 @@ closed-ball boundary.
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -596,22 +597,29 @@ def test_depth_build_matches_recursive_build(mu, cap):
     mu=clustered_measures(),
     cap=st.integers(1, 9),
     order=st.integers(0, 12),
+    block=st.sampled_from([1, 3, 20]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_upward_moments_match_per_node_loops(mu, cap, order, seed):
+def test_upward_moments_match_per_node_loops(mu, cap, order, block, seed):
     # d = 2 takes the planar series of the given order, d = 3 the monopole
     tree = measure._build_spatial_tree(mu.points, mu.weights, cap)
     fw = np.random.default_rng(seed).standard_normal(len(mu))
     if mu.ambient_dim == 2:
-        got = measure._node_sums(tree, fw[:, None], partial(treecode._planar_shift, order))
+        args = (fw[:, None], partial(treecode._planar_shift, order))
         want = loop_planar_moments(tree, fw, order)
         scale = np.abs(want).max(axis=0)
     else:
-        got = measure._node_sums(tree, fw)
+        args = (fw,)
         want = loop_node_moments(tree, fw)[:, 0]
         scale = np.abs(want).max()
+    assert len(mu) <= measure._UPWARD_BLOCK
+    got = measure._node_sums(tree, *args)
     # against the largest moment of each order
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    # the leaf step in blocks of whole leaves, one leaf each at block = 1,
+    # gives the sums of a single block bit for bit
+    with mock.patch.object(measure, "_UPWARD_BLOCK", block):
+        assert np.array_equal(measure._node_sums(tree, *args), got)
 
 
 @PROPERTY_SETTINGS

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -219,17 +221,19 @@ def test_regularized_inside_eps_exact():
 
 @pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
 @pytest.mark.parametrize("path", ["planar", "monopole"])
-def test_target_chunking_bit_identical(path, mode, segment_1024, plane_23):
-    # many targets in one call span several traversal chunks; evaluating
-    # them in slices that straddle those chunk boundaries, or one at a
-    # time, must reproduce every row bit for bit
+def test_target_chunking_bit_identical(path, mode, segment_1024, plane_23, monkeypatch):
+    # many targets in one call span an odd number of traversal chunks, which
+    # the caller and a helper thread share; evaluating them in slices that
+    # straddle those chunk boundaries, one at a time, or on one CPU (no
+    # helper) must reproduce every row bit for bit
     mu = segment_1024 if path == "planar" else plane_23
     params = TreecodeParams(opening_angle=0.4, leaf_cap=16)
     tree = build_tree(mu, params)
     f = np.linspace(0.5, 1.5, len(mu))
     cfg = KernelConfig(mu.hausdorff_dim, 4 * mu.resolution_h, mode)
-    targets = np.vstack([mu.points, random_targets(mu, treecode._TARGET_CHUNK + 300 - len(mu), seed=8)])
-    assert targets.shape[0] > treecode._TARGET_CHUNK
+    chunk = treecode._TARGET_CHUNK
+    targets = np.vstack([mu.points, random_targets(mu, 2 * chunk + 300 - len(mu), seed=8)])
+    assert -(-targets.shape[0] // chunk) == 3
     whole = treecode_apply(mu, f, cfg, tree, params, targets)
     step = 777
     sliced = np.vstack([
@@ -237,9 +241,37 @@ def test_target_chunking_bit_identical(path, mode, segment_1024, plane_23):
         for t0 in range(0, targets.shape[0], step)
     ])
     assert np.array_equal(whole, sliced)
-    for row in (0, step, treecode._TARGET_CHUNK - 1, treecode._TARGET_CHUNK, targets.shape[0] - 1):
+    for row in (0, step, chunk - 1, chunk, 2 * chunk, targets.shape[0] - 1):
         single = treecode_apply(mu, f, cfg, tree, params, targets[row : row + 1])
         assert np.array_equal(single[0], whole[row])
+    monkeypatch.setattr(treecode.os, "sched_getaffinity", lambda pid: {0})
+    assert np.array_equal(treecode_apply(mu, f, cfg, tree, params, targets), whole)
+
+
+def test_chunk_error_reraises_and_stops_the_helper(segment_1024, monkeypatch):
+    # a traversal that fails on the second chunk, whichever thread runs it,
+    # fails the call, and no helper thread outlives it
+    mu = segment_1024
+    params = TreecodeParams(opening_angle=0.4, leaf_cap=16)
+    tree = build_tree(mu, params)
+    cfg = KernelConfig(1, 4 * mu.resolution_h, TRUNCATED)
+    monkeypatch.setattr(treecode, "_TARGET_CHUNK", 100)
+    assert len(mu) >= 3 * treecode._TARGET_CHUNK
+    traverse, calls, lock = treecode._traverse, [], threading.Lock()
+
+    def failing(*args):
+        with lock:
+            calls.append(None)
+            second = len(calls) == 2
+        if second:
+            raise RuntimeError("chunk failed")
+        return traverse(*args)
+
+    monkeypatch.setattr(treecode, "_traverse", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        treecode_apply(mu, np.ones(len(mu)), cfg, tree, params, mu.points)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
