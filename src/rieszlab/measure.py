@@ -20,7 +20,8 @@ from scipy.spatial import cKDTree
 
 _BALL_LEAF_CAP = 8  # points per leaf of the tree cached for ball sums
 _LEAF_BLOCK = 1 << 16  # padded (center, point) entries per block of leaf pairs
-_PAIR_CHUNK = 1 << 16  # node pairs per step of the ball-sum walk, which bounds its pair lists
+_BRACKET_SPAN = 3  # the most radii a leaf pair may straddle and be settled by its bracket
+_PAIR_CHUNK = 1 << 14  # node pairs per step of the pair walk, which bounds its pair lists and their temporaries
 _UPWARD_BLOCK = 4096  # points per block of whole leaves in the upward pass's leaf step
 
 
@@ -133,8 +134,16 @@ class DiscreteMeasure:
             best = max(best, float(r2.max()))
         return float(np.sqrt(best))
 
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self.points.min(axis=0), self.points.max(axis=0)
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        return lo, hi
+
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.points.min(axis=0), self.points.max(axis=0)
+        """(lo, hi): the per-axis min and max of the points, reduced once, read-only."""
+        return self._bounds
 
 
 @dataclass(frozen=True)
@@ -244,10 +253,13 @@ def ball_masses(
     once (`_pair_bins`).  When the centers are the support points, the walk
     pairs the cached `ball_tree` with itself and visits each unordered pair
     of nodes once, binning it for both ends; other centers get a tree of
-    their own.  The bins are then accumulated over the sorted radii.
-    Every point meets the closed-ball rule exactly as it would alone, and
-    the summation order is fixed by the walk, which makes the output
-    deterministic.
+    their own.  A pair of leaves that straddles a few radii is settled by
+    its bracket: its total at the first radius beyond it, and for each
+    straddled radius the sums within it.  Every point pair still meets the
+    closed-ball rule one by one, exactly as it would alone, so dyadic
+    values sum bit for bit as in index order; other values differ from
+    index-order sums by rounding only.  The summation order is fixed by
+    the walk, which makes the output deterministic.  Values must be finite.
     """
     centers = _as_points(mu, centers, "center")
     radii = np.asarray(radii, dtype=float).ravel()
@@ -256,6 +268,8 @@ def ball_masses(
     vals = mu.weights if values is None else np.asarray(values, dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[-1] != len(mu):
         raise ValueError(f"values of shape {vals.shape} do not align with the {len(mu)} points")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
     if centers.shape[0] == 0:
         return np.zeros(vals.shape[:-1] + (0, radii.size))
     stacked = vals.ndim == 2
@@ -271,9 +285,8 @@ def ball_masses(
     else:  # one leaf per distinct center: no center leaf is wider than a point
         centers, rows = np.unique(centers, axis=0, return_inverse=True)
         ctree = _build_spatial_tree(centers, np.ones(len(centers)), 1)
-    bins = _pair_bins(ctree, tree, vals, sums, radii[order], symmetric)
     out = np.empty((len(vals), centers.shape[0], radii.size))
-    out[:, ctree.perm[:, None], order] = np.cumsum(bins, axis=2, out=bins)[:, :, :-1]
+    out[:, ctree.perm[:, None], order] = _pair_bins(ctree, tree, vals, sums, radii[order], symmetric)
     out = out[:, rows]
     return out if stacked else out[0]
 
@@ -309,73 +322,140 @@ def _pair_walk(ctree: SpatialTree, tree: SpatialTree, symmetric: bool, settle) -
 
 
 def _pair_bins(ctree: SpatialTree, tree: SpatialTree, vals, sums, sorted_radii, symmetric: bool) -> np.ndarray:
-    """Per-center bins of the value rows: (k, centers in ctree order, radii + 1).
+    """Per-center ball sums of the value rows: (k, centers in ctree order, radii).
 
-    Bin j of a center holds the values of the points y with
-    sorted_radii[j - 1] < dist <= sorted_radii[j]; the last bin holds what
-    lies beyond every radius.  On `_pair_walk`, a pair whose [dmin, dmax]
-    holds no radius r with dmin <= r < dmax is inside exactly the balls of
-    radius >= dmax: b's sum is binned at the first such radius in a's node
-    bins (and a's in b's when mirrored), read from sums, the rows'
-    `_node_sums` over tree.  A pair of leaves is binned point by
-    point (`_leaf_pair_bins`), any other opened.  Each center-point pair is
-    binned as it would be alone.  A downward pass adds node bins to centers.
+    Radius r_k is met through its threshold t_k (`_sq_thresholds`): a point
+    pair lies in the ball when its _sq_norm is <= t_k.  On `_pair_walk`, a
+    pair (a, b) straddles the radii with dmin2 <= t_k < dmax2, first_in to
+    first_all - 1, and lies wholly inside the balls from first_all on.  It
+    is settled by this bracket when it straddles no radius, or when it is a
+    pair of leaves that straddles at most _BRACKET_SPAN: b's sum, read from
+    sums (the rows' `_node_sums` over tree), is binned at first_all in a's
+    node bins (and a's in b's when mirrored), and `_inside_sums` adds the
+    sums within each straddled radius.  A pair of leaves that straddles more
+    is binned point pair by point pair after the walk (`_leaf_pair_bins`);
+    any other pair is opened.  A downward pass adds node bins to centers,
+    whose bins are then cumulated over the radii, and the inside sums added.
+    Every point pair's membership is still decided one by one, bit-exact;
+    dyadic values sum exactly, others differ from index-order sums by
+    rounding only.
     """
-    n_bins = sorted_radii.size + 1
-    node_bins = np.zeros((len(vals), ctree.n_nodes * n_bins))
-    n_centers = ctree.points.shape[0]
-    point_bins = np.zeros((len(vals), (n_centers + 1) * n_bins))  # the last row takes the padding
+    n_bins = sorted_radii.size + 1  # the last bin: beyond every radius
+    thresholds = _sq_thresholds(sorted_radii)
+    node_bins = np.zeros((len(vals), ctree.n_nodes, n_bins))
+    inside = np.zeros((len(vals), ctree.points.shape[0], n_bins))
+    wide = []  # (a, b, mirror) of the leaf pairs binned point pair by point pair
 
     def settle(a, b, dmin2, dmax2, mirror, both_leaves):
-        first_in = np.searchsorted(sorted_radii, np.sqrt(dmin2))
-        first_all = np.searchsorted(sorted_radii, np.sqrt(dmax2))
-        whole = first_in == first_all
-        back = whole & mirror
-        keys = np.concatenate([a[whole] * n_bins + first_all[whole], b[back] * n_bins + first_all[back]])
-        src = np.concatenate([b[whole], a[back]])
+        first_in = np.searchsorted(thresholds, dmin2)
+        first_all = np.searchsorted(thresholds, dmax2)
+        span = first_all - first_in
+        bracket = (span == 0) | (both_leaves & (span <= _BRACKET_SPAN))
+        back = bracket & mirror
+        keys = np.concatenate([a[bracket] * n_bins + first_all[bracket], b[back] * n_bins + first_all[back]])
+        src = np.concatenate([b[bracket], a[back]])
         for nb, s in zip(node_bins, sums):
-            np.add.at(nb, keys, s[src])
-        leaf = ~whole & both_leaves
-        _leaf_pair_bins(ctree, tree, a[leaf], b[leaf], mirror[leaf], vals, sorted_radii, point_bins)
-        return ~whole & ~both_leaves
+            np.add.at(nb.reshape(-1), keys, s[src])
+        narrow = bracket & (span > 0)
+        _inside_sums(ctree, tree, a[narrow], b[narrow], mirror[narrow], first_in[narrow], span[narrow], vals, thresholds, inside)
+        pointwise = both_leaves & ~bracket
+        wide.append((a[pointwise], b[pointwise], mirror[pointwise]))
+        return ~bracket & ~both_leaves
 
     _pair_walk(ctree, tree, symmetric, settle)
-    node_bins = node_bins.reshape(len(vals), ctree.n_nodes, n_bins)
     for inner in ctree.levels:
         for child in (ctree.left[inner], ctree.right[inner]):
             node_bins[:, child] += node_bins[:, inner]
     leaves = ctree.leaves
-    bins = point_bins.reshape(len(vals), -1, n_bins)[:, :n_centers]
-    bins += np.repeat(node_bins[:, leaves], ctree.end[leaves] - ctree.start[leaves], axis=1)
-    return bins
+    bins = np.repeat(node_bins[:, leaves], ctree.end[leaves] - ctree.start[leaves], axis=1)
+    _leaf_pair_bins(ctree, tree, *map(np.concatenate, zip(*wide)), vals, thresholds, bins)
+    np.cumsum(bins, axis=2, out=bins)
+    bins += inside
+    return bins[:, :, :-1]
 
 
-def _leaf_pair_bins(ctree, tree, a, b, mirror, vals, sorted_radii, point_bins) -> None:
-    """Bin the values of leaf b's points at leaf a's centers, pair by pair.
+def _sq_thresholds(radii: np.ndarray) -> np.ndarray:
+    """t with t[k] the largest double such that sqrt(t[k]) <= radii[k].
 
-    Each block of pairs computes its center-point distances once, padded
-    to the widest leaves, with at most _LEAF_BLOCK entries: padded sources
-    carry the value 0.0, and padded centers bin into the spare last row of
-    point_bins.  Where mirror is set (a pair of distinct leaves of one
-    tree), the same distances bin a's values at b's points too.
+    sqrt is correctly rounded, hence monotone, so a squared distance r2
+    has sqrt(r2) <= radii[k] exactly when r2 <= t[k]; t is sorted when
+    radii are.  radii * radii lies within a few ulps of t.
     """
-    n_bins = sorted_radii.size + 1
-    wa, wb = (int((t.end - t.start)[t.left < 0].max()) for t in (ctree, tree))
-    per_block = max(1, _LEAF_BLOCK // (wa * wb))
+    with np.errstate(over="ignore"):  # past sqrt(max double), t is the max double
+        t = radii * radii
+        while np.any(high := np.sqrt(t) > radii):
+            t[high] = np.nextafter(t[high], 0.0)
+        while np.any(low := (np.sqrt(up := np.nextafter(t, np.inf)) <= radii) & (t < np.inf)):
+            t[low] = up[low]
+    return t
+
+
+def _leaf_pair_r2(ctree: SpatialTree, tree: SpatialTree, a: np.ndarray, b: np.ndarray):
+    """(ia, ib, r2): the tree-order points of center leaves a and source
+    leaves b, each padded to its tree's widest leaf (`_leaf_rows`), and the
+    (pairs, wa, wb) _sq_norm of their differences.  A padded point has the
+    distance NaN, inside no ball and binned after every threshold."""
+    rows = []
+    for t, leaves in ((ctree, a), (tree, b)):
+        idx, valid = _leaf_rows(t, leaves, int((t.end - t.start)[t.leaves].max()))
+        rows.append((idx, [np.where(valid, pc[idx], np.nan) for pc in t.points.T]))
+    (ia, xa), (ib, xb) = rows
+    return ia, ib, _sq_norm(pa[:, :, None] - pb[:, None, :] for pa, pb in zip(xa, xb))
+
+
+def _leaf_block(ctree: SpatialTree, tree: SpatialTree) -> int:
+    """Leaf pairs per block of at most _LEAF_BLOCK padded (center, point) entries."""
+    wa, wb = (int((t.end - t.start)[t.leaves].max()) for t in (ctree, tree))
+    return max(1, _LEAF_BLOCK // (wa * wb))
+
+
+def _inside_sums(ctree, tree, a, b, mirror, first, span, vals, thresholds, inside) -> None:
+    """Add, for each radius r_k that leaf pair (a, b) straddles, the values
+    of b's points y with _sq_norm(c - y) <= t_k at each center c of a.
+
+    Pair p straddles first[p] to first[p] + span[p] - 1, and inside is
+    (k, centers, bins), indexed by k.  Where mirror is set (distinct
+    leaves of one tree), the same membership adds a's values at b's
+    points.  The (pair, radius) entries run in blocks of one leaf block's
+    size; a pair's entries may fall in two blocks.
+    """
+    flat, n_bins = inside.reshape(len(vals), -1), inside.shape[2]
+    ends = np.cumsum(span)
+    total, per_block = int(ends[-1]) if ends.size else 0, _leaf_block(ctree, tree)
+    for e0 in range(0, total, per_block):
+        entry = np.arange(e0, min(e0 + per_block, total))
+        p = np.searchsorted(ends, entry, side="right")
+        k = first[p] + entry - (ends[p] - span[p])
+        p0, p1 = p[0], p[-1] + 1
+        ia, ib, r2 = _leaf_pair_r2(ctree, tree, a[p0:p1], b[p0:p1])
+        m = np.flatnonzero(mirror[p])
+        p -= p0
+        within = (r2[p] <= thresholds[k][:, None, None]).astype(float)
+        keys = np.concatenate([(ia[p] * n_bins + k[:, None]).ravel(), (ib[p[m]] * n_bins + k[m, None]).ravel()])
+        for acc, v in zip(flat, vals):  # row by row, as a call with that row alone sums it
+            sums = [np.matmul(within, v[ib][p][:, :, None]).ravel()]
+            if m.size:
+                sums.append(np.matmul(v[ia][p][:, None, :], within)[m].ravel())
+            np.add.at(acc, keys, np.concatenate(sums))
+
+
+def _leaf_pair_bins(ctree, tree, a, b, mirror, vals, thresholds, bins) -> None:
+    """Bin the values of leaf b's points at leaf a's centers, point pair by point pair.
+
+    bins is (k, centers, radii + 1), to be cumulated: a point pair goes to
+    the bin of the first threshold at or above its _sq_norm, or to the
+    last.  Where mirror is set, the same bins take a's values at b's points.
+    """
+    flat, n_bins = bins.reshape(len(vals), -1), bins.shape[2]
+    per_block = _leaf_block(ctree, tree)
     for p0 in range(0, a.size, per_block):
-        ia, va = _leaf_rows(ctree, a[p0 : p0 + per_block], wa)
-        ib, vb = _leaf_rows(tree, b[p0 : p0 + per_block], wb)
-        diff = (pc[ia][:, :, None] - ps[ib][:, None, :] for pc, ps in zip(ctree.points.T, tree.points.T))
-        bins = np.searchsorted(sorted_radii, np.sqrt(_sq_norm(diff)))
+        ia, ib, r2 = _leaf_pair_r2(ctree, tree, a[p0 : p0 + per_block], b[p0 : p0 + per_block])
+        j = np.searchsorted(thresholds, r2)
         m = np.flatnonzero(mirror[p0 : p0 + per_block])
-        spare = ctree.points.shape[0]
-        row_a, row_b = np.where(va, ia, spare) * n_bins, np.where(vb[m], ib[m], spare) * n_bins
-        keys, back_keys = (row_a[:, :, None] + bins).ravel(), (row_b[:, None, :] + bins[m]).ravel()
-        for pb, v in zip(point_bins, vals):
-            forward = np.where(vb, v[ib], 0.0)[:, None, :]
-            back = np.where(va[m], v[ia[m]], 0.0)[:, :, None]
-            np.add.at(pb, keys, np.broadcast_to(forward, bins.shape).ravel())
-            np.add.at(pb, back_keys, np.broadcast_to(back, (m.size, wa, wb)).ravel())
+        keys, back_keys = (ia[:, :, None] * n_bins + j).ravel(), (ib[m][:, None, :] * n_bins + j[m]).ravel()
+        for acc, v in zip(flat, vals):
+            np.add.at(acc, keys, np.broadcast_to(v[ib][:, None, :], j.shape).ravel())
+            np.add.at(acc, back_keys, np.broadcast_to(v[ia[m]][:, :, None], j[m].shape).ravel())
 
 
 def _local_sums(mu: DiscreteMeasure, fw: np.ndarray, eps: float) -> np.ndarray:
@@ -390,7 +470,7 @@ def _local_sums(mu: DiscreteMeasure, fw: np.ndarray, eps: float) -> np.ndarray:
     tree, eps2, fw = mu.ball_tree, eps * eps, fw[mu.ball_tree.perm]
     out = np.zeros((mu.ambient_dim, len(mu) + 1))  # the last column takes the padding
     width = int((tree.end - tree.start)[tree.leaves].max())
-    per_block = max(1, _LEAF_BLOCK // width**2)
+    per_block = _leaf_block(tree, tree)
 
     def settle(a, b, dmin2, dmax2, mirror, leaves):
         near = dmin2 <= eps2
@@ -693,7 +773,8 @@ _HEADER_RE = re.compile(
 
 def _write_table(path, header: str, rows: np.ndarray, comments: Sequence[str] = ()) -> None:
     lines = [header] + [f"# {comment}" for comment in comments]
-    lines += [" ".join(f"{c:.17g}" for c in row) for row in rows]
+    fmt = " ".join(["%.17g"] * rows.shape[1])
+    lines += [fmt % tuple(row.tolist()) for row in rows]  # row by row: no list of every row at once
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

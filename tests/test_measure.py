@@ -49,6 +49,17 @@ def test_measure_rejects_bad_inputs():
         DiscreteMeasure(np.array([[0.0, 0.0], [0.1, 0.0]]), np.ones(2), 1, 5.0)
 
 
+def test_bbox_is_reduced_once_and_read_only(four_corners_3):
+    lo, hi = four_corners_3.bbox()
+    assert np.array_equal(lo, four_corners_3.points.min(axis=0))
+    assert np.array_equal(hi, four_corners_3.points.max(axis=0))
+    again = four_corners_3.bbox()
+    assert again[0] is lo and again[1] is hi  # the same arrays: no second reduction
+    for bound in (lo, hi):
+        with pytest.raises(ValueError):
+            bound[0] = 5.0
+
+
 def test_scale_grid_geometric():
     grid = ScaleGrid(0.01, 10.0, 50)
     radii = grid.radii()
@@ -124,6 +135,16 @@ def test_ball_masses_reuse_the_weights_node_sums(monkeypatch):
     assert np.array_equal(stacked[0], single) and np.array_equal(stacked[2], single)
     ball_masses(mu, mu.points[:5], radii)
     assert len(calls) == 2
+
+
+def test_ball_masses_reject_nonfinite_values(segment_1024):
+    # a non-finite value would spoil every sum of its leaf pair, not only
+    # the balls that hold its point
+    for bad in (np.inf, np.nan):
+        values = np.ones(len(segment_1024))
+        values[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ball_masses(segment_1024, segment_1024.points, [0.1], values)
 
 
 def test_ball_masses_rejects_misshapen_centers_and_values(four_corners_3):
@@ -368,6 +389,18 @@ def test_measure_file_roundtrip(tmp_path, lip_graph):
     assert np.array_equal(back.weights, lip_graph.weights)
     assert back.resolution_h == lip_graph.resolution_h
     assert back.hausdorff_dim == lip_graph.hausdorff_dim
+
+
+def test_table_rows_match_per_element_format(tmp_path):
+    # one %-format per row writes the bytes that formatting each element
+    # with f"{c:.17g}" wrote: signed zero, subnormals, extremes, integers
+    rows = np.array(
+        [[-0.0, 5e-324, 1e300], [-1e300, 3.0, -7.0], [0.1, 1.0 / 3.0, 2.0**53], [1e-310, -2.5, 0.0]]
+    )
+    path = tmp_path / "t.table"
+    measure._write_table(path, "# header", rows, ["note"])
+    want = ["# header", "# note"] + [" ".join(f"{c:.17g}" for c in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 def test_measure_file_tolerates_extra_comments(tmp_path, four_corners_3):

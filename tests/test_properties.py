@@ -310,6 +310,62 @@ def test_ball_masses_blocks_match_dense_oracle(four_corners_4, monkeypatch):
             )
 
 
+def test_bracket_and_point_pair_rules_match_dense_oracle(monkeypatch):
+    # a 2-D lattice and a fine geometric radius grid, with radius 0, repeated
+    # radii and lattice distances (points on the closed-ball boundary): leaf
+    # pairs straddle 1, 2, 3 and more radii, so the bracket settles some and
+    # the point-pair rule bins the rest
+    g = SPACING * np.arange(20.0)
+    points = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(5)
+    mu = DiscreteMeasure(points, 2.0 ** rng.integers(-3, 4, len(points)), 1, SPACING)
+    q = SPACING**2 * np.array([1.0, 2.0, 5.0, 8.0, 9.0, 13.0, 18.0, 25.0, 29.0, 37.0, 50.0])
+    lattice = np.sqrt(q)
+    # some squared lattice distances are their radius's threshold itself
+    assert np.any(measure._sq_thresholds(lattice) == q)
+    radii = np.concatenate([np.geomspace(SPACING / 2, mu.diameter, 40), lattice, lattice[:3], [0.0]])
+    values = rng.uniform(0.1, 2.0, len(mu))
+    off = np.vstack([points[::7] + SPACING / 2, rng.uniform(-1.0, 6.0, (30, 2))])
+    spans, wide = [], []
+    inside_sums, leaf_pair_bins = measure._inside_sums, measure._leaf_pair_bins
+    monkeypatch.setattr(measure, "_inside_sums", lambda *a: spans.append(a[6]) or inside_sums(*a))
+    monkeypatch.setattr(measure, "_leaf_pair_bins", lambda *a: wide.append(a[2].size) or leaf_pair_bins(*a))
+    # the default split, then blocks cut within a pair's entries, then
+    # every straddling leaf pair by one rule alone
+    span, block = measure._BRACKET_SPAN, measure._LEAF_BLOCK
+    for bracket_span, leaf_block in ((span, block), (span, 200), (span, 20), (0, block), (1000, block), (1000, 20)):
+        monkeypatch.setattr(measure, "_BRACKET_SPAN", bracket_span)
+        monkeypatch.setattr(measure, "_LEAF_BLOCK", leaf_block)
+        for centers in (mu.points, off):
+            want = dense_ball_masses(mu, centers, radii)
+            assert np.array_equal(ball_masses(mu, centers, radii), want)
+            stacked = ball_masses(mu, centers, radii, np.stack([mu.weights, values]))
+            assert np.array_equal(stacked[0], want)
+            assert np.array_equal(stacked[1], ball_masses(mu, centers, radii, values))
+            np.testing.assert_allclose(stacked[1], dense_ball_masses(mu, centers, radii, values), rtol=1e-13, atol=0.0)
+    assert {1, 2, 3} <= set(np.concatenate(spans).tolist())
+    assert sum(wide) > 0
+
+
+@pytest.mark.parametrize("kind", ["lattice", "random"])
+def test_sq_thresholds_decide_as_sqrt(kind):
+    # t(r) is the largest double whose sqrt is <= r: its successor's is not
+    rng = np.random.default_rng(11)
+    if kind == "lattice":
+        radii = SPACING * np.sqrt(np.arange(400.0))
+    else:
+        radii = np.concatenate([10.0 ** rng.uniform(-300, 300, 2000), rng.uniform(0.0, 4.0, 2000), [5e-324, 1.7e308]])
+    t = measure._sq_thresholds(radii)
+    with np.errstate(over="ignore"):  # the successor of the max double is inf
+        after = np.nextafter(t, np.inf)
+    assert np.all(np.sqrt(t) <= radii)
+    assert np.all(np.sqrt(after) > radii)
+    # so a squared distance lies in the ball by either test
+    r2 = np.concatenate([t, after, np.nextafter(t, 0.0)])
+    r = np.tile(radii, 3)
+    assert np.array_equal(r2 <= np.tile(t, 3), np.sqrt(r2) <= r)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("copies", [9, 40])
 @pytest.mark.parametrize("far_end", [1.0, -1.0])
