@@ -37,6 +37,7 @@ from rieszlab.measure import DiscreteMeasure, _safe_resolution
 from rieszlab.kernels import TRUNCATED, KernelConfig, _blocks
 
 _RANDOM_START_SEED = 20240817
+_EXACT_CAP = 2000  # largest support of curvature_c2's O(N^3) exact mode
 
 
 class NonConvergenceError(RuntimeError):
@@ -321,7 +322,6 @@ def curvature_c2(
     mode: str = "exact",
     sample_count: int = 200_000,
     seed: int = 0,
-    exact_cap: int = 2000,
 ) -> CurvatureEstimate:
     """Triple sum of (1/R)^2 w_i w_j w_k over ordered distinct triples.
 
@@ -339,8 +339,8 @@ def curvature_c2(
         return CurvatureEstimate(0.0, 0, mode, insufficient_points=True)
     w = mu.weights
     if mode == "exact":
-        if n_pts > exact_cap:
-            raise ValueError(f"exact mode is O(N^3); N={n_pts} exceeds cap {exact_cap}")
+        if n_pts > _EXACT_CAP:
+            raise ValueError(f"exact mode is O(N^3); N={n_pts} exceeds cap {_EXACT_CAP}")
         d2 = _pairwise_sq_dists(mu.points)
         total = 0.0
         # for each i, vectorize over pairs j < k with j, k != i; this visits

@@ -58,6 +58,7 @@ from rieszlab.measure import (
 from rieszlab.kernels import KernelConfig, VectorField, kernel_sum
 
 _MATCHING_TOL = 1e-10  # relative proxy-vs-patch mass mismatch accepted by verification
+_DOMINATION_QUERIES = 200  # random ball queries of verification's domination check
 _DOMINATION_CHUNK = 32  # domination queries per batched ball-membership call
 _BACKDROP_EXTENT = 3.0  # half-width of the backdrop sampling, times the support diameter
 _LOWER_FLOOR_FACTOR = 1.0 / 64.0  # lower-regularity floor of verification, times 1/(p s)
@@ -220,16 +221,6 @@ def besicovitch_cover(
         raise ValueError("targets and exclusion must be disjoint")
     d = mu.ambient_dim
     cap = int(overlap_cap) if overlap_cap is not None else 4**d
-    if targets.size == 0:
-        return CoverReport(
-            centers=np.empty(0, dtype=int),
-            center_points=np.empty((0, d)),
-            radii=np.empty(0),
-            colors=np.empty(0, dtype=int),
-            max_overlap=0,
-            n_colors=0,
-            overlap_cap=cap,
-        )
     tpts = mu.points[targets]
     expts = mu.points[exclusion]
     clearance = cKDTree(expts).query(tpts)[0] / 10.0
@@ -267,7 +258,7 @@ def besicovitch_cover(
         colors[i] = c
 
     # pointwise overlap over the whole support
-    max_overlap = int(np.bincount(np.concatenate(members)).max())
+    max_overlap = int(np.bincount(np.concatenate([np.empty(0, np.intp)] + members)).max(initial=0))
     if max_overlap > cap:
         raise CoverOverlapError(
             f"cover overlap {max_overlap} exceeds the configured cap {cap}"
@@ -278,7 +269,7 @@ def besicovitch_cover(
         radii=crad,
         colors=colors,
         max_overlap=max_overlap,
-        n_colors=int(colors.max()),
+        n_colors=int(colors.max(initial=0)),
         overlap_cap=cap,
     )
 
@@ -419,11 +410,8 @@ def attach_patches(
 
     core_pts = mu.points[core_idx]
     base = core_pts[0]
-    if core_pts.shape[0] < 2:
-        bg_basis = np.eye(d)[:n]
-    else:
-        dirs = _lsq_directions(core_pts, mu.weights[core_idx], core_pts.mean(axis=0), n)
-        bg_basis = _orthonormal_basis(dirs, n, d)
+    dirs = _lsq_directions(core_pts, mu.weights[core_idx], core_pts.mean(axis=0), n)
+    bg_basis = _orthonormal_basis(dirs, n, d)
     diam = support_diameter(mu)
     extent = _BACKDROP_EXTENT * diam
     plane_spacing = min(p.radius for p in patches) / 8.0 if patches else diam / 128.0
@@ -762,7 +750,6 @@ class VerificationReport:
 def verify_construction(
     result: ConstructionResult,
     family: list[ConstructionResult] | None = None,
-    n_queries: int = 200,
     seed: int = 7,
 ) -> VerificationReport:
     """Run the five checkable claims against a finished construction.
@@ -814,12 +801,12 @@ def verify_construction(
     lo, hi = mu.bbox()
     span = np.where(hi > lo, hi - lo, 1.0)
     diam = support_diameter(mu) if len(mu) > 1 else 1.0
-    centers, radii = np.empty((n_queries, mu.ambient_dim)), np.empty(n_queries)
-    for q in range(n_queries):  # each center, then its radius, from the one stream
+    centers, radii = np.empty((_DOMINATION_QUERIES, mu.ambient_dim)), np.empty(_DOMINATION_QUERIES)
+    for q in range(_DOMINATION_QUERIES):  # each center, then its radius, from the one stream
         centers[q] = lo - 0.1 * span + rng.random(mu.ambient_dim) * 1.2 * span
         radii[q] = np.exp(rng.uniform(np.log(4.0 * mu.resolution_h), np.log(diam)))
     worst_dom = -np.inf
-    for q0 in range(0, n_queries, _DOMINATION_CHUNK):
+    for q0 in range(0, _DOMINATION_QUERIES, _DOMINATION_CHUNK):
         q = slice(q0, q0 + _DOMINATION_CHUNK)
         # each ball summed over its ascending members, as ball_mass sums it
         masses = [
@@ -844,7 +831,7 @@ def verify_construction(
         max_overlap=max_overlap,
         overlap_cap=cover.overlap_cap,
         overlap_pass=overlap_ok,
-        domination_checked=n_queries,
+        domination_checked=_DOMINATION_QUERIES,
         domination_worst=float(worst_dom),
         domination_pass=dom_pass,
     )
@@ -857,38 +844,25 @@ def save_construction(result: ConstructionResult, outdir, report: VerificationRe
     write_measure(result.regularized_measure, os.path.join(outdir, "regularized.measure"))
     if result.proxy_measure is not None:
         write_measure(result.proxy_measure, os.path.join(outdir, "proxy.measure"))
+    params, cover = result.params, asdict(result.cover)
+    del cover["overlap_cap"]
     manifest = {
-        "p": result.params.p,
-        "s": result.params.s,
-        "grid": {
-            "r_min": result.params.grid.r_min,
-            "r_max": result.params.grid.r_max,
-            "count": result.params.grid.count,
-        },
-        "floor_radius": result.params.grid.r_min,
-        "dense_count": int(result.dense_idx.size),
-        "core_count": int(result.core_idx.size),
-        "centers": result.cover.centers.tolist(),
-        "center_points": result.cover.center_points.tolist(),
-        "radii": result.cover.radii.tolist(),
-        "colors": result.cover.colors.tolist(),
-        "max_overlap": result.cover.max_overlap,
-        "n_colors": result.cover.n_colors,
-        "coefficients": result.proxy_coefficients.tolist(),
-        "backdrop": {
-            "base_point": result.backdrop.base_point.tolist(),
-            "basis": result.backdrop.basis.tolist(),
-            "extent": result.backdrop.extent,
-            "spacing": result.backdrop.spacing,
-            "count": result.backdrop.count,
-        },
+        "p": params.p,
+        "s": params.s,
+        "grid": asdict(params.grid),
+        "floor_radius": params.grid.r_min,
+        "dense_count": result.dense_idx.size,
+        "core_count": result.core_idx.size,
+        **cover,
+        "coefficients": result.proxy_coefficients,
+        "backdrop": asdict(result.backdrop),
         "patches": [
             {
-                "center": p.center.tolist(),
+                "center": p.center,
                 "radius": p.radius,
-                "basis": p.basis.tolist(),
+                "basis": p.basis,
                 "spacing": p.spacing,
-                "count": int(p.points.shape[0]),
+                "count": p.points.shape[0],
                 "total_weight": p.total_weight,
             }
             for p in result.patches
@@ -897,4 +871,4 @@ def save_construction(result: ConstructionResult, outdir, report: VerificationRe
     if report is not None:
         manifest["verification"] = report.to_dict()
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump(manifest, fh, indent=2, default=lambda a: a.tolist())

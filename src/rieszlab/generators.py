@@ -102,8 +102,13 @@ def gen_lipschitz_graph(
     return DiscreteMeasure(pts, w, n, _safe_resolution(pts, spacing))
 
 
-def _corner_cells(ratios: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower-left corners and final side for the 4-corner cell hierarchy."""
+def _corner_measure(ratios: np.ndarray, weight_exponent: float) -> DiscreteMeasure:
+    """Centers of the 4-corner cell hierarchy with the given per-level ratios.
+
+    Each level splits every cell into its four corner cells; the final cell
+    centers carry weight side**weight_exponent, and the final side is the
+    resolution (the unit square's center for no levels).
+    """
     lower_left = np.zeros((1, 2))
     side = 1.0
     for lam in ratios:
@@ -112,7 +117,9 @@ def _corner_cells(ratios: np.ndarray) -> tuple[np.ndarray, float]:
         offsets = np.array([[0.0, 0.0], [off, 0.0], [0.0, off], [off, off]])
         lower_left = (lower_left[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
         side = child
-    return lower_left, side
+    pts = lower_left + side / 2.0
+    w = np.full(pts.shape[0], side**weight_exponent)
+    return DiscreteMeasure(pts, w, 1, _safe_resolution(pts, side))
 
 
 def gen_four_corners(level: int) -> DiscreteMeasure:
@@ -125,11 +132,7 @@ def gen_four_corners(level: int) -> DiscreteMeasure:
     """
     if not 0 <= level <= 12:
         raise ValueError("level must lie in [0, 12]")
-    lower_left, side = _corner_cells(np.full(level, 0.25))
-    pts = lower_left + side / 2.0
-    w = np.full(pts.shape[0], 4.0 ** (-level))
-    h = 4.0 ** (-level) if level else 1.0
-    return DiscreteMeasure(pts, w, 1, h)
+    return _corner_measure(np.full(level, 0.25), 1.0)
 
 
 def gen_sparse_cantor(ratios, weight_exponent: float = 1.0) -> DiscreteMeasure:
@@ -151,8 +154,6 @@ def gen_sparse_cantor(ratios, weight_exponent: float = 1.0) -> DiscreteMeasure:
     An empty ratio list yields the single unit mass at the square center.
     """
     ratios = np.asarray(list(ratios), dtype=float)
-    if ratios.size == 0:
-        return DiscreteMeasure(np.array([[0.5, 0.5]]), np.array([1.0]), 1, 1.0)
     if np.any(ratios <= 0.0) or np.any(ratios >= 0.5):
         raise ValueError("ratios must lie strictly inside (0, 1/2)")
     if ratios.size > 8:
@@ -170,10 +171,7 @@ def gen_sparse_cantor(ratios, weight_exponent: float = 1.0) -> DiscreteMeasure:
             DecayTrendWarning,
             stacklevel=2,
         )
-    lower_left, side = _corner_cells(ratios)
-    pts = lower_left + side / 2.0
-    w = np.full(pts.shape[0], float(sides[-1]) ** weight_exponent)
-    return DiscreteMeasure(pts, w, 1, _safe_resolution(pts, float(sides[-1])))
+    return _corner_measure(ratios, weight_exponent)
 
 
 def gen_union(measures, separation: float) -> DiscreteMeasure:

@@ -169,8 +169,10 @@ def riesz_apply(
 
 
 def maximal_function(mu: DiscreteMeasure, f, x, grid: ScaleGrid) -> float:
-    """Centered maximal average of |f| against mu over the grid radii."""
+    """Centered maximal average of |f| against mu over the grid radii at one point x."""
     f, x = _check_density(mu, f, x)
+    if x.shape[0] > 1:
+        raise ValueError(f"maximal_function takes one point x, got {x.shape[0]}")
     radii = grid.radii()
     values = np.stack([mu.weights, np.abs(f) * mu.weights])
     masses, sums = ball_masses(mu, x, radii, values)[:, 0]

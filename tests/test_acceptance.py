@@ -154,7 +154,7 @@ def test_criterion_4_construction_verification(mixed, mixed_result):
     p_star = int(np.ceil((res.params.grid.radii()[None, :] / masses).max())) + 1
     top = run_construction(mixed, density_params(mixed, p_star, 1))
     family = [res, top]
-    rep = verify_construction(res, family=family, n_queries=200, seed=17)
+    rep = verify_construction(res, family=family, seed=17)
 
     # AD stability across two consecutive patch resolutions, same grid
     res_fine = run_construction(mixed, density_params(mixed, 2, 2), spacing_frac=1.0 / 32.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rieszlab as rl
-from rieszlab import kernels
+from rieszlab import analysis, kernels
 from rieszlab.analysis import (
     NonConvergenceError,
     _build_symmetrized_matrix,
@@ -433,12 +433,13 @@ def test_c2_sampled_within_stderr(four_corners_3):
     assert abs(sampled.value - exact.value) <= 3.0 * stderr
 
 
-def test_c2_exact_cap_enforced():
+def test_c2_exact_cap_enforced(monkeypatch):
     rng = np.random.default_rng(23)
     pts = rng.standard_normal((40, 2))
     mu = DiscreteMeasure(pts, np.ones(40), 1, 1e-3)
+    monkeypatch.setattr(analysis, "_EXACT_CAP", 10)
     with pytest.raises(ValueError):
-        curvature_c2(mu, mode="exact", exact_cap=10)
+        curvature_c2(mu, mode="exact")
 
 
 # -------------------------------------------------------------------- sweeps

@@ -203,6 +203,23 @@ def test_cover_circle_invariants():
         assert set(range(1, color)) <= clash and color not in clash
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_cover_of_no_targets_is_the_empty_greedy_record(d):
+    pts = np.arange(3.0 * d).reshape(3, d)
+    mu = DiscreteMeasure(pts, np.ones(3), 1, 0.5)
+    cover = besicovitch_cover(mu, [], np.array([1]))
+    for field, dtype, shape in (
+        ("centers", np.int64, (0,)),
+        ("center_points", np.float64, (0, d)),
+        ("radii", np.float64, (0,)),
+        ("colors", np.int64, (0,)),
+    ):
+        arr = getattr(cover, field)
+        assert arr.dtype == dtype and arr.shape == shape, field
+    assert (cover.max_overlap, cover.n_colors, cover.overlap_cap) == (0, 0, 4**d)
+    assert type(cover.max_overlap) is int and type(cover.n_colors) is int
+
+
 def test_cover_empty_exclusion_error():
     mu = segment_measure(count=8)
     with pytest.raises(EmptyExclusionError):
@@ -431,6 +448,18 @@ def test_attach_patches_zero_centers(mixed_measure):
     assert len(flat) == backdrop.count
 
 
+@pytest.mark.parametrize("n, d", [(1, 2), (1, 3), (2, 3)])
+def test_one_point_core_backdrop_spans_the_first_axes(n, d):
+    pts = np.array([[0.3, 0.7, -0.2][:d], [2.3, 1.7, 0.8][:d]])
+    mu = DiscreteMeasure(pts, np.array([1.0, 0.5]), n, 0.01)
+    cover = besicovitch_cover(mu, [], np.array([0]))
+    patches, backdrop, flat, _ = attach_patches(mu, cover, np.array([0]))
+    assert np.array_equal(backdrop.basis, np.eye(d)[:n])
+    assert np.array_equal(backdrop.base_point, pts[0])
+    assert np.signbit(backdrop.basis).sum() == 0  # no -0.0 from the padding
+    assert len(flat) == backdrop.count
+
+
 @pytest.mark.parametrize("frac", [0.0, -0.25, np.inf, np.nan])
 def test_patch_spacing_must_be_positive_and_finite(mixed_measure, frac):
     params = density_params(mixed_measure, 2, 2)
@@ -655,6 +684,67 @@ def test_save_construction_roundtrip(tmp_path, mixed_result):
     assert manifest["p"] == 2 and manifest["s"] == 2
     assert len(manifest["centers"]) == len(mixed_result.cover)
     assert manifest["verification"]["matching_pass"]
+
+
+def _manifest_oracle(result, report=None):
+    """The manifest written out key by key: the reference for save_construction."""
+    manifest = {
+        "p": result.params.p,
+        "s": result.params.s,
+        "grid": {
+            "r_min": result.params.grid.r_min,
+            "r_max": result.params.grid.r_max,
+            "count": result.params.grid.count,
+        },
+        "floor_radius": result.params.grid.r_min,
+        "dense_count": int(result.dense_idx.size),
+        "core_count": int(result.core_idx.size),
+        "centers": result.cover.centers.tolist(),
+        "center_points": result.cover.center_points.tolist(),
+        "radii": result.cover.radii.tolist(),
+        "colors": result.cover.colors.tolist(),
+        "max_overlap": result.cover.max_overlap,
+        "n_colors": result.cover.n_colors,
+        "coefficients": result.proxy_coefficients.tolist(),
+        "backdrop": {
+            "base_point": result.backdrop.base_point.tolist(),
+            "basis": result.backdrop.basis.tolist(),
+            "extent": result.backdrop.extent,
+            "spacing": result.backdrop.spacing,
+            "count": result.backdrop.count,
+        },
+        "patches": [
+            {
+                "center": p.center.tolist(),
+                "radius": p.radius,
+                "basis": p.basis.tolist(),
+                "spacing": p.spacing,
+                "count": int(p.points.shape[0]),
+                "total_weight": p.total_weight,
+            }
+            for p in result.patches
+        ],
+    }
+    if report is not None:
+        manifest["verification"] = report.to_dict()
+    return manifest
+
+
+def test_manifest_matches_the_key_by_key_oracle(tmp_path, mixed_result):
+    import json
+
+    member = adaptive_family(mixed_result)[1]
+    assert mixed_result.patches and mixed_result.proxy_measure is not None
+    assert mixed_result.cover.n_colors == 2
+    assert len(member.cover) == 0 and member.proxy_measure is None
+    assert member.proxy_coefficients.size == 0
+    for name, result, report in (
+        ("mixed", mixed_result, verify_construction(mixed_result, seed=11)),
+        ("member", member, None),
+    ):
+        save_construction(result, tmp_path / name, report)
+        written = (tmp_path / name / "manifest.json").read_text()
+        assert written == json.dumps(_manifest_oracle(result, report), indent=2), name
 
 
 def test_comparison_mismatch_ratio_reported(mixed_result):

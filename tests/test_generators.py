@@ -146,13 +146,18 @@ def test_sparse_cantor_empty_ratio_list():
 
 
 def test_sparse_cantor_quarter_is_four_corners_control():
-    with pytest.warns(DecayTrendWarning):
-        ctrl = rl.gen_sparse_cantor([0.25] * 3)
-    fc = rl.gen_four_corners(3)
-    order_a = np.lexsort(ctrl.points.T)
-    order_b = np.lexsort(fc.points.T)
-    assert np.allclose(ctrl.points[order_a], fc.points[order_b])
-    assert np.allclose(ctrl.weights, fc.weights)
+    # one corner builder serves both: the same bits at every shared level
+    for k in range(9):
+        if k >= 2:
+            with pytest.warns(DecayTrendWarning):
+                ctrl = rl.gen_sparse_cantor([0.25] * k)
+        else:
+            ctrl = rl.gen_sparse_cantor([0.25] * k)
+        fc = rl.gen_four_corners(k)
+        assert np.array_equal(ctrl.points, fc.points)
+        assert np.array_equal(ctrl.weights, fc.weights)
+        assert ctrl.resolution_h == fc.resolution_h == (4.0 ** (-k) if k else 1.0)
+        assert np.all(fc.weights == 4.0 ** (-k))
 
 
 def test_sparse_cantor_ratio_validation():

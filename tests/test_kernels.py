@@ -186,6 +186,17 @@ def test_maximal_function_rejects_misshapen_inputs(four_corners_3):
         maximal_function(four_corners_3, np.ones(len(four_corners_3)), [0.5], grid)
 
 
+def test_maximal_function_takes_one_point():
+    mu = rl.gen_segment(64)
+    f = np.zeros(64)
+    f[-4:] = 5.0
+    grid = ScaleGrid(2.0 / 64.0, 0.1, 4)
+    assert maximal_function(mu, f, mu.points[62], grid) == 5.0
+    assert maximal_function(mu, f, mu.points[0], grid) == 0.0
+    with pytest.raises(ValueError, match="one point"):
+        maximal_function(mu, f, mu.points[[0, 62]], grid)
+
+
 def test_maximal_function_empty_balls_error():
     mu = DiscreteMeasure([[0.0, 0.0]], [1.0], 1, 1e-3)
     with pytest.raises(ValueError):
