@@ -20,15 +20,21 @@ The traversal is one loop in _traverse, vectorized over (target, node)
 pairs and walking the tree level by level from the root.  Each pass
 classifies every live pair at once as far, a near leaf, skipped, or to
 be opened, and the opened pairs' children, left before right, form the
-next level.  Near leaves are summed directly as padded blocks of
-measure._leaf_rows with the squared-distance rule of kernels.kernel_sum,
-measure._sq_norm.  Targets are processed in fixed-size chunks, which
-bounds the size of the pair lists; the caller and, on two or more CPUs,
-one helper thread take chunks from one shared queue until it is empty.
-Each target's contributions are accumulated in an order fixed by its own
-walk alone, and each chunk writes only its own rows, so results are
-bit-reproducible and independent of which other targets share the call
-and of which thread ran their chunk.
+next level.  The eps tests are those of the nodes' box bounds,
+measure._box_dist2, but most pairs are settled from the centroid
+distance that the opening test takes anyway: beyond radius + eps of the
+centroid a node lies wholly beyond eps, and beyond eps part of it does.
+Only the pairs these cuts leave open, near the eps sphere, gather their
+boxes, and every decision is the one the box bounds make.  Near leaves
+are summed directly from padded leaf tables, built once per apply from
+measure._leaf_rows, with the squared-distance rule of
+kernels.kernel_sum, measure._sq_norm.  Targets are processed in
+fixed-size chunks, which bounds the size of the pair lists; the caller
+and, on two or more CPUs, one helper thread take chunks from one shared
+queue until it is empty.  Each target's contributions are accumulated in
+an order fixed by its own walk alone, and each chunk writes only its own
+rows, so results are bit-reproducible and independent of which other
+targets share the call and of which thread ran their chunk.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,12 +67,13 @@ class TreecodeParams:
     def __post_init__(self):
         if not 0.0 < self.opening_angle < 1.0:
             raise ValueError("opening_angle must lie in (0, 1)")
-        if int(self.leaf_cap) < 1:
-            raise ValueError("leaf_cap must be positive")
-        if int(self.expansion_order) < 0:
-            raise ValueError("expansion_order must be nonnegative")
-        object.__setattr__(self, "leaf_cap", int(self.leaf_cap))
-        object.__setattr__(self, "expansion_order", int(self.expansion_order))
+        for name, least in (("leaf_cap", 1), ("expansion_order", 0)):
+            value = getattr(self, name)
+            # a bool or a fraction is no count, and int() would truncate it without notice
+            real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            if not (real and float(value).is_integer() and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 def build_tree(mu: DiscreteMeasure, params: TreecodeParams) -> SpatialTree:
@@ -127,22 +135,76 @@ def _accumulate(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
         out[:, a] += np.bincount(rows, weights=values[:, a], minlength=out.shape[0])
 
 
-def _near_leaves(tree, fw, cfg, width, targets, leaves) -> np.ndarray:
+class _Walk(NamedTuple):
+    """What every target chunk's traversal reads, built once per apply by _walk."""
+
+    tree: SpatialTree
+    cfg: KernelConfig
+    theta: float
+    far: Callable  # far(rel, nodes): the nodes' far fields at offsets rel from their centroids
+    leaf_col: np.ndarray  # (M,) each leaf's column in planes
+    planes: list  # d coordinate planes, then the fw plane, each (width, leaves)
+    beyond2: np.ndarray  # (M,) centroid dist2 above which the node lies wholly beyond eps
+    reach2: float  # centroid dist2 above which part of any node lies beyond eps
+
+
+def _walk(mu: DiscreteMeasure, f: np.ndarray, cfg: KernelConfig, tree: SpatialTree, params: TreecodeParams) -> _Walk:
+    """Far fields, padded leaf tables and centroid cuts for one apply.
+
+    The leaf tables hold each leaf's points, padded to the widest leaf
+    with copies of its first point at fw 0, as (width, leaves) planes.
+
+    The centroid cuts decide a (target, node) pair's eps tests from
+    |t - c| alone where that gives the answer the box bounds of _box_dist2
+    would give.  The box lies in the ball of radius tree.radius about the
+    centroid c, so when |t - c| > radius + eps every box point lies beyond
+    eps.  The centroid lies in the box, up to the rounding of its sums
+    (`outside`), so when |t - c| > eps + outside some box point does.  The
+    relative slack of 1e-9 dwarfs the rounding of every squared distance
+    involved, and the absolute 1e-150 covers the subnormal range, where
+    squares round absolutely.  Regularized mode skips no node, so there
+    every pair reaches beyond eps.
+    """
+    fw = (f * mu.weights)[tree.perm]
+    if mu.ambient_dim == 2 and cfg.n == 1:
+        moments = _node_sums(tree, fw[:, None], partial(_planar_shift, params.expansion_order))
+        far = partial(_planar_series, moments)
+    elif params.expansion_order > 0:
+        raise NotImplementedError(
+            "expansion orders above 0 are implemented for the planar n=1 kernel only"
+        )
+    else:
+        far = partial(_monopole, _node_sums(tree, fw), cfg.n)
+    is_leaf = tree.left < 0
+    leaves = np.flatnonzero(is_leaf)
+    idx, valid = (a.T for a in _leaf_rows(tree, leaves, int((tree.end - tree.start)[leaves].max())))
+    planes = [np.ascontiguousarray(pc[idx]) for pc in tree.points.T] + [np.where(valid, fw[idx], 0.0)]
+    eps = cfg.epsilon
+    outside = max(0.0, np.max(tree.box_lo - tree.centroid), np.max(tree.centroid - tree.box_hi))
+    reach = (eps + outside * math.sqrt(mu.ambient_dim)) * (1 + 1e-9) + 1e-150
+    beyond2 = np.square((tree.radius + eps) * (1 + 1e-9) + 1e-150)
+    reach2 = reach * reach if cfg.mode == TRUNCATED else -np.inf
+    return _Walk(tree, cfg, params.opening_angle, far, np.cumsum(is_leaf) - 1, planes, beyond2, reach2)
+
+
+def _near_leaves(walk: _Walk, targets: np.ndarray, leaves: np.ndarray) -> np.ndarray:
     """Direct sums of fw * K(t - y) over each (target, leaf) pair.
 
-    Leaves are padded to the widest leaf with zero weights and laid out as
-    (width, pairs) planes, one per component; r2 and the eps comparison are
-    computed exactly as in kernels.kernel_sum.  A block holds at most
-    _LEAF_BLOCK entries.  Each pair's terms are added one at a time in leaf
-    order, from zero, whatever the block layout.
+    A block gathers its leaves' columns of the padded leaf tables, at most
+    _LEAF_BLOCK entries; r2 and the eps comparison are computed exactly as
+    in kernels.kernel_sum, and the padding adds terms of fw 0.  Each pair's
+    terms are added one at a time in leaf order, from zero, whatever the
+    block layout.
     """
+    *coords, fw = walk.planes
+    cols = walk.leaf_col[leaves]
     out = np.empty(targets.shape)
-    per_block = max(1, _LEAF_BLOCK // width)
-    for p0 in range(0, leaves.size, per_block):
+    per_block = max(1, _LEAF_BLOCK // fw.shape[0])
+    for p0 in range(0, cols.size, per_block):
         rows = slice(p0, p0 + per_block)
-        idx, valid = (a.T for a in _leaf_rows(tree, leaves[rows], width))
-        diff = [tc[None, rows] - pc[idx] for tc, pc in zip(targets.T, tree.points.T)]
-        cw = _coef_from_r2(_sq_norm(diff), cfg) * np.where(valid, fw[idx], 0.0)
+        block = cols[rows]
+        diff = [tc[None, rows] - np.take(pc, block, axis=1) for tc, pc in zip(targets.T, coords)]
+        cw = _coef_from_r2(_sq_norm(diff), walk.cfg) * np.take(fw, block, axis=1)
         for a, plane in enumerate(diff):
             plane *= cw
             acc = np.zeros(plane.shape[1])
@@ -152,37 +214,45 @@ def _near_leaves(tree, fw, cfg, width, targets, leaves) -> np.ndarray:
     return out
 
 
-def _traverse(tree, fw, cfg, theta, far, targets) -> np.ndarray:
+def _traverse(walk: _Walk, targets: np.ndarray) -> np.ndarray:
     """Sum fw * K(t - y) over the tree for one chunk of targets.
 
-    far(rel, nodes) evaluates the far field of the nodes at offsets rel
-    from their centroids.  A node is far when it lies wholly beyond eps
-    and its radius is below theta times the target's distance to its
-    centroid.
+    A node is far when it lies wholly beyond eps and its radius is below
+    theta times the target's distance to its centroid; in truncated mode a
+    node wholly within eps is skipped.  Both eps tests are those of the
+    box bounds, but the centroid cuts settle most pairs, and only the
+    pairs they leave open gather their boxes.
     """
-    eps2 = cfg.epsilon * cfg.epsilon
-    truncated = cfg.mode == TRUNCATED
+    tree = walk.tree
+    eps2 = walk.cfg.epsilon * walk.cfg.epsilon
     is_leaf = tree.left < 0
-    width = int((tree.end - tree.start)[is_leaf].max())
     out = np.zeros(targets.shape)
     tgt, node = np.arange(targets.shape[0]), np.zeros(targets.shape[0], dtype=np.int64)
     while tgt.size:  # one level of (target, node) pairs, each target's in its walk's order
-        t = targets[tgt]
-        # squared distance bounds rounded like the leaf sums' r2, so that
-        # inside and beyond eps agree with the direct r2 > eps2 cut
-        dmin2, dmax2 = _box_dist2(t, t, *_boxes(tree, node))
-        rel = t - tree.centroid[node]
+        t = np.take(targets, tgt, axis=0)
+        rel = t - np.take(tree.centroid, node, axis=0)
+        dist2 = np.einsum("pd,pd->p", rel, rel)
         # far nodes lie beyond eps, so their centroid distances are positive
-        separated = tree.radius[node] ** 2 < theta * theta * np.einsum("pd,pd->p", rel, rel)
-        far_mask = (dmin2 > eps2) & separated
+        separated = tree.radius[node] ** 2 < walk.theta * walk.theta * dist2
+        beyond, reaches = dist2 > walk.beyond2[node], dist2 > walk.reach2
+        # a cut's yes stands, and the box bounds decide the rest: squared
+        # distance bounds rounded like the leaf sums' r2, so that inside and
+        # beyond eps agree with the direct r2 > eps2 cut
+        check = np.flatnonzero((separated & ~beyond) | ~reaches)
+        tc = t[check]
+        dmin2, dmax2 = _box_dist2(tc, tc, *_boxes(tree, node[check]))
+        beyond[check] |= dmin2 > eps2
+        reaches[check] |= dmax2 > eps2
+        far_mask = beyond & separated
         f = np.flatnonzero(far_mask)
-        _accumulate(out, tgt[f], far(rel[f], node[f]))
-        del t, rel  # room for the near leaves' blocks
+        _accumulate(out, tgt[f], walk.far(rel[f], node[f]))
         # the truncated kernel vanishes on a node wholly within eps: skip it
-        near = ~far_mask & (dmax2 > eps2) if truncated else ~far_mask
+        near = ~far_mask & reaches
         leaf = np.flatnonzero(near & is_leaf[node])
-        _accumulate(out, tgt[leaf], _near_leaves(tree, fw, cfg, width, targets[tgt[leaf]], node[leaf]))
         opened = np.flatnonzero(near & ~is_leaf[node])
+        # room for the leaf blocks: this level's classification is done
+        del t, rel, dist2, separated, beyond, reaches, check, tc, dmin2, dmax2, far_mask, f, near
+        _accumulate(out, tgt[leaf], _near_leaves(walk, np.take(targets, tgt[leaf], axis=0), node[leaf]))
         tgt = np.repeat(tgt[opened], 2)
         node = np.column_stack([tree.left[node[opened]], tree.right[node[opened]]]).ravel()
     return out
@@ -210,23 +280,14 @@ def treecode_apply(
         raise ValueError("tree was not built on the measure's points")
     if tree.n_nodes == 1:
         return riesz_apply(mu, f, cfg, targets)
-    fw = (f * mu.weights)[tree.perm]
-    if mu.ambient_dim == 2 and cfg.n == 1:
-        moments = _node_sums(tree, fw[:, None], partial(_planar_shift, params.expansion_order))
-        far = partial(_planar_series, moments)
-    elif params.expansion_order > 0:
-        raise NotImplementedError(
-            "expansion orders above 0 are implemented for the planar n=1 kernel only"
-        )
-    else:
-        far = partial(_monopole, _node_sums(tree, fw), cfg.n)
+    walk = _walk(mu, f, cfg, tree, params)
     out = np.empty(targets.shape)
     chunks = iter([slice(t0, t0 + _TARGET_CHUNK) for t0 in range(0, targets.shape[0], _TARGET_CHUNK)])
 
     def drain():  # each chunk writes its own rows of out alone
         try:
             for chunk in chunks:
-                out[chunk] = _traverse(tree, fw, cfg, params.opening_angle, far, targets[chunk])
+                out[chunk] = _traverse(walk, targets[chunk])
         except BaseException:
             deque(chunks, maxlen=0)  # leave the other thread no chunk to start
             raise

@@ -75,6 +75,21 @@ def test_params_validation():
         TreecodeParams(expansion_order=-1)
 
 
+@pytest.mark.parametrize("field", ["leaf_cap", "expansion_order"])
+@pytest.mark.parametrize("value", [2.5, 1.7, 0.5, True, np.bool_(True), float("nan"), "3"])
+def test_params_reject_what_is_no_count(field, value):
+    # int() would truncate these to a count: leaf_cap=2.5 to 2, and an
+    # expansion order of 0.5 to 0, the monopole
+    with pytest.raises(ValueError, match=field):
+        TreecodeParams(**{field: value})
+
+
+def test_params_take_integral_values_as_counts():
+    params = TreecodeParams(leaf_cap=np.int64(8), expansion_order=4.0)
+    assert (params.leaf_cap, params.expansion_order) == (8, 4)
+    assert type(params.leaf_cap) is int and type(params.expansion_order) is int
+
+
 # -------------------------------------------------------------------- apply
 
 
@@ -362,3 +377,105 @@ def test_one_squared_distance_rule_in_3d():
         direct = riesz_apply(mu, f, cfg, center[None])
         fast = treecode_apply(mu, f, cfg, tree, params, center[None])
         assert scale_relative_error(fast, direct) <= 1e-12
+
+
+# -------------------------------------------------- centroid cuts vs box bounds
+
+
+def box_rule_traverse(walk, targets):
+    """The treecode walk with every (target, node) pair classified by its box bounds.
+
+    This is the rule the centroid cuts of treecode._traverse stand in for:
+    _box_dist2 on both boxes of every pair, as one chunk.
+    """
+    tree, truncated = walk.tree, walk.cfg.mode == TRUNCATED
+    eps2 = walk.cfg.epsilon * walk.cfg.epsilon
+    is_leaf = tree.left < 0
+    out = np.zeros(targets.shape)
+    tgt, node = np.arange(targets.shape[0]), np.zeros(targets.shape[0], dtype=np.int64)
+    while tgt.size:
+        t = targets[tgt]
+        dmin2, dmax2 = rl.measure._box_dist2(t, t, tree.box_lo[node], tree.box_hi[node])
+        rel = t - tree.centroid[node]
+        separated = tree.radius[node] ** 2 < walk.theta * walk.theta * np.einsum("pd,pd->p", rel, rel)
+        far = (dmin2 > eps2) & separated
+        near = ~far & (dmax2 > eps2) if truncated else ~far
+        f = np.flatnonzero(far)
+        treecode._accumulate(out, tgt[f], walk.far(rel[f], node[f]))
+        leaf = np.flatnonzero(near & is_leaf[node])
+        treecode._accumulate(out, tgt[leaf], treecode._near_leaves(walk, targets[tgt[leaf]], node[leaf]))
+        opened = np.flatnonzero(near & ~is_leaf[node])
+        tgt = np.repeat(tgt[opened], 2)
+        node = np.column_stack([tree.left[node[opened]], tree.right[node[opened]]]).ravel()
+    return out
+
+
+def on_sphere(centers, radius, rng):
+    """One point at the given radius about each center, in a random direction."""
+    u = rng.standard_normal(centers.shape)
+    return centers + radius * u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def boundary_targets(tree, eps, rng, per_leaf=4):
+    """Targets on the eps-sphere about each leaf centroid, and within a few
+    ulps of eps from a box corner along one axis, per_leaf of each per leaf."""
+    leaves = np.repeat(np.flatnonzero(tree.left < 0), per_leaf)
+    rows, d = np.arange(leaves.size), tree.points.shape[1]
+    corner = np.where(rng.random((leaves.size, d)) < 0.5, tree.box_lo[leaves], tree.box_hi[leaves])
+    axis = rng.integers(d, size=leaves.size)
+    corner[rows, axis] += rng.choice([-eps, eps], size=leaves.size)
+    corner[rows, axis] += rng.integers(-3, 4, size=leaves.size) * np.spacing(corner[rows, axis])
+    return np.vstack([on_sphere(tree.centroid[leaves], eps, rng), corner])
+
+
+# (ambient d, kernel n, expansion order): the planar series, and the monopole in d = 2 and 3
+CUT_CASES = {"planar": (2, 1, 6), "monopole_2d": (2, 2, 0), "monopole_3d": (3, 1, 0)}
+
+
+@pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
+@pytest.mark.parametrize("case", sorted(CUT_CASES))
+def test_centroid_cuts_decide_as_the_box_bounds(case, mode, monkeypatch):
+    # the centroid cuts only stand in for the box bounds: on targets where
+    # the bounds sit at eps to within rounding, the walk must give the box
+    # rule's bits, and the pairs the cuts leave open must reach _box_dist2.
+    # Clusters of coincident points make leaves whose box is one point, and
+    # centroids that round off their boxes; about such a point, |t - c|^2
+    # taken as einsum takes it and the box's dmin2 can fall on either side
+    # of eps2 for the same target
+    d, n, order = CUT_CASES[case]
+    rng = np.random.default_rng(17)
+    clusters = rng.random((4, d))
+    points = np.vstack([rng.random((600, d)), np.repeat(clusters, 20, axis=0)])
+    mu = rl.DiscreteMeasure(points, rng.uniform(0.5, 1.5, len(points)), 1, 1e-3)
+    params = TreecodeParams(opening_angle=0.5, leaf_cap=6, expansion_order=order)
+    tree = build_tree(mu, params)
+    assert np.any((tree.box_lo > tree.centroid) | (tree.centroid > tree.box_hi))
+    f = rng.uniform(0.5, 1.5, len(mu))
+    cfg = KernelConfig(n, 0.2, mode)
+    targets = np.vstack([
+        boundary_targets(tree, cfg.epsilon, rng),
+        on_sphere(np.repeat(clusters, 100, axis=0), cfg.epsilon, rng),
+        random_targets(mu, 200, seed=4),
+        mu.points[:100],
+    ])
+    box_dist2, near_leaves, rows, summed = treecode._box_dist2, treecode._near_leaves, [], []
+
+    def counted(*args):
+        rows.append(len(args[0]))
+        return box_dist2(*args)
+
+    def recorded(walk, at, leaves):  # the (target, leaf) pairs summed directly, in order
+        summed.append((at.tobytes(), leaves.tobytes()))
+        return near_leaves(walk, at, leaves)
+
+    monkeypatch.setattr(treecode, "_box_dist2", counted)
+    monkeypatch.setattr(treecode, "_near_leaves", recorded)
+    assert targets.shape[0] <= treecode._TARGET_CHUNK  # one chunk, walked as the oracle walks it
+    fast = treecode_apply(mu, f, cfg, tree, params, targets)
+    assert sum(rows) > 0
+    walked, summed[:] = summed[:], []
+    oracle = box_rule_traverse(treecode._walk(mu, f, cfg, tree, params), targets)
+    # equal pairs: no node is skipped, opened or taken as far against the
+    # box rule, not even a node within eps whose opening would add zeros
+    assert walked == summed
+    assert fast.tobytes() == oracle.tobytes()
