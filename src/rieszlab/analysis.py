@@ -14,14 +14,19 @@ runs on B^T B; a dense decomposition of B serves as the oracle for
 moderate N.
 
 The kernel is odd, so each component block B_a is antisymmetric and every
-support pair is stored once.  Below the dense cap, the cache is ceil(d / 2)
-Fortran-order N x N arrays: array k holds B_{2k}[i, j] (i < j) in its
-strict upper triangle and B_{2k+1}[i, j] (i < j), transposed, in its strict
-lower one, on a zero diagonal.  A product reads one triangle per BLAS dtrmv
-call: B_a u = U u - U^T u for an upper component, L^T u - L u for a lower
-one, and B^T v = -sum_a B_a v_a.  Above the cap, and in adjoint_apply, the
-same blocks are applied as they are evaluated, unstored.  The full matrix
-is built only for the dense decomposition and the tests.
+support pair is stored once.  A block is exactly 0 when the support is
+constant along its coordinate (a segment or a plane in a coordinate
+subspace); only the m live components, along which the support varies,
+are evaluated, stored and applied, and the rows of the others are 0.
+Below the dense cap, the cache is ceil(m / 2) Fortran-order N x N arrays:
+array k holds the live block B_{2k}[i, j] (i < j) in its strict upper
+triangle and B_{2k+1}[i, j] (i < j), transposed, in its strict lower one,
+on a zero diagonal, with live blocks numbered in coordinate order.  A
+product reads one triangle per BLAS dtrmv call: B_a u = U u - U^T u for an
+upper component, L^T u - L u for a lower one, and B^T v = -sum_a B_a v_a.
+Above the cap, and in adjoint_apply, the same blocks are applied as they
+are evaluated, unstored.  The full matrix, dead rows included, is built
+only for the dense decomposition and the tests.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmv
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
-from rieszlab.measure import DiscreteMeasure, _safe_resolution
+from rieszlab.measure import DiscreteMeasure, _count, _safe_resolution
 from rieszlab.kernels import TRUNCATED, KernelConfig, _blocks
 
 _RANDOM_START_SEED = 20240817
@@ -107,15 +112,15 @@ def _build_symmetrized_matrix(mu: DiscreteMeasure, cfg: KernelConfig) -> np.ndar
     return out.reshape(d * n_pts, n_pts)
 
 
-def _skew_blocks(mu: DiscreteMeasure, cfg: KernelConfig):
-    """Yield (t, s, planes, keep) over the upper strips of B: planes[a] is
-    B_a on rows t, columns s, bit for bit by the rule of
-    _build_symmetrized_matrix, except in a strip's leading diagonal square,
-    keep.shape[1] columns wide, which keeps j > i (keep) and is 0 elsewhere:
-    the blocks of B_a sum to its strict upper triangle U_a, B_a = U_a - U_a^T.
+def _skew_blocks(points: np.ndarray, sw: np.ndarray, cfg: KernelConfig):
+    """Yield (t, s, planes, keep) over the upper strips of B on the support
+    `points` with sqrt-weights sw: planes[a] is B_a on rows t, columns s,
+    bit for bit by the rule of _build_symmetrized_matrix, except in a
+    strip's leading diagonal square, keep.shape[1] columns wide, which keeps
+    j > i (keep) and is 0 elsewhere: the blocks of B_a sum to its strict
+    upper triangle U_a, B_a = U_a - U_a^T.
     """
-    sw = np.sqrt(mu.weights)
-    for t, s, diff, coef in _blocks(mu.points, mu.points, cfg, upper=True):
+    for t, s, diff, coef in _blocks(points, points, cfg, upper=True):
         head = coef.shape[0] if s.start == t.start else 0
         drop = np.tri(coef.shape[0], head, dtype=bool)  # j <= i
         for plane in diff:
@@ -126,13 +131,14 @@ def _skew_blocks(mu: DiscreteMeasure, cfg: KernelConfig):
         yield t, s, diff, ~drop
 
 
-def _packed_cache(mu: DiscreteMeasure, cfg: KernelConfig) -> list[np.ndarray]:
-    """The packed cache of B (layout in the module docstring), written from
-    _skew_blocks.  The diagonal stays 0: neither kernel mode has a self-term.
+def _packed_cache(points: np.ndarray, sw: np.ndarray, cfg: KernelConfig) -> list[np.ndarray]:
+    """The packed cache of B on `points` (layout in the module docstring),
+    written from _skew_blocks.  The diagonal stays 0: neither kernel mode
+    has a self-term.
     """
-    n_pts, d = len(mu), mu.ambient_dim
+    n_pts, d = points.shape
     cache = [np.zeros((n_pts, n_pts), order="F") for _ in range((d + 1) // 2)]
-    for t, s, planes, keep in _skew_blocks(mu, cfg):
+    for t, s, planes, keep in _skew_blocks(points, sw, cfg):
         head = keep.shape[1]
         for a, plane in enumerate(planes):
             # a view: B_{2k+1} goes transposed into the lower triangle
@@ -160,11 +166,11 @@ def _skew_products(cache: list[np.ndarray], vecs) -> np.ndarray:
     return out
 
 
-def _strip_products(mu: DiscreteMeasure, cfg: KernelConfig, vecs) -> np.ndarray:
+def _strip_products(points: np.ndarray, sw: np.ndarray, cfg: KernelConfig, vecs) -> np.ndarray:
     """Rows B_a x_a, one per component a, with nothing stored: each block U
     of _skew_blocks adds U x to rows t and subtracts U^T x from rows s."""
-    out = np.zeros((len(vecs), len(mu)))
-    for t, s, planes, _ in _skew_blocks(mu, cfg):
+    out = np.zeros((len(vecs), len(points)))
+    for t, s, planes, _ in _skew_blocks(points, sw, cfg):
         for plane, x, row in zip(planes, vecs, out):
             row[t] += plane @ x[s]
             row[s] -= x[t] @ plane
@@ -174,22 +180,30 @@ def _strip_products(mu: DiscreteMeasure, cfg: KernelConfig, vecs) -> np.ndarray:
 def _symmetrized_operator(
     mu: DiscreteMeasure, cfg: KernelConfig, dense_cache_cap: int
 ) -> tuple[LinearOperator, str]:
-    """B as a LinearOperator with its backend's name: the packed cache
-    ("dense") while its ceil(d / 2) * N * N stored entries fit in
-    dense_cache_cap, the same blocks applied as they are evaluated
-    ("direct") above that.  Either backend gives the rows B_a x_a, so
-    B u = [B_a u]_a and B^T v = -sum_a B_a v_a."""
+    """B as a LinearOperator with its backend's name, on the m live
+    components only (see the module docstring): a constant coordinate's
+    differences are exactly 0 and add +0.0 to r2, so every live entry keeps
+    its bits.  The packed cache ("dense") serves while its
+    ceil(m / 2) * N * N stored entries fit in dense_cache_cap, the same
+    blocks applied as they are evaluated ("direct") above that.  Either
+    backend gives the rows B_a x_a of the live a, so B u = [B_a u]_a, 0 in
+    the other rows, and B^T v = -sum_a B_a v_a.  Two or more support points
+    have a live component."""
     n_pts, d = len(mu), mu.ambient_dim
-    if (d + 1) // 2 * n_pts * n_pts <= dense_cache_cap:
-        products, backend = partial(_skew_products, _packed_cache(mu, cfg)), "dense"
+    live = np.ptp(mu.points, axis=0) > 0.0
+    points, sw = mu.points[:, live], np.sqrt(mu.weights)
+    if (points.shape[1] + 1) // 2 * n_pts * n_pts <= dense_cache_cap:
+        products, backend = partial(_skew_products, _packed_cache(points, sw, cfg)), "dense"
     else:
-        products, backend = partial(_strip_products, mu, cfg), "direct"
+        products, backend = partial(_strip_products, points, sw, cfg), "direct"
 
     def matvec(u: np.ndarray) -> np.ndarray:
-        return products([u.ravel()] * d).ravel()
+        out = np.zeros((d, n_pts))
+        out[live] = products([u.ravel()] * points.shape[1])
+        return out.ravel()
 
     def rmatvec(v: np.ndarray) -> np.ndarray:
-        return -products(v.reshape(d, n_pts)).sum(axis=0)
+        return -products(v.reshape(d, n_pts)[live]).sum(axis=0)
 
     return LinearOperator((n_pts * d, n_pts), matvec=matvec, rmatvec=rmatvec, dtype=float), backend
 
@@ -214,13 +228,16 @@ def operator_norm(
     runs out, NonConvergenceError carries the best |Bu| / |u| seen, which
     is a lower bound.  B^T B annihilates u0 only when B = 0, as r is
     random; the norm is then 0, with u0 as its witness.  dense_cache_cap
-    bounds the packed cache's stored entries, ceil(d / 2) * N * N (8 bytes
-    each); above it, each product evaluates the cache's blocks anew.
+    bounds the packed cache's stored entries, ceil(m / 2) * N * N (8 bytes
+    each) for the m coordinates along which the support is not constant:
+    N * N for a segment or a plane in a coordinate subspace of R^3; above
+    it, each product evaluates the cache's blocks anew.
     """
     if len(mu) < 2:
         raise ValueError("operator_norm needs at least two support points")
     if not 0.0 < tol < 0.1:
         raise ValueError("tol must lie in (0, 0.1)")
+    max_iter = _count("max_iter", max_iter, 1)
     n_pts = len(mu)
     sw = np.sqrt(mu.weights)
     op, backend = _symmetrized_operator(mu, cfg, dense_cache_cap)
@@ -277,6 +294,8 @@ def adjoint_apply(mu: DiscreteMeasure, cfg: KernelConfig, field) -> np.ndarray:
     vals = np.asarray(field.values if hasattr(field, "values") else field, dtype=float)
     if vals.shape != (len(mu), mu.ambient_dim):
         raise ValueError("field must align with the measure's points")
+    if len(mu) < 2:  # one point has no pair, and no live component
+        return np.zeros(len(mu))
     sw = np.sqrt(mu.weights)
     op, _ = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
     return op.rmatvec((vals * sw[:, None]).T.ravel()) / sw
@@ -391,6 +410,7 @@ def norm_sweep(
     max_iter: int = 500,
 ) -> list[tuple[float, NormEstimate]]:
     """One operator-norm estimate per truncation radius, deterministically."""
+    _count("max_iter", max_iter, 1)
     out = []
     for eps in epsilons:
         if eps < mu.resolution_h:
@@ -436,6 +456,7 @@ def joint_norm_experiment(
     max_iter: int = 500,
 ) -> JointNormResult:
     """Norms of the transform on mu, sigma, and their union measure."""
+    _count("max_iter", max_iter, 1)
     merged = merge_measures(mu, sigma)
     return JointNormResult(
         _norm_or_zero(mu, cfg, tol, max_iter),

@@ -171,7 +171,8 @@ def _cmd_norm(args) -> int:
     else:
         est = operator_norm(mu, cfg, tol=args.tol, max_iter=args.max_iter)
     row = f"{eps:.17g},{_norm_cells(est)}"
-    _artifact(args, {"epsilon": eps}, _hash_file(args.input), "epsilon,norm,iterations,residual", [row])
+    resolved = {"epsilon": eps, "method": est.method}
+    _artifact(args, resolved, _hash_file(args.input), "epsilon,norm,iterations,residual", [row])
     return EXIT_OK
 
 

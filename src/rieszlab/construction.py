@@ -46,6 +46,7 @@ from rieszlab.measure import (
     DiscreteMeasure,
     ScaleGrid,
     _ball_members,
+    _count,
     _safe_resolution,
     ball_masses,  # bound here for test_tracer_wraps_every_binding_and_restores_it
     ad_constants,
@@ -105,10 +106,8 @@ class DensitySubsetParams:
     grid: ScaleGrid
 
     def __post_init__(self):
-        if int(self.p) < 1 or int(self.s) < 1:
-            raise ValueError("p and s must be positive integers")
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "s", int(self.s))
+        object.__setattr__(self, "p", _count("p", self.p, 1))
+        object.__setattr__(self, "s", _count("s", self.s, 1))
 
 
 def density_params(

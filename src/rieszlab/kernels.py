@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rieszlab.measure import DiscreteMeasure, ScaleGrid, _as_points, _local_sums, _read_table, _sq_norm, _write_table
+from rieszlab.measure import DiscreteMeasure, ScaleGrid, _as_points, _count, _local_sums, _read_table, _sq_norm, _write_table
 from rieszlab.measure import ball_masses, density_ratios
 
 TRUNCATED = "truncated"
@@ -36,13 +36,11 @@ class KernelConfig:
     mode: str = TRUNCATED
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ValueError("kernel homogeneity n must be >= 1")
+        object.__setattr__(self, "n", _count("kernel homogeneity n", self.n, 1))
         if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
             raise ValueError("epsilon must be positive and finite")
         if self.mode not in (TRUNCATED, REGULARIZED):
             raise ValueError(f"unknown kernel mode {self.mode!r}")
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
 

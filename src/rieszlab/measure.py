@@ -25,6 +25,15 @@ _PAIR_CHUNK = 1 << 14  # node pairs per step of the pair walk, which bounds its 
 _UPWARD_BLOCK = 4096  # points per block of whole leaves in the upward pass's leaf step
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int, if it is an integral number >= least: a bool, a
+    fraction or a string is no count, and int() would take it without notice."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and float(value).is_integer() and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+    return int(value)
+
+
 class EmptySelectionError(ValueError):
     """A restriction selected no points; downstream operators need N >= 1."""
 
@@ -64,9 +73,9 @@ class DiscreteMeasure:
             raise ValueError("points must be finite")
         if not (np.all(np.isfinite(w)) and np.all(w > 0.0)):
             raise ValueError("weights must be strictly positive and finite")
-        n = int(self.hausdorff_dim)
+        n = _count("hausdorff_dim", self.hausdorff_dim, 1)
         d = pts.shape[1]
-        if not 1 <= n < d:
+        if not n < d:
             raise ValueError(f"need 1 <= hausdorff_dim < ambient dim, got n={n}, d={d}")
         h = float(self.resolution_h)
         if not (np.isfinite(h) and h > 0.0):
@@ -159,11 +168,9 @@ class ScaleGrid:
             raise ValueError("r_min must be positive")
         if not (self.r_max > self.r_min and np.isfinite(self.r_max)):
             raise ValueError("r_max must exceed r_min")
-        if int(self.count) < 2:
-            raise ValueError("count must be at least 2")
         object.__setattr__(self, "r_min", float(self.r_min))
         object.__setattr__(self, "r_max", float(self.r_max))
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", _count("count", self.count, 2))
 
     def radii(self) -> np.ndarray:
         return np.geomspace(self.r_min, self.r_max, self.count)

@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from rieszlab.measure import DiscreteMeasure, SpatialTree, _build_spatial_tree
+from rieszlab.measure import DiscreteMeasure, SpatialTree, _build_spatial_tree, _count
 from rieszlab.measure import _LEAF_BLOCK, _box_dist2, _boxes, _leaf_rows, _node_sums, _sq_norm  # the tree engine
 from rieszlab.kernels import TRUNCATED, KernelConfig, _check_density, _coef_from_r2, _inv_power, riesz_apply
 
@@ -68,12 +68,7 @@ class TreecodeParams:
         if not 0.0 < self.opening_angle < 1.0:
             raise ValueError("opening_angle must lie in (0, 1)")
         for name, least in (("leaf_cap", 1), ("expansion_order", 0)):
-            value = getattr(self, name)
-            # a bool or a fraction is no count, and int() would truncate it without notice
-            real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-            if not (real and float(value).is_integer() and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
 
 
 def build_tree(mu: DiscreteMeasure, params: TreecodeParams) -> SpatialTree:

@@ -162,7 +162,7 @@ def test_packed_cache_holds_the_oracles_upper_triangles(d, mode, n_pts, chunks, 
     mu = DiscreteMeasure(rng.random((n_pts, d)), rng.uniform(0.5, 1.5, n_pts), 1, 1e-3)
     cfg = KernelConfig(1, 0.2, mode)
     oracle = _build_symmetrized_matrix(mu, cfg).reshape(d, n_pts, n_pts)
-    cache = _packed_cache(mu, cfg)
+    cache = _packed_cache(mu.points, np.sqrt(mu.weights), cfg)
     assert len(cache) == (d + 1) // 2
     upper = np.triu_indices(n_pts, 1)
     for k, tri in enumerate(cache):
@@ -200,19 +200,94 @@ def test_matrix_free_products_match_the_oracle(d, mode, chunks, monkeypatch):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_norm_method_names_the_backend_at_the_cap(d):
-    # the cap counts the packed cache's ceil(d / 2) * N * N stored entries
+@pytest.mark.parametrize(
+    "d, flat", [pytest.param(2, False, id="2"), pytest.param(3, False, id="3"), pytest.param(3, True, id="3-plane")]
+)
+def test_norm_method_names_the_backend_at_the_cap(d, flat):
+    # the cap counts the packed cache's ceil(m / 2) * N * N stored entries,
+    # m the live components: d for a support in general position, 2 for a
+    # plane in a coordinate subspace of R^3, whose cache is one N * N array
     rng = np.random.default_rng(d)
-    n_pts = 20
-    mu = DiscreteMeasure(rng.random((n_pts, d)), rng.uniform(0.5, 1.5, n_pts), 1, 1e-3)
-    cfg = KernelConfig(1, 0.2, TRUNCATED)
-    cap = (d + 1) // 2 * n_pts * n_pts
+    if flat:
+        mu = rl.gen_plane(2, 3, 1.0, 0.25)
+        n_pts, cap = len(mu), len(mu) ** 2
+    else:
+        n_pts = 20
+        mu = DiscreteMeasure(rng.random((n_pts, d)), rng.uniform(0.5, 1.5, n_pts), 1, 1e-3)
+        cap = (d + 1) // 2 * n_pts * n_pts
+    cfg = KernelConfig(mu.hausdorff_dim, 0.2, TRUNCATED)
     dense = operator_norm(mu, cfg, tol=1e-10, dense_cache_cap=cap)
     direct = operator_norm(mu, cfg, tol=1e-10, dense_cache_cap=cap - 1)
     assert (dense.method, direct.method) == ("lanczos-dense", "lanczos-direct")
     assert dense.value == pytest.approx(direct.value, rel=1e-12)
     assert dense_operator_norm(mu, cfg).method == "dense-decomposition"
+
+
+FLAT_AXES = [(2, (0,)), (2, (1,)), (3, (0,)), (3, (1,)), (3, (2,)), (3, (0, 1)), (3, (0, 2)), (3, (1, 2))]
+
+
+@pytest.mark.parametrize("d, flat", FLAT_AXES)
+@pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
+@pytest.mark.parametrize("chunks", [None, (3, 5)])
+def test_flat_supports_store_and_apply_only_live_blocks(d, flat, mode, chunks, monkeypatch):
+    # a support constant along the axes `flat` (the middle one of R^3
+    # among them) has B_a = 0 there: the oracle's rows are exactly 0, the
+    # cache holds the live blocks bit for bit, and both backends give exact
+    # zeros in those rows and stay adjoint
+    if chunks is not None:
+        monkeypatch.setattr(kernels, "_TARGET_CHUNK", chunks[0])
+        monkeypatch.setattr(kernels, "_SOURCE_CHUNK", chunks[1])
+    rng = np.random.default_rng(len(flat) + d)
+    n_pts = 45
+    points = rng.random((n_pts, d))
+    points[:, list(flat)] = rng.random(len(flat))
+    mu = DiscreteMeasure(points, rng.uniform(0.5, 1.5, n_pts), 1, 1e-3)
+    cfg = KernelConfig(1, 0.2, mode)
+    live = np.ones(d, dtype=bool)
+    live[list(flat)] = False
+    oracle = _build_symmetrized_matrix(mu, cfg).reshape(d, n_pts, n_pts)
+    assert not np.any(oracle[~live])
+    blocks = oracle[live]
+    cache = _packed_cache(mu.points[:, live], np.sqrt(mu.weights), cfg)
+    assert len(cache) == (len(blocks) + 1) // 2
+    upper = np.triu_indices(n_pts, 1)
+    for a, block in enumerate(blocks):
+        tri = cache[a // 2].T if a % 2 else cache[a // 2]
+        assert np.array_equal(tri[upper], block[upper])
+    u, v = rng.standard_normal(n_pts), rng.standard_normal(d * n_pts)
+    mat = oracle.reshape(d * n_pts, n_pts)
+    for cap, backend in ((60_000_000, "dense"), (0, "direct")):
+        op, name = _symmetrized_operator(mu, cfg, dense_cache_cap=cap)
+        assert name == backend
+        bu, btv = op.matvec(u), op.rmatvec(v)
+        assert not np.any(bu.reshape(d, n_pts)[~live])
+        assert abs(bu @ v - u @ btv) <= 1e-13 * (np.abs(bu) @ np.abs(v) + np.abs(u) @ np.abs(btv))
+        for got, want in ((bu, mat @ u), (btv, mat.T @ v)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def test_plane_in_r3_caches_one_array():
+    # a plane in a coordinate subspace of R^3 has two live components, held
+    # in one N * N array, where a support in general position needs two
+    import tracemalloc
+
+    mu = rl.gen_plane(2, 3, 1.0, 1.0 / 32.0)
+    n_pts = len(mu)
+    cfg = KernelConfig(2, 4 * mu.resolution_h, TRUNCATED)
+    tracemalloc.start()
+    try:
+        op, backend = _symmetrized_operator(mu, cfg, dense_cache_cap=n_pts * n_pts)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert backend == "dense"
+    assert 8 * n_pts * n_pts <= held < peak < 1.5 * 8 * n_pts * n_pts
+
+
+def test_adjoint_of_a_single_point_is_zero():
+    mu = DiscreteMeasure([[0.5, 0.5]], [2.0], 1, 0.1)
+    out = adjoint_apply(mu, KernelConfig(1, 0.1, REGULARIZED), VectorField(np.ones((1, 2))))
+    assert np.array_equal(out, np.zeros(1))
 
 
 def test_packed_products_copy_no_array():

@@ -151,6 +151,26 @@ def test_norm_dense_decomposition_method(fc3_file, tmp_path):
     assert "# method=dense-decomposition" in out.read_text().splitlines()
 
 
+@pytest.mark.parametrize(
+    "flag, cap, echoed",
+    [("lanczos", None, "lanczos-dense"), ("lanczos", 0, "lanczos-direct"),
+     ("dense-decomposition", None, "dense-decomposition")],
+)
+def test_norm_echoes_the_backend_that_ran(flag, cap, echoed, fc3_file, tmp_path, monkeypatch):
+    # the echo overlays the parsed --method with the estimate's: a cache
+    # cap of 0 sends lanczos to the direct products, with no flag for it
+    from functools import partial
+
+    from rieszlab import analysis
+
+    if cap is not None:
+        monkeypatch.setattr(analysis, "operator_norm", partial(analysis.operator_norm, dense_cache_cap=cap))
+    out = tmp_path / "norm.csv"
+    assert run_cli("norm", "--input", fc3_file, "--epsilon", 0.05, "--method", flag, "--output", out) == EXIT_OK
+    methods = [ln for ln in out.read_text().splitlines() if ln.startswith("# method=")]
+    assert methods == [f"# method={echoed}"]
+
+
 def test_curvature_command_schema(fc3_file, tmp_path):
     out = tmp_path / "curv.csv"
     assert run_cli("curvature", "--input", fc3_file, "--mode", "exact",

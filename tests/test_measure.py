@@ -49,6 +49,49 @@ def test_measure_rejects_bad_inputs():
         DiscreteMeasure(np.array([[0.0, 0.0], [0.1, 0.0]]), np.ones(2), 1, 5.0)
 
 
+def _products(norm) -> int:
+    # a budget of 2 stops Lanczos on its first factorization: the products run
+    from rieszlab.analysis import NonConvergenceError
+
+    with pytest.raises(NonConvergenceError) as err:
+        norm()
+    return err.value.estimate.iterations
+
+
+def _counts(fc3):
+    from rieszlab.analysis import joint_norm_experiment, norm_sweep, operator_norm
+    from rieszlab.construction import DensitySubsetParams
+    from rieszlab.kernels import KernelConfig
+
+    cfg = KernelConfig(1, 0.1)
+    return [
+        ("kernel homogeneity n", lambda v: KernelConfig(v, 0.1).n),
+        ("hausdorff_dim", lambda v: DiscreteMeasure(np.eye(3), np.ones(3), v, 0.5).hausdorff_dim),
+        ("count", lambda v: ScaleGrid(0.1, 1.0, v).count),
+        ("p", lambda v: DensitySubsetParams(v, 1, ScaleGrid(0.1, 1.0, 4)).p),
+        ("s", lambda v: DensitySubsetParams(1, v, ScaleGrid(0.1, 1.0, 4)).s),
+        ("max_iter", lambda v: _products(lambda: operator_norm(fc3, cfg, max_iter=v))),
+        ("max_iter", lambda v: _products(lambda: norm_sweep(fc3, [0.1], max_iter=v))),
+        ("max_iter", lambda v: _products(lambda: joint_norm_experiment(fc3, fc3, cfg, max_iter=v))),
+    ]
+
+
+@pytest.mark.parametrize("value", [1.5, True, float("nan"), float("inf"), "2"])
+def test_counts_reject_what_is_no_count(value, four_corners_3):
+    # int() would take each of these without notice: 1.5 as 1, True as 1,
+    # and a max_iter of 2.5 would have run 3 products
+    for name, make in _counts(four_corners_3):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make(value)
+
+
+@pytest.mark.parametrize("value", [2, 2.0, np.int64(2)])
+def test_counts_take_integral_values(value, four_corners_3):
+    for _, make in _counts(four_corners_3):
+        got = make(value)
+        assert got == 2 and type(got) is int
+
+
 def test_bbox_is_reduced_once_and_read_only(four_corners_3):
     lo, hi = four_corners_3.bbox()
     assert np.array_equal(lo, four_corners_3.points.min(axis=0))

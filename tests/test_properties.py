@@ -54,11 +54,16 @@ def lattice_points(draw, d, min_size, max_size=16):
 
 
 @st.composite
-def measures_and_kernels(draw, min_size=2):
+def measures_and_kernels(draw, min_size=2, flat=False):
     """A lattice measure in d = 2 or 3 with positive weights, and a kernel
-    whose eps is 1 to 4 lattice spacings."""
+    whose eps is 1 to 4 lattice spacings.  With flat, the support may be
+    constant along one axis or two (any of them, the middle one of R^3
+    included), where the operator's blocks are exactly 0."""
     d = draw(st.sampled_from([2, 3]))
     points = lattice_points(draw, d, min_size)
+    if flat:
+        axes = draw(st.lists(st.integers(0, d - 1), max_size=d - 1, unique=True))
+        points[:, axes] = SPACING * draw(st.integers(0, 6))
     span = np.linalg.norm(points.max(axis=0) - points.min(axis=0))
     assume(span > 0.0)  # a measure needs a positive resolution below its diameter
     weights = draw(st.lists(st.floats(0.1, 2.0), min_size=len(points), max_size=len(points)))
@@ -120,8 +125,18 @@ def weighted_ratio(mu, f, cfg):
     return np.sqrt(np.sum(field * field * mu.weights[:, None]) / np.sum(f * f * mu.weights))
 
 
+# constant in the middle coordinate of R^3, drawn alone only now and then
+MIDDLE_FLAT = (
+    DiscreteMeasure(SPACING * np.array([[0, 2, 0], [3, 2, 1], [1, 2, 5], [6, 2, 6], [2, 2, 2]]),
+                    [0.5, 1.0, 1.5, 0.7, 1.2], 1, SPACING),
+    KernelConfig(1, 2 * SPACING, TRUNCATED),
+)
+
+
 @PROPERTY_SETTINGS
-@given(case=measures_and_kernels(), cap=st.sampled_from([0, 60_000_000]))
+@given(case=measures_and_kernels(flat=True), cap=st.sampled_from([0, 60_000_000]))
+@example(case=MIDDLE_FLAT, cap=0)
+@example(case=MIDDLE_FLAT, cap=60_000_000)
 def test_lanczos_norm_matches_dense_svd(case, cap):
     mu, cfg = case
     dense = dense_operator_norm(mu, cfg).value
@@ -179,7 +194,8 @@ def test_adjoint_apply_is_the_adjoint_of_riesz_apply(case, seed):
 
 
 @PROPERTY_SETTINGS
-@given(case=measures_and_kernels(), seed=st.integers(0, 2**32 - 1))
+@given(case=measures_and_kernels(flat=True), seed=st.integers(0, 2**32 - 1))
+@example(case=MIDDLE_FLAT, seed=0)
 def test_symmetrized_operator_paths_agree_and_are_adjoint(case, seed):
     mu, cfg = case
     rng = np.random.default_rng(seed)
@@ -192,9 +208,11 @@ def test_symmetrized_operator_paths_agree_and_are_adjoint(case, seed):
         bu, btv = op.matvec(u), op.rmatvec(v)
         scale = np.abs(bu) @ np.abs(v) + np.abs(u) @ np.abs(btv) + 1e-300
         assert abs(bu @ v - u @ btv) <= 1e-13 * scale
+    dead = np.ptp(mu.points, axis=0) == 0.0  # the rows of these components are exactly 0
     for op in (packed, direct):
         for got, want in ((op.matvec(u), oracle.matvec(u)), (op.rmatvec(v), oracle.rmatvec(v))):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        assert not np.any(op.matvec(u).reshape(mu.ambient_dim, -1)[dead])
 
 
 @PROPERTY_SETTINGS
