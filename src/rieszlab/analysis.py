@@ -16,8 +16,9 @@ moderate N.
 The kernel is odd, so each component block B_a is antisymmetric and every
 support pair is stored once.  A block is exactly 0 when the support is
 constant along its coordinate (a segment or a plane in a coordinate
-subspace); only the m live components, along which the support varies,
-are evaluated, stored and applied, and the rows of the others are 0.
+subspace); only the m live components (measure._live_axes, the rule of the
+kernel sums and the treecode too) are evaluated, stored and applied, and
+the rows of the others are 0.
 Below the dense cap, the cache is ceil(m / 2) Fortran-order N x N arrays:
 array k holds the live block B_{2k}[i, j] (i < j) in its strict upper
 triangle and B_{2k+1}[i, j] (i < j), transposed, in its strict lower one,
@@ -38,7 +39,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmv
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
-from rieszlab.measure import DiscreteMeasure, _count, _safe_resolution
+from rieszlab.measure import DiscreteMeasure, _count, _live_axes, _safe_resolution
 from rieszlab.kernels import TRUNCATED, KernelConfig, _blocks
 
 _RANDOM_START_SEED = 20240817
@@ -190,7 +191,7 @@ def _symmetrized_operator(
     the other rows, and B^T v = -sum_a B_a v_a.  Two or more support points
     have a live component."""
     n_pts, d = len(mu), mu.ambient_dim
-    live = np.ptp(mu.points, axis=0) > 0.0
+    live = _live_axes(mu.points, mu.points)
     points, sw = mu.points[:, live], np.sqrt(mu.weights)
     if (points.shape[1] + 1) // 2 * n_pts * n_pts <= dense_cache_cap:
         products, backend = partial(_skew_products, _packed_cache(points, sw, cfg)), "dense"

@@ -219,7 +219,7 @@ def besicovitch_cover(
     if np.intersect1d(targets, exclusion).size:
         raise ValueError("targets and exclusion must be disjoint")
     d = mu.ambient_dim
-    cap = int(overlap_cap) if overlap_cap is not None else 4**d
+    cap = _count("overlap_cap", overlap_cap, 0) if overlap_cap is not None else 4**d
     tpts = mu.points[targets]
     expts = mu.points[exclusion]
     clearance = cKDTree(expts).query(tpts)[0] / 10.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rieszlab.measure import DiscreteMeasure, ScaleGrid, _as_points, _count, _local_sums, _read_table, _sq_norm, _write_table
-from rieszlab.measure import ball_masses, density_ratios
+from rieszlab.measure import _live_axes, ball_masses, density_ratios
 
 TRUNCATED = "truncated"
 REGULARIZED = "regularized"
@@ -121,15 +121,17 @@ def kernel_sum(
 
     Low-level engine behind riesz_apply; fweights is the already-multiplied
     f * w array.  Chunked over targets and sources with a fixed accumulation
-    order, so the output is deterministic.
+    order, so the output is deterministic.  Dead axes (measure._live_axes)
+    are skipped and their components are 0, as are all when none is live.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     fweights = np.asarray(fweights, dtype=float)
+    live = _live_axes(points, targets)
     out = np.zeros((points.shape[1], targets.shape[0]))  # one row per component
-    for t, s, diff, coef in _blocks(points, targets, cfg):
+    for t, s, diff, coef in _blocks(points[:, live], targets[:, live], cfg) if live.any() else ():
         coef *= fweights[None, s]
-        for a, plane in enumerate(diff):
+        for a, plane in zip(np.flatnonzero(live), diff):
             out[a, t] += np.einsum("ts,ts->t", plane, coef)
     return np.ascontiguousarray(out.T)
 

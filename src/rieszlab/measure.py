@@ -192,6 +192,13 @@ def _sq_norm(diff) -> np.ndarray:
     return out
 
 
+def _live_axes(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(d,) mask of the live axes, along which the points and targets do not all share one value:
+    along a dead one every target-point difference is 0 and adds +0.0 to r2, so kernel sums skip it."""
+    lo = np.minimum(points.min(axis=0, initial=np.inf), targets.min(axis=0, initial=np.inf))
+    return np.maximum(points.max(axis=0, initial=-np.inf), targets.max(axis=0, initial=-np.inf)) > lo
+
+
 def _as_points(mu: DiscreteMeasure, pts, what: str) -> np.ndarray:
     """pts as a finite (m, d) float array, one row per point, in the ambient dimension of mu."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))

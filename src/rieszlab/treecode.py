@@ -35,6 +35,11 @@ queue until it is empty.  Each target's contributions are accumulated in
 an order fixed by its own walk alone, and each chunk writes only its own
 rows, so results are bit-reproducible and independent of which other
 targets share the call and of which thread ran their chunk.
+
+The walk reads only the live columns of the tree and the targets
+(measure._live_axes, the rule of kernels.kernel_sum and the norm operator);
+the dead columns of the result are exactly 0, and the live ones keep their
+bits where a dead axis's value is 0 (elsewhere centroids may round off it).
 """
 
 from __future__ import annotations
@@ -43,13 +48,13 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import partial, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from rieszlab.measure import DiscreteMeasure, SpatialTree, _build_spatial_tree, _count
+from rieszlab.measure import DiscreteMeasure, SpatialTree, _build_spatial_tree, _count, _live_axes
 from rieszlab.measure import _LEAF_BLOCK, _box_dist2, _boxes, _leaf_rows, _node_sums, _sq_norm  # the tree engine
 from rieszlab.kernels import TRUNCATED, KernelConfig, _check_density, _coef_from_r2, _inv_power, riesz_apply
 
@@ -81,14 +86,19 @@ def build_tree(mu: DiscreteMeasure, params: TreecodeParams) -> SpatialTree:
 # ---------------------------------------------------------------------------
 
 
-def _planar_shift(order: int, moments: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def _planar_z(rel: np.ndarray, live) -> np.ndarray:
+    """x1 + i x2 from rel's columns, the live ones of the two axes; a dead one's coordinate is 0."""
+    return (rel[:, 0] if live[0] else 0.0) + 1j * (rel[:, -1] if live[1] else 0.0)
+
+
+def _planar_shift(order: int, moments: np.ndarray, delta: np.ndarray, live=(True, True)) -> np.ndarray:
     """Complex moments sum fw (zeta - c)^m, m <= order, re-centered on c - delta.
 
     The multipole-to-multipole shift of Greengard & Rokhlin (J. Comput.
     Phys. 73, 1987): M'_m = sum_k C(m, k) M_k delta^(m - k).  Columns
     missing from `moments`, such as all but M_0 = fw for a point, are zero.
     """
-    dz = delta[:, 0] + 1j * delta[:, 1]
+    dz = _planar_z(delta, live)
     powers = np.cumprod(np.column_stack([np.ones_like(dz)] + [dz] * order), axis=1)
     out = np.zeros((dz.size, order + 1), dtype=np.complex128)
     for k in range(moments.shape[1]):
@@ -97,26 +107,26 @@ def _planar_shift(order: int, moments: np.ndarray, delta: np.ndarray) -> np.ndar
     return out
 
 
-def _monopole(s0: np.ndarray, n: int, rel: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _monopole(s0: np.ndarray, n: int, rel: np.ndarray, dist2: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Generic (n, d) far field: the node's total weight at its centroid."""
-    dist2 = np.einsum("pd,pd->p", rel, rel)
-    return rel * (s0[nodes] * _inv_power(dist2, n))[:, None]
+    return rel.T * (s0[nodes] * _inv_power(dist2, n))
 
 
-def _planar_series(moments: np.ndarray, rel: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _planar_series(planes: np.ndarray, live, rel: np.ndarray, dist2: np.ndarray, nodes: np.ndarray) -> list:
     """Planar n=1 far field: the power series of 1/(z - zeta) about the centroid.
 
     The kernel x / |x|^2 is conj(1 / z) for z = x1 + i x2, so a node
     contributes sum_m M_m / (z - c)^(m+1) with the moments
-    M_m = sum fw (zeta - c)^m, returned as the vector (Re, -Im).
+    M_m = sum fw (zeta - c)^m, read from the node-major planes[m]; it
+    returns the live ones of the components (Re, -Im).
     """
-    inv = 1.0 / (rel[:, 0] + 1j * rel[:, 1])
-    coeffs = moments[nodes]
-    acc = coeffs[:, -1]
-    for m in range(coeffs.shape[1] - 2, -1, -1):  # Horner in 1 / (z - c)
-        acc = acc * inv + coeffs[:, m]
-    acc = acc * inv
-    return np.column_stack([acc.real, -acc.imag])
+    inv = 1.0 / _planar_z(rel, live)
+    acc = np.take(planes[-1], nodes)
+    for plane in planes[-2::-1]:  # Horner in 1 / (z - c), in place
+        acc *= inv
+        acc += np.take(plane, nodes)
+    acc *= inv
+    return [c for c, a in zip((acc.real, -acc.imag), live) if a]
 
 
 # ---------------------------------------------------------------------------
@@ -124,27 +134,28 @@ def _planar_series(moments: np.ndarray, rel: np.ndarray, nodes: np.ndarray) -> n
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """out[rows[i]] += values[i], added in array order."""
-    for a in range(out.shape[1]):
-        out[:, a] += np.bincount(rows, weights=values[:, a], minlength=out.shape[0])
+def _accumulate(out: np.ndarray, rows: np.ndarray, values) -> None:
+    """out[a, rows[i]] += values[a][i] for each component a, added in array order."""
+    for acc, vals in zip(out, values):
+        acc += np.bincount(rows, weights=vals, minlength=acc.size)
 
 
 class _Walk(NamedTuple):
     """What every target chunk's traversal reads, built once per apply by _walk."""
 
-    tree: SpatialTree
+    tree: SpatialTree  # points, boxes and centroids cut to the live columns
     cfg: KernelConfig
     theta: float
-    far: Callable  # far(rel, nodes): the nodes' far fields at offsets rel from their centroids
+    far: Callable  # far(rel, dist2, nodes): by component, the nodes' far fields at offsets rel from their centroids
     leaf_col: np.ndarray  # (M,) each leaf's column in planes
-    planes: list  # d coordinate planes, then the fw plane, each (width, leaves)
+    planes: list  # the live coordinate planes, then the fw plane, each (width, leaves)
     beyond2: np.ndarray  # (M,) centroid dist2 above which the node lies wholly beyond eps
     reach2: float  # centroid dist2 above which part of any node lies beyond eps
 
 
-def _walk(mu: DiscreteMeasure, f: np.ndarray, cfg: KernelConfig, tree: SpatialTree, params: TreecodeParams) -> _Walk:
-    """Far fields, padded leaf tables and centroid cuts for one apply.
+def _walk(mu: DiscreteMeasure, f: np.ndarray, cfg: KernelConfig, tree: SpatialTree, params: TreecodeParams, live=None) -> _Walk:
+    """Far fields, padded leaf tables and centroid cuts for one apply, on
+    the live axes (all by default), to which its targets must be cut too.
 
     The leaf tables hold each leaf's points, padded to the widest leaf
     with copies of its first point at fw 0, as (width, leaves) planes.
@@ -160,10 +171,13 @@ def _walk(mu: DiscreteMeasure, f: np.ndarray, cfg: KernelConfig, tree: SpatialTr
     squares round absolutely.  Regularized mode skips no node, so there
     every pair reaches beyond eps.
     """
+    live = np.ones(mu.ambient_dim, dtype=bool) if live is None else live
+    if not live.all():  # the radii keep every axis: bounds all the same
+        tree = replace(tree, **{k: getattr(tree, k)[:, live] for k in ("points", "box_lo", "box_hi", "centroid")})
     fw = (f * mu.weights)[tree.perm]
     if mu.ambient_dim == 2 and cfg.n == 1:
-        moments = _node_sums(tree, fw[:, None], partial(_planar_shift, params.expansion_order))
-        far = partial(_planar_series, moments)
+        moments = _node_sums(tree, fw[:, None], partial(_planar_shift, params.expansion_order, live=live))
+        far = partial(_planar_series, np.ascontiguousarray(moments.T), live)
     elif params.expansion_order > 0:
         raise NotImplementedError(
             "expansion orders above 0 are implemented for the planar n=1 kernel only"
@@ -176,24 +190,24 @@ def _walk(mu: DiscreteMeasure, f: np.ndarray, cfg: KernelConfig, tree: SpatialTr
     planes = [np.ascontiguousarray(pc[idx]) for pc in tree.points.T] + [np.where(valid, fw[idx], 0.0)]
     eps = cfg.epsilon
     outside = max(0.0, np.max(tree.box_lo - tree.centroid), np.max(tree.centroid - tree.box_hi))
-    reach = (eps + outside * math.sqrt(mu.ambient_dim)) * (1 + 1e-9) + 1e-150
+    reach = (eps + outside * math.sqrt(tree.points.shape[1])) * (1 + 1e-9) + 1e-150
     beyond2 = np.square((tree.radius + eps) * (1 + 1e-9) + 1e-150)
     reach2 = reach * reach if cfg.mode == TRUNCATED else -np.inf
     return _Walk(tree, cfg, params.opening_angle, far, np.cumsum(is_leaf) - 1, planes, beyond2, reach2)
 
 
 def _near_leaves(walk: _Walk, targets: np.ndarray, leaves: np.ndarray) -> np.ndarray:
-    """Direct sums of fw * K(t - y) over each (target, leaf) pair.
+    """Direct sums of fw * K(t - y) over each (target, leaf) pair, one row per component.
 
     A block gathers its leaves' columns of the padded leaf tables, at most
     _LEAF_BLOCK entries; r2 and the eps comparison are computed exactly as
     in kernels.kernel_sum, and the padding adds terms of fw 0.  Each pair's
-    terms are added one at a time in leaf order, from zero, whatever the
+    terms are added one at a time in leaf order, from +0.0, whatever the
     block layout.
     """
     *coords, fw = walk.planes
     cols = walk.leaf_col[leaves]
-    out = np.empty(targets.shape)
+    out = np.empty((len(coords), cols.size))
     per_block = max(1, _LEAF_BLOCK // fw.shape[0])
     for p0 in range(0, cols.size, per_block):
         rows = slice(p0, p0 + per_block)
@@ -202,15 +216,15 @@ def _near_leaves(walk: _Walk, targets: np.ndarray, leaves: np.ndarray) -> np.nda
         cw = _coef_from_r2(_sq_norm(diff), walk.cfg) * np.take(fw, block, axis=1)
         for a, plane in enumerate(diff):
             plane *= cw
-            acc = np.zeros(plane.shape[1])
-            for term in plane:
-                acc += term
-            out[rows, a] = acc
+            if plane.shape[1] > 1:  # row by row along axis 0
+                np.add.reduce(plane, axis=0, out=out[a, rows], initial=0.0)
+            else:  # np.add.reduce would sum one column pairwise
+                out[a, rows] = reduce(float.__add__, plane[:, 0].tolist(), 0.0)
     return out
 
 
 def _traverse(walk: _Walk, targets: np.ndarray) -> np.ndarray:
-    """Sum fw * K(t - y) over the tree for one chunk of targets.
+    """Sum fw * K(t - y) over the tree for one chunk of live-column targets, by component.
 
     A node is far when it lies wholly beyond eps and its radius is below
     theta times the target's distance to its centroid; in truncated mode a
@@ -221,7 +235,7 @@ def _traverse(walk: _Walk, targets: np.ndarray) -> np.ndarray:
     tree = walk.tree
     eps2 = walk.cfg.epsilon * walk.cfg.epsilon
     is_leaf = tree.left < 0
-    out = np.zeros(targets.shape)
+    out = np.zeros(targets.shape[::-1])
     tgt, node = np.arange(targets.shape[0]), np.zeros(targets.shape[0], dtype=np.int64)
     while tgt.size:  # one level of (target, node) pairs, each target's in its walk's order
         t = np.take(targets, tgt, axis=0)
@@ -240,7 +254,7 @@ def _traverse(walk: _Walk, targets: np.ndarray) -> np.ndarray:
         reaches[check] |= dmax2 > eps2
         far_mask = beyond & separated
         f = np.flatnonzero(far_mask)
-        _accumulate(out, tgt[f], walk.far(rel[f], node[f]))
+        _accumulate(out, tgt[f], walk.far(rel[f], dist2[f], node[f]))
         # the truncated kernel vanishes on a node wholly within eps: skip it
         near = ~far_mask & reaches
         leaf = np.flatnonzero(near & is_leaf[node])
@@ -275,14 +289,15 @@ def treecode_apply(
         raise ValueError("tree was not built on the measure's points")
     if tree.n_nodes == 1:
         return riesz_apply(mu, f, cfg, targets)
-    walk = _walk(mu, f, cfg, tree, params)
-    out = np.empty(targets.shape)
+    live = _live_axes(mu.points, targets)
+    walk = _walk(mu, f, cfg, tree, params, live)
+    out = np.zeros(targets.shape)
     chunks = iter([slice(t0, t0 + _TARGET_CHUNK) for t0 in range(0, targets.shape[0], _TARGET_CHUNK)])
 
     def drain():  # each chunk writes its own rows of out alone
         try:
             for chunk in chunks:
-                out[chunk] = _traverse(walk, targets[chunk])
+                out[chunk, live] = _traverse(walk, targets[chunk][:, live]).T
         except BaseException:
             deque(chunks, maxlen=0)  # leave the other thread no chunk to start
             raise

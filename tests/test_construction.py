@@ -178,6 +178,15 @@ def test_cover_overlap_above_cap_is_a_validation_error():
     assert issubclass(CoverOverlapError, ValueError)
 
 
+@pytest.mark.parametrize("cap", [2.5, True, "3", -1])
+def test_cover_overlap_cap_must_be_a_count(cap):
+    # a fraction or a bool is no count: int() would take 2.5 as 2 and True as 1
+    mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]), np.ones(3), 1, 0.5)
+    with pytest.raises(ValueError, match="overlap_cap must be an integer >= 0"):
+        besicovitch_cover(mu, np.array([0, 1]), np.array([2]), overlap_cap=cap)
+    assert besicovitch_cover(mu, np.array([0, 1]), np.array([2]), overlap_cap=2.0).overlap_cap == 2
+
+
 def test_cover_circle_invariants():
     angles = 2 * np.pi * np.arange(50) / 50
     pts = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]), [[0.0, 0.0]]])

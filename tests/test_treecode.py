@@ -1,4 +1,6 @@
 import threading
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -391,23 +393,24 @@ def box_rule_traverse(walk, targets):
     tree, truncated = walk.tree, walk.cfg.mode == TRUNCATED
     eps2 = walk.cfg.epsilon * walk.cfg.epsilon
     is_leaf = tree.left < 0
-    out = np.zeros(targets.shape)
+    out = np.zeros(targets.shape[::-1])  # one row per component, as _accumulate adds
     tgt, node = np.arange(targets.shape[0]), np.zeros(targets.shape[0], dtype=np.int64)
     while tgt.size:
         t = targets[tgt]
         dmin2, dmax2 = rl.measure._box_dist2(t, t, tree.box_lo[node], tree.box_hi[node])
         rel = t - tree.centroid[node]
-        separated = tree.radius[node] ** 2 < walk.theta * walk.theta * np.einsum("pd,pd->p", rel, rel)
+        dist2 = np.einsum("pd,pd->p", rel, rel)
+        separated = tree.radius[node] ** 2 < walk.theta * walk.theta * dist2
         far = (dmin2 > eps2) & separated
         near = ~far & (dmax2 > eps2) if truncated else ~far
         f = np.flatnonzero(far)
-        treecode._accumulate(out, tgt[f], walk.far(rel[f], node[f]))
+        treecode._accumulate(out, tgt[f], walk.far(rel[f], dist2[f], node[f]))
         leaf = np.flatnonzero(near & is_leaf[node])
         treecode._accumulate(out, tgt[leaf], treecode._near_leaves(walk, targets[tgt[leaf]], node[leaf]))
         opened = np.flatnonzero(near & ~is_leaf[node])
         tgt = np.repeat(tgt[opened], 2)
         node = np.column_stack([tree.left[node[opened]], tree.right[node[opened]]]).ravel()
-    return out
+    return out.T
 
 
 def on_sphere(centers, radius, rng):
@@ -479,3 +482,190 @@ def test_centroid_cuts_decide_as_the_box_bounds(case, mode, monkeypatch):
     # box rule, not even a node within eps whose opening would add zeros
     assert walked == summed
     assert fast.tobytes() == oracle.tobytes()
+
+
+# ------------------------------------------------------------------ live axes
+
+
+def vertical(mu):
+    """mu with its two coordinates swapped: a segment along the second axis."""
+    return rl.DiscreteMeasure(mu.points[:, ::-1], mu.weights, mu.hausdorff_dim, mu.resolution_h)
+
+
+# case -> (support, expansion order, live axes): the planar series on a segment
+# along either axis, the monopole on a segment in R^3 and on a plane in R^3,
+# and the planar series with no dead axis
+FLAT_CASES = {
+    "segment_2d": (lambda: rl.gen_segment(1500), 8, [True, False]),
+    "segment_2d_vertical": (lambda: vertical(rl.gen_segment(1500)), 8, [False, True]),
+    "segment_3d": (lambda: rl.gen_segment(1500, d=3), 0, [True, False, False]),
+    "plane_z0": (lambda: rl.gen_plane(2, 3, 1.0, 1.0 / 30.0), 0, [True, True, False]),
+    "corners_4": (lambda: rl.gen_four_corners(4), 8, [True, True]),
+}
+
+
+def on_the_flat(mu, count, seed):
+    """Random targets about the support, at its value along every axis where it has one."""
+    lo, hi = mu.bbox()
+    return np.where(hi > lo, random_targets(mu, count, seed), lo)
+
+
+def all_axes_live(monkeypatch):
+    """Make the treecode walk and the direct sums carry every axis."""
+    every = lambda points, targets: np.ones(np.shape(points)[1], dtype=bool)  # noqa: E731
+    monkeypatch.setattr(treecode, "_live_axes", every)
+    monkeypatch.setattr(rl.kernels, "_live_axes", every)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
+@pytest.mark.parametrize("case", sorted(FLAT_CASES))
+def test_live_axes_give_the_all_axes_bits(case, mode, cpus, monkeypatch):
+    # on a support in a coordinate subspace through 0, with targets on it,
+    # the dead axes add exact zeros everywhere: walking the live columns
+    # alone must give the bits of the walk over every axis, and the direct
+    # sums likewise, on one CPU and with the helper thread; a density of
+    # both signs makes signed zeros in the dead components
+    make, order, want = FLAT_CASES[case]
+    mu = make()
+    params = TreecodeParams(opening_angle=0.5, leaf_cap=16, expansion_order=order)
+    tree = build_tree(mu, params)
+    f = np.linspace(-1.0, 1.5, len(mu))
+    cfg = KernelConfig(mu.hausdorff_dim, 4 * mu.resolution_h, mode)
+    targets = np.vstack([mu.points, on_the_flat(mu, 500, seed=3)])
+    monkeypatch.setattr(treecode, "_TARGET_CHUNK", 512)
+    monkeypatch.setattr(treecode.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    live = rl.measure._live_axes(mu.points, targets)
+    assert live.tolist() == want
+    fast = treecode_apply(mu, f, cfg, tree, params, targets)
+    direct = rl.kernels.kernel_sum(mu.points, f * mu.weights, cfg, targets)
+    for out in (fast, direct):  # exact +0.0 in the dead columns
+        assert np.all(out[:, ~live] == 0.0) and not np.signbit(out[:, ~live]).any()
+    all_axes_live(monkeypatch)
+    assert fast.tobytes() == treecode_apply(mu, f, cfg, tree, params, targets).tobytes()
+    assert direct.tobytes() == rl.kernels.kernel_sum(mu.points, f * mu.weights, cfg, targets).tobytes()
+
+
+def test_targets_off_the_flat_make_every_axis_live(monkeypatch):
+    mu = rl.gen_plane(2, 3, 1.0, 1.0 / 30.0)
+    params = TreecodeParams(opening_angle=0.5, leaf_cap=16)
+    tree = build_tree(mu, params)
+    f = np.linspace(-1.0, 1.5, len(mu))
+    cfg = KernelConfig(2, 4 * mu.resolution_h, TRUNCATED)
+    targets = np.vstack([mu.points[:200], random_targets(mu, 300, seed=5)])
+    assert rl.measure._live_axes(mu.points, targets).all()
+    fast = treecode_apply(mu, f, cfg, tree, params, targets)
+    assert np.abs(fast[:, 2]).max() > 0.0
+    all_axes_live(monkeypatch)
+    assert fast.tobytes() == treecode_apply(mu, f, cfg, tree, params, targets).tobytes()
+
+
+def test_flat_off_zero_agrees_with_all_axes_to_rounding(monkeypatch):
+    # on the plane z = 0.37 the centroids round off 0.37, so the walk over
+    # every axis carries rounding-sized offsets along z that the live walk
+    # drops; the direct sums take only target-point differences, exact 0
+    plane = rl.gen_plane(2, 3, 1.0, 1.0 / 30.0)
+    mu = rl.DiscreteMeasure(plane.points + [0.0, 0.0, 0.37], plane.weights, 2, plane.resolution_h)
+    params = TreecodeParams(opening_angle=0.5, leaf_cap=16)
+    tree = build_tree(mu, params)
+    assert np.any(tree.centroid[:, 2] != 0.37)
+    f = np.linspace(-1.0, 1.5, len(mu))
+    cfg = KernelConfig(2, 4 * mu.resolution_h, REGULARIZED)
+    targets = np.vstack([mu.points, on_the_flat(mu, 500, seed=6)])
+    fast = treecode_apply(mu, f, cfg, tree, params, targets)
+    direct = rl.kernels.kernel_sum(mu.points, f * mu.weights, cfg, targets)
+    assert np.all(fast[:, 2] == 0.0)
+    all_axes_live(monkeypatch)
+    every = treecode_apply(mu, f, cfg, tree, params, targets)
+    assert np.abs(fast - every).max() <= 1e-15 * np.abs(every).max()
+    assert direct.tobytes() == rl.kernels.kernel_sum(mu.points, f * mu.weights, cfg, targets).tobytes()
+
+
+def loop_planar_series(moments, rel, nodes):
+    """Out-of-place Horner steps on gathered row-major moments: the oracle of
+    the in-place series on node-major planes, treecode._planar_series."""
+    inv = 1.0 / (rel[:, 0] + 1j * rel[:, 1])
+    coeffs = moments[nodes]
+    acc = coeffs[:, -1]
+    for m in range(coeffs.shape[1] - 2, -1, -1):
+        acc = acc * inv + coeffs[:, m]
+    acc = acc * inv
+    return np.column_stack([acc.real, -acc.imag])
+
+
+@pytest.mark.parametrize("axes", [(True, True), (True, False), (False, True)])
+def test_planar_series_in_place_matches_the_out_of_place_steps(axes):
+    # moments of a density of both signs; on a segment (one axis dead) the
+    # upward pass on the live columns gives the moments of every column
+    live = np.array(axes)
+    rng = np.random.default_rng(9)
+    points = np.zeros((700, 2))
+    points[:, live] = rng.random((700, live.sum()))
+    tree = rl.measure._build_spatial_tree(points, rng.uniform(0.5, 1.5, 700), 8)
+    fw = rng.uniform(-1.0, 1.0, 700)[:, None]
+    order = 7
+    moments = rl.measure._node_sums(tree, fw, partial(treecode._planar_shift, order))
+    cut = replace(tree, points=tree.points[:, live], centroid=tree.centroid[:, live])
+    assert rl.measure._node_sums(cut, fw, partial(treecode._planar_shift, order, live=live)).tobytes() == moments.tobytes()
+    nodes = rng.integers(tree.n_nodes, size=5000)
+    targets = np.zeros((5000, 2))
+    targets[:, live] = rng.uniform(-1.0, 2.0, (5000, live.sum()))
+    rel = targets - tree.centroid[nodes]
+    want = loop_planar_series(moments, rel, nodes)[:, live]
+    got = treecode._planar_series(np.ascontiguousarray(moments.T), live, rel[:, live], None, nodes)
+    assert np.column_stack(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def loop_near_leaves(walk, targets, leaves):
+    """Each pair's terms added by a loop over the rows of its block: the
+    oracle of the np.add.reduce sums of treecode._near_leaves."""
+    *coords, fw = walk.planes
+    cols = walk.leaf_col[leaves]
+    out = np.empty((cols.size, len(coords)))
+    per_block = max(1, treecode._LEAF_BLOCK // fw.shape[0])
+    for p0 in range(0, cols.size, per_block):
+        rows = slice(p0, p0 + per_block)
+        block = cols[rows]
+        diff = [tc[None, rows] - np.take(pc, block, axis=1) for tc, pc in zip(targets.T, coords)]
+        cw = treecode._coef_from_r2(treecode._sq_norm(diff), walk.cfg) * np.take(fw, block, axis=1)
+        for a, plane in enumerate(diff):
+            plane *= cw
+            acc = np.zeros(plane.shape[1])
+            for term in plane:
+                acc += term
+            out[rows, a] = acc
+    return out
+
+
+@pytest.mark.parametrize("per_block", [1, 3, None])
+@pytest.mark.parametrize("case", ["cloud", "segment_3d"])
+def test_near_leaf_sums_match_the_row_loop(case, per_block, monkeypatch):
+    # leaves of 8 and more points, where a pairwise sum would differ; blocks
+    # of one pair, a last block of one pair, and the default blocks.  With a
+    # negative density every term of a full segment leaf wholly within eps
+    # of a target on its right is -0.0, and the sum from +0.0 is +0.0
+    rng = np.random.default_rng(12)
+    if case == "cloud":
+        mu = rl.DiscreteMeasure(rng.random((600, 2)), rng.uniform(0.5, 1.5, 600), 1, 1e-3)
+    else:
+        mu = rl.gen_segment(600, d=3)
+    params = TreecodeParams(opening_angle=0.5, leaf_cap=16)
+    tree = build_tree(mu, params)
+    f = -rng.uniform(0.5, 1.5, len(mu))
+    cfg = KernelConfig(1, 0.05, TRUNCATED)
+    leaf_ids = np.flatnonzero(tree.left < 0)
+    right = tree.box_hi[leaf_ids] + 0.5 * cfg.epsilon * np.eye(mu.ambient_dim)[0]
+    targets = np.vstack([mu.points[:40], right, on_the_flat(mu, 27, seed=2)])
+    live = rl.measure._live_axes(mu.points, targets)
+    walk = treecode._walk(mu, f, cfg, tree, params, live)
+    width = walk.planes[0].shape[0]
+    assert width >= 8
+    if per_block is not None:
+        monkeypatch.setattr(treecode, "_LEAF_BLOCK", per_block * width)
+    tgt = np.repeat(np.arange(targets.shape[0]), leaf_ids.size)
+    keep = tgt.size - (tgt.size - 1) % 3  # a last block of one pair at per_block = 3
+    at, leaves = targets[tgt[:keep]][:, live], np.tile(leaf_ids, targets.shape[0])[:keep]
+    want = loop_near_leaves(walk, at, leaves)
+    if case == "segment_3d":  # sums of -0.0 terms alone
+        assert np.signbit(want[want == 0.0]).sum() == 0 < np.sum(want == 0.0)
+    assert treecode._near_leaves(walk, at, leaves).T.tobytes() == want.tobytes()
