@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmv
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
-from rieszlab.measure import DiscreteMeasure, _count, _live_axes, _safe_resolution
+from rieszlab.measure import DiscreteMeasure, _count, _live_axes, _safe_resolution, _sq_norm
 from rieszlab.kernels import TRUNCATED, KernelConfig, _blocks
 
 _RANDOM_START_SEED = 20240817
@@ -323,11 +323,6 @@ def menger_curvature(x, y, z) -> float:
     return float(4.0 * area / np.sqrt(uu * vv * ww))
 
 
-def _pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
 def _curvature_sq_from_sides(a2, b2, c2) -> np.ndarray:
     """(1/R)^2 from squared side lengths; 0 where a side vanishes."""
     num = 2.0 * (a2 * b2 + b2 * c2 + c2 * a2) - a2**2 - b2**2 - c2**2
@@ -347,35 +342,30 @@ def curvature_c2(
 
     Exact mode exploits the permutation symmetry: it sums over unordered
     triples i < j < k via a squared-distance matrix and multiplies by 6.
-    Triples with repeated coordinates are excluded rather than counted as
-    zero.  Sampled mode is an unbiased Monte Carlo estimate over ordered
-    distinct index triples with a reported relative standard error, which
-    needs at least two samples.
+    Triples with repeated coordinates have no circle and add 0.  Sampled
+    mode is an unbiased Monte Carlo estimate over ordered distinct index
+    triples with a reported relative standard error, which needs at least
+    two samples.
     """
     if mode == "sampled" and sample_count < 2:
         raise ValueError(f"sampled mode needs at least two samples, got {sample_count}")
+    sample_count = _count("sample_count", sample_count, 2) if mode == "sampled" else sample_count
     n_pts = len(mu)
     if n_pts < 3:
         return CurvatureEstimate(0.0, 0, mode, insufficient_points=True)
-    w = mu.weights
+    w, n_ordered = mu.weights, n_pts * (n_pts - 1) * (n_pts - 2)
     if mode == "exact":
         if n_pts > _EXACT_CAP:
             raise ValueError(f"exact mode is O(N^3); N={n_pts} exceeds cap {_EXACT_CAP}")
-        d2 = _pairwise_sq_dists(mu.points)
+        d2 = _sq_norm(c[:, None] - c[None, :] for c in mu.points.T)
         total = 0.0
-        # for each i, vectorize over pairs j < k with j, k != i; this visits
-        # every unordered triple 3 times, so the ordered sum is 2 * total
-        for i in range(n_pts):
-            a2 = d2[i][:, None]  # |x_i - x_j|^2
-            b2 = d2[i][None, :]  # |x_i - x_k|^2
-            c2 = d2  # |x_j - x_k|^2
-            kappa2 = _curvature_sq_from_sides(a2, b2, c2)
-            kappa2 = np.triu(kappa2, k=1)
-            kappa2[i, :] = 0.0
-            kappa2[:, i] = 0.0
-            total += w[i] * float(np.einsum("jk,j,k->", kappa2, w, w))
-        n_ordered = n_pts * (n_pts - 1) * (n_pts - 2)
-        return CurvatureEstimate(2.0 * total, n_ordered, "exact")
+        # for each i, vectorize over the pairs i < j < k: every unordered
+        # triple once, so the ordered sum is 6 * total
+        for i in range(n_pts - 2):
+            a2, rest = d2[i, i + 1 :], w[i + 1 :]  # |x_i - x_j|^2, |x_i - x_k|^2
+            kappa2 = np.triu(_curvature_sq_from_sides(a2[:, None], a2[None, :], d2[i + 1 :, i + 1 :]), k=1)
+            total += w[i] * float(np.einsum("jk,j,k->", kappa2, rest, rest))
+        return CurvatureEstimate(6.0 * total, n_ordered, "exact")
     if mode == "sampled":
         rng = np.random.default_rng(seed)
         idx, size = np.empty((0, 3), dtype=np.int64), int(sample_count * 1.2) + 16
@@ -383,14 +373,9 @@ def curvature_c2(
             draw = rng.integers(0, n_pts, size=(size, 3))
             distinct = (draw[:, 0] != draw[:, 1]) & (draw[:, 1] != draw[:, 2]) & (draw[:, 0] != draw[:, 2])
             idx, size = np.vstack([idx, draw[distinct]])[:sample_count], sample_count
-        p = mu.points
-        pi, pj, pk = p[idx[:, 0]], p[idx[:, 1]], p[idx[:, 2]]
-        a2 = np.einsum("ij,ij->i", pi - pj, pi - pj)
-        b2 = np.einsum("ij,ij->i", pi - pk, pi - pk)
-        c2 = np.einsum("ij,ij->i", pj - pk, pj - pk)
-        kappa2 = _curvature_sq_from_sides(a2, b2, c2)
+        pi, pj, pk = mu.points[idx.T]
+        kappa2 = _curvature_sq_from_sides(_sq_norm((pi - pj).T), _sq_norm((pi - pk).T), _sq_norm((pj - pk).T))
         vals = kappa2 * w[idx[:, 0]] * w[idx[:, 1]] * w[idx[:, 2]]
-        n_ordered = n_pts * (n_pts - 1) * (n_pts - 2)
         value = n_ordered * float(vals.mean())
         stderr = n_ordered * float(vals.std(ddof=1)) / np.sqrt(vals.size)
         rel = stderr / value if value > 0.0 else 0.0

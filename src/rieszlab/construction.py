@@ -48,6 +48,7 @@ from rieszlab.measure import (
     _ball_members,
     _count,
     _safe_resolution,
+    _sq_norm,
     ball_masses,  # bound here for test_tracer_wraps_every_binding_and_restores_it
     ad_constants,
     density_ratios,
@@ -151,8 +152,6 @@ def extract_core_set(
     the restriction is mu itself, and that table is reused.
     """
     dense_idx = np.asarray(dense_idx, dtype=int)
-    if dense_idx.size == 0:
-        return dense_idx
     if dense_idx.size < len(mu):
         mask = np.zeros(len(mu))
         mask[dense_idx] = 1.0
@@ -337,8 +336,6 @@ def _orthonormal_basis(candidates: np.ndarray, n: int, d: int) -> np.ndarray:
 def _lsq_directions(points: np.ndarray, weights: np.ndarray, center: np.ndarray, n: int) -> np.ndarray:
     """Top-n right singular directions of the weighted centered cloud."""
     q = (points - center) * np.sqrt(weights)[:, None]
-    if q.shape[0] == 0:
-        return np.empty((0, points.shape[1]))
     _, svals, vt = np.linalg.svd(q, full_matrices=False)
     keep = svals > 1e-12 * max(float(svals[0]), 1e-300)
     return vt[keep][:n]
@@ -519,7 +516,7 @@ def _ball_sums(points, fw, ball_of_point, cfg: KernelConfig, targets, target_bal
 def _ball_gaps(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """|c_i - c_j| - r_i - r_j for every pair of balls: the gap between two
     closed balls, positive exactly when they are disjoint."""
-    sep = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+    sep = np.sqrt(_sq_norm(c[:, None] - c[None, :] for c in centers.T))
     return sep - radii[:, None] - radii[None, :]
 
 
@@ -788,9 +785,8 @@ def verify_construction(
     np.fill_diagonal(same_color, False)
     color_ok = bool(np.all(_ball_gaps(cover.center_points, cover.radii)[same_color] > 0.0))
 
-    hits = np.zeros(len(mu), dtype=int)  # cover balls holding each point
-    for ball in _ball_members(mu, cover.center_points, cover.radii):
-        hits[ball] += 1
+    balls = _ball_members(mu, cover.center_points, cover.radii)
+    hits = np.bincount(np.concatenate([np.empty(0, np.intp)] + balls), minlength=len(mu))  # balls holding each point
     coverage_ok = bool(hits[result.target_idx].all())
     max_overlap = int(hits.max())
     overlap_ok = max_overlap <= cover.overlap_cap

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from rieszlab.measure import DiscreteMeasure, _safe_resolution
+from rieszlab.measure import DiscreteMeasure, _count, _safe_resolution
 
 
 class DecayTrendWarning(UserWarning):
@@ -26,6 +26,7 @@ def gen_plane(n: int, d: int, extent: float, spacing: float) -> DiscreteMeasure:
     """
     if not 1 <= n < d:
         raise ValueError("need 1 <= n < d")
+    n, d = _count("n", n, 1), _count("d", d, 2)
     if not (extent > 0 and spacing > 0):
         raise ValueError("extent and spacing must be positive")
     per_axis = int(np.floor(extent / spacing + 1e-12)) + 1
@@ -46,6 +47,7 @@ def gen_segment(count: int, d: int = 2) -> DiscreteMeasure:
     """
     if count < 1:
         raise ValueError("count must be positive")
+    count, d = _count("count", count, 1), _count("d", d, 2)
     h = 1.0 / count
     pts = np.zeros((count, d))
     pts[:, 0] = (np.arange(count) + 0.5) * h
@@ -71,6 +73,7 @@ def gen_lipschitz_graph(
         raise ValueError("slope bound must be nonnegative")
     if n not in (1, 2):
         raise ValueError("graphs are supported for n = 1 and n = 2")
+    n = _count("n", n, 1)
     cells = extent / spacing
     if abs(cells - round(cells)) > 1e-9:
         raise ValueError("extent must be an integer multiple of spacing")
@@ -79,7 +82,7 @@ def gen_lipschitz_graph(
     knots = 8
     seg_len = extent / knots
 
-    per_axis_bound = slope_bound if n == 1 else slope_bound / np.sqrt(2.0)
+    per_axis_bound = slope_bound / np.sqrt(n)
     slope_sets = [rng.uniform(-per_axis_bound, per_axis_bound, knots) for _ in range(n)]
 
     def height_and_slope(t: np.ndarray, slopes: np.ndarray):
@@ -88,18 +91,13 @@ def gen_lipschitz_graph(
         return knot_heights[seg] + slopes[seg] * (t - seg * seg_len), slopes[seg]
 
     mids = (np.arange(cells) + 0.5) * spacing
-    d = n + 1
-    if n == 1:
-        y, s = height_and_slope(mids, slope_sets[0])
-        pts = np.column_stack([mids, y])
-        w = spacing * np.sqrt(1.0 + s**2)
-    else:
-        gx, gy = np.meshgrid(mids, mids, indexing="ij")
-        hx, sx = height_and_slope(gx.ravel(), slope_sets[0])
-        hy, sy = height_and_slope(gy.ravel(), slope_sets[1])
-        pts = np.column_stack([gx.ravel(), gy.ravel(), hx + hy])
-        w = spacing**2 * np.sqrt(1.0 + sx**2 + sy**2)
-    return DiscreteMeasure(pts, w, n, _safe_resolution(pts, spacing))
+    axes = [g.ravel() for g in np.meshgrid(*[mids] * n, indexing="ij")]
+    height, area = 0.0, 1.0  # the sum of one function per axis, and 1 + s_0^2 + s_1^2 left to right
+    for t, slopes in zip(axes, slope_sets):
+        h, s = height_and_slope(t, slopes)
+        height, area = height + h, area + s**2
+    pts = np.column_stack(axes + [height])
+    return DiscreteMeasure(pts, spacing**n * np.sqrt(area), n, _safe_resolution(pts, spacing))
 
 
 def _corner_measure(ratios: np.ndarray, weight_exponent: float) -> DiscreteMeasure:
@@ -132,6 +130,7 @@ def gen_four_corners(level: int) -> DiscreteMeasure:
     """
     if not 0 <= level <= 12:
         raise ValueError("level must lie in [0, 12]")
+    level = _count("level", level, 0)
     return _corner_measure(np.full(level, 0.25), 1.0)
 
 

@@ -80,12 +80,8 @@ class DiscreteMeasure:
         h = float(self.resolution_h)
         if not (np.isfinite(h) and h > 0.0):
             raise ValueError("resolution_h must be positive and finite")
-        if pts.shape[0] >= 2:
-            # cheap necessary check: bbox diagonal bounds the diameter above
-            span = pts.max(axis=0) - pts.min(axis=0)
-            diag = float(np.sqrt(np.dot(span, span)))
-            if h > diag * (1.0 + 1e-12):
-                raise ValueError("resolution_h exceeds the support diameter")
+        if pts.shape[0] >= 2 and h > _bbox_diagonal(pts) * (1.0 + 1e-12):  # a cheap necessary check
+            raise ValueError("resolution_h exceeds the support diameter")
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -293,31 +289,30 @@ def ball_masses(
     # a row equal to the weights takes their node sums cached on the measure
     sums = [mu.ball_tree_weights if np.array_equal(v, mu.weights) else _node_sums(tree, v[tree.perm]) for v in vals]
     vals = vals[:, tree.perm]
-    symmetric = centers.shape == mu.points.shape and np.array_equal(centers, mu.points)
-    if symmetric:
+    if centers.shape == mu.points.shape and np.array_equal(centers, mu.points):
         ctree, rows = tree, slice(None)
     else:  # one leaf per distinct center: no center leaf is wider than a point
         centers, rows = np.unique(centers, axis=0, return_inverse=True)
         ctree = _build_spatial_tree(centers, np.ones(len(centers)), 1)
     out = np.empty((len(vals), centers.shape[0], radii.size))
-    out[:, ctree.perm[:, None], order] = _pair_bins(ctree, tree, vals, sums, radii[order], symmetric)
+    out[:, ctree.perm[:, None], order] = _pair_bins(ctree, tree, vals, sums, radii[order])
     out = out[:, rows]
     return out if stacked else out[0]
 
 
-def _pair_walk(ctree: SpatialTree, tree: SpatialTree, symmetric: bool, settle) -> None:
+def _pair_walk(ctree: SpatialTree, tree: SpatialTree, settle) -> None:
     """Walk the pairs (a, b) of a center node and a source node from the roots.
 
     Chunks of at most _PAIR_CHUNK pairs go depth first to settle(a, b, dmin2,
     dmax2, mirror, leaves): [dmin2, dmax2] holds every point pair's _sq_norm
     as rounded (`_box_dist2`), and leaves marks the pairs of two leaves, which
     settle must settle.  It returns the mask of the pairs to open; each opens
-    its wider inner node, or both when they are as wide.  When symmetric
-    (ctree is tree), each unordered pair is walked once: (a, a) opens into
-    (L, L), (L, R) and (R, R), and settle counts the pairs marked mirror
-    (a != b) for both ends, exactly, as _sq_norm(c - y) == _sq_norm(y - c).
+    its wider inner node, or both when they are as wide.  When ctree is
+    tree, each unordered pair is walked once: (a, a) opens into (L, L),
+    (L, R) and (R, R), and settle counts the pairs marked mirror (a != b)
+    for both ends, exactly, as _sq_norm(c - y) == _sq_norm(y - c).
     """
-    c_leaf, s_leaf = ctree.left < 0, tree.left < 0
+    c_leaf, s_leaf, symmetric = ctree.left < 0, tree.left < 0, ctree is tree
     pending = [(np.zeros(1, dtype=np.int64),) * 2]
     while pending:
         a, b = pending.pop()
@@ -335,7 +330,7 @@ def _pair_walk(ctree: SpatialTree, tree: SpatialTree, symmetric: bool, settle) -
         pending += [(a[i : i + _PAIR_CHUNK], b[i : i + _PAIR_CHUNK]) for i in range(0, a.size, _PAIR_CHUNK)]
 
 
-def _pair_bins(ctree: SpatialTree, tree: SpatialTree, vals, sums, sorted_radii, symmetric: bool) -> np.ndarray:
+def _pair_bins(ctree: SpatialTree, tree: SpatialTree, vals, sums, sorted_radii) -> np.ndarray:
     """Per-center ball sums of the value rows: (k, centers in ctree order, radii).
 
     Radius r_k is met through its threshold t_k (`_sq_thresholds`): a point
@@ -376,7 +371,7 @@ def _pair_bins(ctree: SpatialTree, tree: SpatialTree, vals, sums, sorted_radii, 
         wide.append((a[pointwise], b[pointwise], mirror[pointwise]))
         return ~bracket & ~both_leaves
 
-    _pair_walk(ctree, tree, symmetric, settle)
+    _pair_walk(ctree, tree, settle)
     for inner in ctree.levels:
         for child in (ctree.left[inner], ctree.right[inner]):
             node_bins[:, child] += node_bins[:, inner]
@@ -503,7 +498,7 @@ def _local_sums(mu: DiscreteMeasure, fw: np.ndarray, eps: float) -> np.ndarray:
                 np.add.at(o, rows_b, -np.einsum("pij,pij->pj", plane[m], back).ravel())
         return near & ~leaves
 
-    _pair_walk(tree, tree, True, settle)
+    _pair_walk(tree, tree, settle)
     return out[:, :-1].T[np.argsort(tree.perm)]
 
 
@@ -570,12 +565,17 @@ def density_profile(mu: DiscreteMeasure, x, grid: ScaleGrid) -> np.ndarray:
     return np.column_stack([radii, density_ratios(mu, x[None, :], radii)[0]])
 
 
+def _bbox_diagonal(points: np.ndarray) -> float:
+    """Length of the diagonal of the points' bounding box, which bounds their diameter above."""
+    span = points.max(axis=0) - points.min(axis=0)
+    return float(np.sqrt(np.dot(span, span)))
+
+
 def _safe_resolution(points: np.ndarray, h: float) -> float:
     """Clamp a resolution guess so the DiscreteMeasure invariant holds."""
     if points.shape[0] < 2:
         return h
-    span = points.max(axis=0) - points.min(axis=0)
-    diag = float(np.sqrt(np.dot(span, span)))
+    diag = _bbox_diagonal(points)
     if diag <= 0.0:
         raise ValueError("cannot build a measure from coincident points")
     return min(h, diag)

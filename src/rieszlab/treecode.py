@@ -153,9 +153,9 @@ class _Walk(NamedTuple):
     reach2: float  # centroid dist2 above which part of any node lies beyond eps
 
 
-def _walk(mu: DiscreteMeasure, f: np.ndarray, cfg: KernelConfig, tree: SpatialTree, params: TreecodeParams, live=None) -> _Walk:
+def _walk(mu: DiscreteMeasure, f: np.ndarray, cfg: KernelConfig, tree: SpatialTree, params: TreecodeParams, live) -> _Walk:
     """Far fields, padded leaf tables and centroid cuts for one apply, on
-    the live axes (all by default), to which its targets must be cut too.
+    the live axes (a (d,) mask), to which its targets must be cut too.
 
     The leaf tables hold each leaf's points, padded to the widest leaf
     with copies of its first point at fw 0, as (width, leaves) planes.
@@ -171,7 +171,6 @@ def _walk(mu: DiscreteMeasure, f: np.ndarray, cfg: KernelConfig, tree: SpatialTr
     squares round absolutely.  Regularized mode skips no node, so there
     every pair reaches beyond eps.
     """
-    live = np.ones(mu.ambient_dim, dtype=bool) if live is None else live
     if not live.all():  # the radii keep every axis: bounds all the same
         tree = replace(tree, **{k: getattr(tree, k)[:, live] for k in ("points", "box_lo", "box_hi", "centroid")})
     fw = (f * mu.weights)[tree.perm]

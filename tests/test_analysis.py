@@ -468,12 +468,17 @@ def curvature_c2_naive(mu: DiscreteMeasure) -> float:
 
 
 def test_c2_exact_matches_naive_oracle():
-    rng = np.random.default_rng(13)
-    pts = rng.standard_normal((48, 2))
-    w = rng.uniform(0.5, 2.0, 48)
-    mu = DiscreteMeasure(pts, w, 1, 1e-3)
-    est = curvature_c2(mu, mode="exact")
-    assert est.value == pytest.approx(curvature_c2_naive(mu), rel=1e-12)
+    # in d = 2 and 3, and with repeated points: a triple with two equal
+    # points has no circle and adds 0
+    for d, repeats in [(2, False), (3, False), (2, True), (3, True)]:
+        rng = np.random.default_rng(13)
+        pts = rng.standard_normal((48, d))
+        if repeats:
+            pts[40:] = pts[[0, 0, 3, 7, 7, 7, 20, 39]]
+        w = rng.uniform(0.5, 2.0, 48)
+        mu = DiscreteMeasure(pts, w, 1, 1e-3)
+        est = curvature_c2(mu, mode="exact")
+        assert est.value == pytest.approx(curvature_c2_naive(mu), rel=1e-12)
 
 
 def test_c2_permutation_invariance():

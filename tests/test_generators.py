@@ -81,6 +81,41 @@ def test_graph_surface_mass_bounds():
     assert 1.0 - 1e-12 <= mass <= np.sqrt(2.0) + 1e-12
 
 
+def two_branch_graph(slope_bound, extent, spacing, seed, n):
+    """The graph as written per dimension, one hand-written branch each for n = 1 and n = 2."""
+    cells = int(round(extent / spacing))
+    rng = np.random.default_rng(seed)
+    knots, seg_len = 8, extent / 8
+    per_axis_bound = slope_bound if n == 1 else slope_bound / np.sqrt(2.0)
+    slope_sets = [rng.uniform(-per_axis_bound, per_axis_bound, knots) for _ in range(n)]
+
+    def height_and_slope(t, slopes):
+        seg = np.minimum((t / seg_len).astype(int), knots - 1)
+        knot_heights = np.concatenate([[0.0], np.cumsum(slopes) * seg_len])
+        return knot_heights[seg] + slopes[seg] * (t - seg * seg_len), slopes[seg]
+
+    mids = (np.arange(cells) + 0.5) * spacing
+    if n == 1:
+        y, s = height_and_slope(mids, slope_sets[0])
+        return np.column_stack([mids, y]), spacing * np.sqrt(1.0 + s**2)
+    gx, gy = np.meshgrid(mids, mids, indexing="ij")
+    hx, sx = height_and_slope(gx.ravel(), slope_sets[0])
+    hy, sy = height_and_slope(gy.ravel(), slope_sets[1])
+    return np.column_stack([gx.ravel(), gy.ravel(), hx + hy]), spacing**2 * np.sqrt(1.0 + sx**2 + sy**2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_graph_matches_two_branch_oracle(n):
+    for seed in range(4):
+        for slope in (0.0, 0.3, 1.0, 2.5):
+            for spacing in (1.0 / 16.0, 1.0 / 32.0):
+                mu = rl.gen_lipschitz_graph(slope, 1.0, spacing, seed, n=n)
+                pts, w = two_branch_graph(slope, 1.0, spacing, seed, n)
+                assert mu.points.tobytes() == pts.tobytes()
+                assert mu.weights.tobytes() == w.tobytes()
+                assert mu.resolution_h == rl.measure._safe_resolution(pts, spacing)
+
+
 def test_graph_requires_divisible_extent():
     with pytest.raises(ValueError):
         rl.gen_lipschitz_graph(1.0, extent=1.0, spacing=0.3, seed=0)

@@ -477,7 +477,9 @@ def test_centroid_cuts_decide_as_the_box_bounds(case, mode, monkeypatch):
     fast = treecode_apply(mu, f, cfg, tree, params, targets)
     assert sum(rows) > 0
     walked, summed[:] = summed[:], []
-    oracle = box_rule_traverse(treecode._walk(mu, f, cfg, tree, params), targets)
+    live = rl.measure._live_axes(mu.points, targets)
+    assert live.all()  # the oracle walks uncut targets
+    oracle = box_rule_traverse(treecode._walk(mu, f, cfg, tree, params, live), targets)
     # equal pairs: no node is skipped, opened or taken as far against the
     # box rule, not even a node within eps whose opening would add zeros
     assert walked == summed
