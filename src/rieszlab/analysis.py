@@ -9,9 +9,12 @@ problem into a plain Euclidean one for the symmetrized matrix
     B[a * N + i, j] = sqrt(w_i) K_a(x_i - x_j) sqrt(w_j),
 
 so the norm is the top singular value of B.  Rows are component-major:
-row a * N + i holds component a of target i.  Lanczos (scipy's eigsh)
-runs on B^T B; a dense decomposition of B serves as the oracle for
-moderate N.
+row a * N + i holds component a of target i.  operator_norm runs Lanczos
+on B^T B with full reorthogonalization (Parlett, The Symmetric Eigenvalue
+Problem, 1980) and stops once the top Ritz pair's relative residual is at
+most tol, ARPACK's rule.  It keeps at most 64 basis vectors, 64 * N * 8
+bytes, and restarts from the Ritz vector when they fill.  A dense
+decomposition of B serves as the oracle for moderate N.
 
 The kernel is odd, so each component block B_a is antisymmetric and every
 support pair is stored once.  A block is exactly 0 when the support is
@@ -36,13 +39,15 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dtrmv
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import LinearOperator
 
 from rieszlab.measure import DiscreteMeasure, _count, _live_axes, _safe_resolution, _sq_norm
 from rieszlab.kernels import TRUNCATED, KernelConfig, _blocks
 
 _RANDOM_START_SEED = 20240817
+_BASIS_CAP = 64  # Lanczos vectors kept before operator_norm restarts
 _EXACT_CAP = 2000  # largest support of curvature_c2's O(N^3) exact mode
 
 
@@ -62,10 +67,12 @@ class NormEstimate:
     vector v: the value equals |Bv| = |Rf| / |f| in the weighted norms, so
     every estimate is a certified lower bound for the true operator norm.
     `iterations` counts B^T B products (one forward and one adjoint pass
-    each) and `residual` is |B^T B v - value**2 v| / value**2.  `method`
-    names the solver and its backend: "lanczos-dense" (the packed cache),
-    "lanczos-direct" (its blocks, unstored), "dense-decomposition", or
-    "single-point" for the zero norm of a one-point measure.
+    each) and `residual` is the relative residual |B^T B v - theta v| /
+    theta of the Ritz pair (theta, v) that v comes from, theta = value**2
+    up to rounding.  `method` names the solver and its backend:
+    "lanczos-dense" (the packed cache), "lanczos-direct" (its blocks,
+    unstored), "dense-decomposition", or "single-point" for the zero norm
+    of a one-point measure.
     """
 
     value: float
@@ -209,10 +216,6 @@ def _symmetrized_operator(
     return LinearOperator((n_pts * d, n_pts), matvec=matvec, rmatvec=rmatvec, dtype=float), backend
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def operator_norm(
     mu: DiscreteMeasure,
     cfg: KernelConfig,
@@ -222,12 +225,22 @@ def operator_norm(
 ) -> NormEstimate:
     """Largest singular value of the transform on L2(mu) by Lanczos on B^T B.
 
-    ARPACK's eigsh (k=1, largest algebraic) runs to the relative tolerance
-    tol from u0 = sqrt(w) / |sqrt(w)| + r / |r|, r a fixed-seed random
-    vector: sqrt(w) alone can miss a top vector that a symmetry of mu keeps
-    orthogonal to it.  max_iter caps the number of B^T B products; when it
-    runs out, NonConvergenceError carries the best |Bu| / |u| seen, which
-    is a lower bound.  B^T B annihilates u0 only when B = 0, as r is
+    The Lanczos run starts from u0 = sqrt(w) / |sqrt(w)| + r / |r|, r a
+    fixed-seed random vector: sqrt(w) alone can miss a top vector that a
+    symmetry of mu keeps orthogonal to it.  Each B^T B product extends an
+    orthonormal basis q_1, q_2, ..., kept whole and reorthogonalized in full
+    by a second pass of classical Gram-Schmidt.  The run stops at the first
+    product after which the top Ritz pair (theta, v = sum_i y_i q_i) of the
+    tridiagonal projection has |beta_k y_k| <= tol * theta, ARPACK's rule;
+    |beta_k y_k| / theta = |B^T B v - theta v| / theta is the relative
+    residual.  The basis holds at most _BASIS_CAP = 64 vectors, 64 * N * 8
+    bytes; when it is full, the run restarts from the current Ritz vector.
+    The value is |Bv|, squared sum_ij y_i y_j <B q_i, B q_j>, from the Gram
+    matrix q_i . B^T B q_j of the products already made: no further product.
+
+    max_iter caps the number of B^T B products; when it runs out,
+    NonConvergenceError carries the current Ritz pair, the best |Bv| seen,
+    which is a lower bound.  B^T B annihilates u0 only when B = 0, as r is
     random; the norm is then 0, with u0 as its witness.  dense_cache_cap
     bounds the packed cache's stored entries, ceil(m / 2) * N * N (8 bytes
     each) for the m coordinates along which the support is not constant:
@@ -239,41 +252,48 @@ def operator_norm(
     if not 0.0 < tol < 0.1:
         raise ValueError("tol must lie in (0, 0.1)")
     max_iter = _count("max_iter", max_iter, 1)
-    n_pts = len(mu)
-    sw = np.sqrt(mu.weights)
+    n_pts, sw = len(mu), np.sqrt(mu.weights)
     op, backend = _symmetrized_operator(mu, cfg, dense_cache_cap)
-    method = f"lanczos-{backend}"
-    count = 0
-    best = [0.0, None, 0.0]  # |Bu| for unit u, that u, its relative residual
-
-    def gram(u: np.ndarray) -> np.ndarray:
-        nonlocal count
-        if count >= max_iter:
-            raise _BudgetExhausted
-        count += 1
-        unorm = float(np.linalg.norm(u))
-        u = u.ravel() / unorm
-        bu = op.matvec(u)
-        out = op.rmatvec(bu)
-        sigma = float(np.linalg.norm(bu))
-        if best[1] is None or sigma > best[0]:
-            res = float(np.linalg.norm(out - sigma**2 * u)) / sigma**2 if sigma > 0.0 else 0.0
-            best[:] = [sigma, u, res]
-        return out * unorm
-
-    gram_op = LinearOperator((n_pts, n_pts), matvec=gram, dtype=float)
+    cap = min(_BASIS_CAP, n_pts)
+    basis, gram = np.empty((cap, n_pts)), np.empty((cap, cap))
+    alpha, beta = np.empty(cap), np.empty(cap)
     rand = np.random.default_rng(_RANDOM_START_SEED).standard_normal(n_pts)
-    u0 = sw / np.linalg.norm(sw) + rand / np.linalg.norm(rand)
-    try:
-        _, vecs = eigsh(gram_op, k=1, which="LA", v0=u0, tol=tol, maxiter=max_iter)
-        gram(vecs[:, 0])
-    except (_BudgetExhausted, ArpackNoConvergence):
-        est = NormEstimate(best[0], count, best[2], cfg.epsilon, method, witness=best[1] / sw)
-        raise NonConvergenceError(f"Lanczos did not converge within {max_iter} products", est) from None
-    except ArpackError:
-        if best[0] > 0.0:  # ARPACK stops on an annihilated start: then B = 0
-            raise
-    return NormEstimate(best[0], count, best[2], cfg.epsilon, method, witness=best[1] / sw)
+    q = sw / np.linalg.norm(sw) + rand / np.linalg.norm(rand)
+    q /= np.linalg.norm(q)
+    k = 0  # basis[:k] is the current run's basis, q its next vector
+    for count in range(1, max_iter + 1):
+        basis[k] = q
+        w = op.rmatvec(op.matvec(q))  # B^T B q
+        k += 1
+        h = basis[:k] @ w
+        gram[:k, k - 1] = gram[k - 1, :k] = h  # <B q_i, B q_k> = q_i . B^T B q_k
+        w -= h @ basis[:k]
+        fix = basis[:k] @ w  # twice is enough (Kahan, in Parlett 1980)
+        w -= fix @ basis[:k]
+        alpha[k - 1], beta[k - 1] = h[-1] + fix[-1], np.linalg.norm(w)
+        theta, vecs = eigh_tridiagonal(alpha[:k], beta[: k - 1])
+        theta, y = max(float(theta[-1]), 0.0), vecs[:, -1]
+        bound = beta[k - 1] * abs(y[-1])
+        if bound <= tol * theta or count == max_iter:
+            break
+        if k == cap:  # restart from the Ritz vector
+            q, k = y @ basis[:k], 0
+            q /= np.linalg.norm(q)
+        else:
+            q = w / beta[k - 1]
+    v = y @ basis[:k]
+    vnorm = np.linalg.norm(v)
+    est = NormEstimate(
+        float(np.sqrt(max(y @ gram[:k, :k] @ y, 0.0)) / vnorm),
+        count,
+        float(bound / theta) if theta > 0.0 else 0.0,
+        cfg.epsilon,
+        f"lanczos-{backend}",
+        witness=v / (vnorm * sw),
+    )
+    if bound > tol * theta:
+        raise NonConvergenceError(f"Lanczos did not converge within {max_iter} products", est)
+    return est
 
 
 def dense_operator_norm(mu: DiscreteMeasure, cfg: KernelConfig) -> NormEstimate:
@@ -347,9 +367,8 @@ def curvature_c2(
     triples with a reported relative standard error, which needs at least
     two samples.
     """
-    if mode == "sampled" and sample_count < 2:
-        raise ValueError(f"sampled mode needs at least two samples, got {sample_count}")
-    sample_count = _count("sample_count", sample_count, 2) if mode == "sampled" else sample_count
+    if mode == "sampled":  # the mean of no sample is NaN, and so is the spread of one
+        sample_count = _count("sample_count", sample_count, 2)
     n_pts = len(mu)
     if n_pts < 3:
         return CurvatureEstimate(0.0, 0, mode, insufficient_points=True)

@@ -45,8 +45,6 @@ def gen_segment(count: int, d: int = 2) -> DiscreteMeasure:
     count cells of width h = 1/count, one point of weight h per cell; the
     total mass is exactly 1 and no sample sits on an endpoint.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
     count, d = _count("count", count, 1), _count("d", d, 2)
     h = 1.0 / count
     pts = np.zeros((count, d))
@@ -128,9 +126,9 @@ def gen_four_corners(level: int) -> DiscreteMeasure:
     single center of the unit square by convention.  Levels above 12 are
     rejected (point-count guard).
     """
-    if not 0 <= level <= 12:
-        raise ValueError("level must lie in [0, 12]")
     level = _count("level", level, 0)
+    if level > 12:
+        raise ValueError("level must lie in [0, 12]")
     return _corner_measure(np.full(level, 0.25), 1.0)
 
 

@@ -63,29 +63,34 @@ class VectorField:
         return self.values.shape[0]
 
 
-def _inv_power(r2: np.ndarray, n: int) -> np.ndarray:
-    """|x|^{-(n+1)} from squared radii; integer-power fast paths."""
+def _inv_power(r2: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """|x|^{-(n+1)} from squared radii, into out if given (not r2 itself);
+    integer-power fast paths."""
     if n == 1:
-        return 1.0 / r2
+        return np.divide(1.0, r2, out=out)
     if n == 2:
-        return 1.0 / (r2 * np.sqrt(r2))
+        return np.divide(1.0, np.multiply(r2, np.sqrt(r2, out=out), out=out), out=out)
     if n == 3:
-        return 1.0 / (r2 * r2)
-    return r2 ** (-0.5 * (n + 1))
+        return np.divide(1.0, np.multiply(r2, r2, out=out), out=out)
+    return np.power(r2, -0.5 * (n + 1), out=out)
 
 
-def _coef_from_r2(r2: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """1 / |x|^{n+1} from squared radii, with the mode's eps handling.
+def _coef_from_r2(r2: np.ndarray, cfg: KernelConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / |x|^{n+1} from squared radii, with the mode's eps handling, into
+    out if given (an array apart from r2).
 
     Comparisons run in squared distances (r2 vs eps**2), with r2 taken by
     measure._sq_norm everywhere, so the direct sums and the treecode leaves
     agree bit for bit on the truncation boundary.
     """
     eps2 = cfg.epsilon * cfg.epsilon
+    out = np.empty(np.shape(r2)) if out is None else out
     if cfg.mode == TRUNCATED:
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(r2 > eps2, _inv_power(r2, cfg.n), 0.0)
-    return _inv_power(np.maximum(r2, eps2), cfg.n)
+            _inv_power(r2, cfg.n, out)
+        np.copyto(out, 0.0, where=r2 <= eps2)
+        return out
+    return _inv_power(np.maximum(r2, eps2), cfg.n, out)
 
 
 def kernel_eval(x, cfg: KernelConfig) -> np.ndarray:
@@ -104,14 +109,27 @@ def _blocks(points: np.ndarray, targets: np.ndarray, cfg: KernelConfig, upper: b
     the sources), each target chunk meets only the sources from its own
     first row onward: the upper strips of the pair matrix, whose first
     block holds the diagonal.
+
+    The planes, the block's r2 (by the rule of measure._sq_norm) and coef
+    are views of buffers allocated once per call: the next block overwrites
+    them, so a caller uses (or changes) each block before it asks for the
+    next.
     """
     points, targets = points.T, targets.T  # one row per axis
-    for t0 in range(0, targets.shape[1], _TARGET_CHUNK):
-        t = slice(t0, t0 + _TARGET_CHUNK)
-        for s0 in range(t0 if upper else 0, points.shape[1], _SOURCE_CHUNK):
-            s = slice(s0, s0 + _SOURCE_CHUNK)
-            diff = [tc[t, None] - pc[None, s] for tc, pc in zip(targets, points)]
-            yield t, s, diff, _coef_from_r2(_sq_norm(diff), cfg)
+    n_src, n_tgt = points.shape[1], targets.shape[1]
+    bufs = np.empty((len(points) + 2, min(_TARGET_CHUNK, n_tgt) * min(_SOURCE_CHUNK, n_src)))
+    for t0 in range(0, n_tgt, _TARGET_CHUNK):
+        t = slice(t0, min(t0 + _TARGET_CHUNK, n_tgt))
+        for s0 in range(t0 if upper else 0, n_src, _SOURCE_CHUNK):
+            s = slice(s0, min(s0 + _SOURCE_CHUNK, n_src))
+            shape = (t.stop - t0, s.stop - s0)
+            *diff, r2, coef = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
+            for tc, pc, plane in zip(targets, points, diff):
+                np.subtract(tc[t, None], pc[None, s], out=plane)
+            np.square(diff[0], out=r2)
+            for plane in diff[1:]:
+                r2 += np.multiply(plane, plane, out=coef)
+            yield t, s, diff, _coef_from_r2(r2, cfg, out=coef)
 
 
 def kernel_sum(

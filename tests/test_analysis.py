@@ -89,7 +89,8 @@ def test_matrix_free_path_matches_dense(four_corners_3):
 def test_norm_finds_odd_top_vector_of_mirrored_measure(mode):
     # 64 points mirrored under x -> -x (the 78th draw of this generator):
     # the top singular vector is odd, orthogonal to the even sqrt(w), and
-    # Lanczos from sqrt(w) alone stopped 1% short of the dense norm
+    # Lanczos from sqrt(w) alone stopped 1% short of the dense norm; at
+    # tol 1e-4 the Ritz value is close to, and never above, the dense one
     rng = np.random.default_rng(2)
     for _ in range(78):
         k = int(rng.integers(12, 40))
@@ -99,15 +100,16 @@ def test_norm_finds_odd_top_vector_of_mirrored_measure(mode):
     cfg = KernelConfig(1, 0.05, mode)
     dense = dense_operator_norm(mu, cfg).value
     for cap in (0, 60_000_000):
-        for tol in (1e-4, 1e-10):
-            est = operator_norm(mu, cfg, tol=tol, dense_cache_cap=cap)
-            assert est.value == pytest.approx(dense, rel=1e-12)
+        coarse = operator_norm(mu, cfg, tol=1e-4, dense_cache_cap=cap).value
+        assert dense * (1 - 1e-6) <= coarse <= dense * (1 + 1e-12)
+        assert operator_norm(mu, cfg, tol=1e-10, dense_cache_cap=cap).value == pytest.approx(dense, rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
 def test_lanczos_residual_is_true_and_within_tol(mode):
-    # 1024 points exceed the 20-vector Lanczos basis, so tol decides when
-    # the solver stops; the residual is recomputed from the dense matrix
+    # Lanczos on 1024 points stops when the Ritz residual reaches tol, long
+    # before the basis spans the space; the residual is recomputed from the
+    # dense matrix
     mu = rl.gen_segment(1024)
     cfg = KernelConfig(1, 4 * mu.resolution_h, mode)
     mat = _build_symmetrized_matrix(mu, cfg)
@@ -121,6 +123,59 @@ def test_lanczos_residual_is_true_and_within_tol(mode):
         assert est.residual <= tol
         assert est.value <= dense * (1 + 1e-12)
     assert est.value == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make, tol, most",
+    [
+        (lambda: rl.gen_segment(4096), 1e-7, 58),
+        (lambda: rl.gen_four_corners(4), 1e-6, 16),
+        (lambda: rl.gen_four_corners(5), 1e-6, 16),
+        (lambda: rl.gen_four_corners(6), 1e-6, 16),
+    ],
+)
+def test_lanczos_products_on_the_benchmark_cases(make, tol, most):
+    # an ARPACK factorization of 20 vectors took 62 and 22 products here;
+    # Lanczos stops at the first product whose Ritz residual meets tol
+    mu = make()
+    est = operator_norm(mu, KernelConfig(1, 4 * mu.resolution_h, TRUNCATED), tol=tol, max_iter=2000)
+    assert est.iterations <= most
+    assert est.residual <= tol
+
+
+def test_lanczos_restarts_from_its_ritz_vector(monkeypatch):
+    mu = rl.gen_segment(1024)
+    cfg = KernelConfig(1, 4 * mu.resolution_h, TRUNCATED)
+    whole = operator_norm(mu, cfg, tol=1e-10, max_iter=2000)
+    monkeypatch.setattr(analysis, "_BASIS_CAP", 8)
+    est = operator_norm(mu, cfg, tol=1e-10, max_iter=2000)
+    assert est.iterations > 8  # the basis filled and the run restarted
+    mat = _build_symmetrized_matrix(mu, cfg)
+    v = est.witness * np.sqrt(mu.weights)
+    v /= np.linalg.norm(v)
+    residual = np.linalg.norm(mat.T @ (mat @ v) - est.value**2 * v) / est.value**2
+    assert est.residual == pytest.approx(residual, rel=1e-6, abs=1e-13)
+    assert est.residual <= 1e-10
+    assert est.value == pytest.approx(whole.value, rel=1e-12)
+
+
+def test_lanczos_ends_exactly_on_a_rank_two_operator():
+    # two stacks of 20 coincident points, eps below their distance: B maps
+    # onto the two stacks' sqrt(w), so Lanczos meets beta = 0 at step two
+    w = np.linspace(0.5, 1.5, 40)
+    mu = DiscreteMeasure([[0.0, 0.0]] * 20 + [[1.0, 0.0]] * 20, w, 1, 0.1)
+    cfg = KernelConfig(1, 0.5, TRUNCATED)
+    est = operator_norm(mu, cfg, tol=1e-10)
+    assert est.iterations == 2
+    assert est.value == pytest.approx(dense_operator_norm(mu, cfg).value, rel=1e-12)
+    assert est.value == pytest.approx(np.sqrt(w[:20].sum() * w[20:].sum()), rel=1e-12)
+
+
+def test_norm_runs_repeat_bit_for_bit(four_corners_4):
+    cfg = KernelConfig(1, 4 * four_corners_4.resolution_h, TRUNCATED)
+    first, second = (operator_norm(four_corners_4, cfg, tol=1e-6) for _ in range(2))
+    assert (first.value, first.iterations, first.residual) == (second.value, second.iterations, second.residual)
+    assert first.witness.tobytes() == second.witness.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -310,11 +365,15 @@ def test_packed_products_copy_no_array():
 
 
 def test_norm_zero_operator():
-    # both points inside the truncation radius: the transform vanishes
-    mu = DiscreteMeasure([[0.0, 0.0], [0.5, 0.0]], [1.0, 1.0], 1, 0.25)
+    # both points inside the truncation radius: the transform vanishes, and
+    # the first product ends the run with the start vector as the witness
+    mu = DiscreteMeasure([[0.0, 0.0], [0.5, 0.0]], [1.0, 4.0], 1, 0.25)
     est = operator_norm(mu, KernelConfig(1, 2.0, TRUNCATED), tol=1e-8)
-    assert est.value == 0.0
-    assert est.witness is not None and np.all(np.isfinite(est.witness))
+    assert (est.value, est.iterations, est.residual) == (0.0, 1, 0.0)
+    sw = np.sqrt(mu.weights)
+    rand = np.random.default_rng(analysis._RANDOM_START_SEED).standard_normal(2)
+    u0 = sw / np.linalg.norm(sw) + rand / np.linalg.norm(rand)
+    np.testing.assert_allclose(est.witness * sw, u0 / np.linalg.norm(u0), rtol=1e-15)
 
 
 def test_norm_requires_two_points():
@@ -451,7 +510,7 @@ def test_c2_too_few_points_flagged():
 @pytest.mark.parametrize("samples", [-5, 0, 1])
 def test_c2_sampled_needs_two_samples(four_corners_3, samples):
     # the mean of no sample is NaN, and so is the spread of one
-    with pytest.raises(ValueError, match="at least two samples"):
+    with pytest.raises(ValueError, match="sample_count must be an integer >= 2"):
         curvature_c2(four_corners_3, mode="sampled", sample_count=samples)
 
 

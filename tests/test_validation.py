@@ -33,6 +33,7 @@ CASES = {
     "adjoint_misaligned_field": (ValueError, lambda tmp: adjoint_apply(SEGMENT, CFG, VectorField(np.zeros((3, 2))))),
     "curvature_unknown_mode": (ValueError, lambda tmp: curvature_c2(SEGMENT, mode="bogus")),
     "curvature_fractional_samples": (ValueError, lambda tmp: curvature_c2(SEGMENT, "sampled", sample_count=2.5)),
+    "curvature_string_samples": (ValueError, lambda tmp: curvature_c2(SEGMENT, "sampled", sample_count="5")),
     "kernel_unknown_mode": (ValueError, lambda tmp: KernelConfig(1, 0.1, "bogus")),
     # measure
     "density_params_floor_at_diameter": (ValueError, lambda tmp: density_params(SEGMENT, 2, 2, r_floor=2.0)),
@@ -57,9 +58,11 @@ CASES = {
     "segment_zero_count": (ValueError, lambda tmp: rl.gen_segment(0)),
     "segment_fractional_count": (ValueError, lambda tmp: rl.gen_segment(2.5)),
     "segment_bool_count": (ValueError, lambda tmp: rl.gen_segment(True)),
+    "segment_string_count": (ValueError, lambda tmp: rl.gen_segment("5")),
     "segment_fractional_d": (ValueError, lambda tmp: rl.gen_segment(4, d=2.5)),
     "four_corners_fractional_level": (ValueError, lambda tmp: rl.gen_four_corners(2.5)),
     "four_corners_bool_level": (ValueError, lambda tmp: rl.gen_four_corners(True)),
+    "four_corners_string_level": (ValueError, lambda tmp: rl.gen_four_corners("2")),
     "graph_negative_slope": (ValueError, lambda tmp: rl.gen_lipschitz_graph(-0.5, 1.0, 0.125, 0)),
     "graph_n3": (ValueError, lambda tmp: rl.gen_lipschitz_graph(0.5, 1.0, 0.125, 0, n=3)),
     "graph_bool_n": (ValueError, lambda tmp: rl.gen_lipschitz_graph(0.5, 1.0, 0.125, 0, n=True)),
