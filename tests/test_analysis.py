@@ -135,8 +135,8 @@ def test_lanczos_residual_is_true_and_within_tol(mode):
     ],
 )
 def test_lanczos_products_on_the_benchmark_cases(make, tol, most):
-    # an ARPACK factorization of 20 vectors took 62 and 22 products here;
-    # Lanczos stops at the first product whose Ritz residual meets tol
+    # no restart floor: Lanczos stops at the first product whose Ritz
+    # residual meets tol
     mu = make()
     est = operator_norm(mu, KernelConfig(1, 4 * mu.resolution_h, TRUNCATED), tol=tol, max_iter=2000)
     assert est.iterations <= most
