@@ -20,8 +20,9 @@ The kernel is odd, so each component block B_a is antisymmetric and every
 support pair is stored once.  A block is exactly 0 when the support is
 constant along its coordinate (a segment or a plane in a coordinate
 subspace); only the m live components (measure._live_axes, the rule of the
-kernel sums and the treecode too) are evaluated, stored and applied, and
-the rows of the others are 0.
+kernel sums and the treecode too) are evaluated, stored and applied: the
+operator's forward product gives their m rows of N, and its adjoint reads
+such rows.
 Below the dense cap, the cache is ceil(m / 2) Fortran-order N x N arrays:
 array k holds the live block B_{2k}[i, j] (i < j) in its strict upper
 triangle and B_{2k+1}[i, j] (i < j), transposed, in its strict lower one,
@@ -29,19 +30,19 @@ on a zero diagonal, with live blocks numbered in coordinate order.  A
 product reads one triangle per BLAS dtrmv call: B_a u = U u - U^T u for an
 upper component, L^T u - L u for a lower one, and B^T v = -sum_a B_a v_a.
 Above the cap, and in adjoint_apply, the same blocks are applied as they
-are evaluated, unstored.  The full matrix, dead rows included, is built
-only for the dense decomposition and the tests.
+are evaluated, unstored.  The full matrix, with the dead components' rows
+as zeros, is built only for the dense decomposition and the tests.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dtrmv
-from scipy.sparse.linalg import LinearOperator
 
 from rieszlab.measure import DiscreteMeasure, _count, _live_axes, _safe_resolution, _sq_norm
 from rieszlab.kernels import TRUNCATED, KernelConfig, _blocks
@@ -187,33 +188,31 @@ def _strip_products(points: np.ndarray, sw: np.ndarray, cfg: KernelConfig, vecs)
 
 def _symmetrized_operator(
     mu: DiscreteMeasure, cfg: KernelConfig, dense_cache_cap: int
-) -> tuple[LinearOperator, str]:
-    """B as a LinearOperator with its backend's name, on the m live
-    components only (see the module docstring): a constant coordinate's
-    differences are exactly 0 and add +0.0 to r2, so every live entry keeps
-    its bits.  The packed cache ("dense") serves while its
-    ceil(m / 2) * N * N stored entries fit in dense_cache_cap, the same
-    blocks applied as they are evaluated ("direct") above that.  Either
-    backend gives the rows B_a x_a of the live a, so B u = [B_a u]_a, 0 in
-    the other rows, and B^T v = -sum_a B_a v_a.  Two or more support points
-    have a live component."""
-    n_pts, d = len(mu), mu.ambient_dim
+) -> tuple[Callable, Callable, str]:
+    """(forward, adjoint, backend name) of B on the m live components only
+    (see the module docstring): forward(u) gives the (m, N) rows B_a u of
+    the live a in coordinate order, and adjoint(v) maps such rows to
+    B^T v = -sum_a B_a v_a.  A constant coordinate's differences are
+    exactly 0 and add +0.0 to r2, so every live entry keeps its bits.  The
+    packed cache ("dense") serves while its ceil(m / 2) * N * N stored
+    entries fit in dense_cache_cap, the same blocks applied as they are
+    evaluated ("direct") above that.  Two or more support points have a
+    live component."""
     live = _live_axes(mu.points, mu.points)
     points, sw = mu.points[:, live], np.sqrt(mu.weights)
-    if (points.shape[1] + 1) // 2 * n_pts * n_pts <= dense_cache_cap:
+    n_pts, m = points.shape
+    if (m + 1) // 2 * n_pts * n_pts <= dense_cache_cap:
         products, backend = partial(_skew_products, _packed_cache(points, sw, cfg)), "dense"
     else:
         products, backend = partial(_strip_products, points, sw, cfg), "direct"
 
-    def matvec(u: np.ndarray) -> np.ndarray:
-        out = np.zeros((d, n_pts))
-        out[live] = products([u.ravel()] * points.shape[1])
-        return out.ravel()
+    def forward(u: np.ndarray) -> np.ndarray:
+        return products([u] * m)
 
-    def rmatvec(v: np.ndarray) -> np.ndarray:
-        return -products(v.reshape(d, n_pts)[live]).sum(axis=0)
+    def adjoint(v: np.ndarray) -> np.ndarray:
+        return -products(v).sum(axis=0)
 
-    return LinearOperator((n_pts * d, n_pts), matvec=matvec, rmatvec=rmatvec, dtype=float), backend
+    return forward, adjoint, backend
 
 
 def operator_norm(
@@ -253,7 +252,7 @@ def operator_norm(
         raise ValueError("tol must lie in (0, 0.1)")
     max_iter = _count("max_iter", max_iter, 1)
     n_pts, sw = len(mu), np.sqrt(mu.weights)
-    op, backend = _symmetrized_operator(mu, cfg, dense_cache_cap)
+    forward, adjoint, backend = _symmetrized_operator(mu, cfg, dense_cache_cap)
     cap = min(_BASIS_CAP, n_pts)
     basis, gram = np.empty((cap, n_pts)), np.empty((cap, cap))
     alpha, beta = np.empty(cap), np.empty(cap)
@@ -263,7 +262,7 @@ def operator_norm(
     k = 0  # basis[:k] is the current run's basis, q its next vector
     for count in range(1, max_iter + 1):
         basis[k] = q
-        w = op.rmatvec(op.matvec(q))  # B^T B q
+        w = adjoint(forward(q))  # B^T B q
         k += 1
         h = basis[:k] @ w
         gram[:k, k - 1] = gram[k - 1, :k] = h  # <B q_i, B q_k> = q_i . B^T B q_k
@@ -310,7 +309,8 @@ def adjoint_apply(mu: DiscreteMeasure, cfg: KernelConfig, field) -> np.ndarray:
     """Adjoint of the transform under the weighted inner products.
 
     (R* F)(x_j) = sum_i K(x_i - x_j) . F(x_i) w(x_i); satisfies the bilinear
-    identity <R f, F>_mu = <f, R* F>_mu; it is B^T (sqrt(w) F) / sqrt(w).
+    identity <R f, F>_mu = <f, R* F>_mu; it is B^T (sqrt(w) F) / sqrt(w),
+    with B^T on the live rows of sqrt(w) F alone (B_a = 0 for the others).
     """
     vals = np.asarray(field.values if hasattr(field, "values") else field, dtype=float)
     if vals.shape != (len(mu), mu.ambient_dim):
@@ -318,8 +318,8 @@ def adjoint_apply(mu: DiscreteMeasure, cfg: KernelConfig, field) -> np.ndarray:
     if len(mu) < 2:  # one point has no pair, and no live component
         return np.zeros(len(mu))
     sw = np.sqrt(mu.weights)
-    op, _ = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
-    return op.rmatvec((vals * sw[:, None]).T.ravel()) / sw
+    _, adjoint, _ = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
+    return adjoint(vals.T[_live_axes(mu.points, mu.points)] * sw) / sw
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +369,8 @@ def curvature_c2(
     """
     if mode == "sampled":  # the mean of no sample is NaN, and so is the spread of one
         sample_count = _count("sample_count", sample_count, 2)
+    elif mode != "exact":
+        raise ValueError(f"unknown curvature mode {mode!r}")
     n_pts = len(mu)
     if n_pts < 3:
         return CurvatureEstimate(0.0, 0, mode, insufficient_points=True)
@@ -385,21 +387,19 @@ def curvature_c2(
             kappa2 = np.triu(_curvature_sq_from_sides(a2[:, None], a2[None, :], d2[i + 1 :, i + 1 :]), k=1)
             total += w[i] * float(np.einsum("jk,j,k->", kappa2, rest, rest))
         return CurvatureEstimate(6.0 * total, n_ordered, "exact")
-    if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        idx, size = np.empty((0, 3), dtype=np.int64), int(sample_count * 1.2) + 16
-        while idx.shape[0] < sample_count:  # one draw with room for rejects, then top-ups
-            draw = rng.integers(0, n_pts, size=(size, 3))
-            distinct = (draw[:, 0] != draw[:, 1]) & (draw[:, 1] != draw[:, 2]) & (draw[:, 0] != draw[:, 2])
-            idx, size = np.vstack([idx, draw[distinct]])[:sample_count], sample_count
-        pi, pj, pk = mu.points[idx.T]
-        kappa2 = _curvature_sq_from_sides(_sq_norm((pi - pj).T), _sq_norm((pi - pk).T), _sq_norm((pj - pk).T))
-        vals = kappa2 * w[idx[:, 0]] * w[idx[:, 1]] * w[idx[:, 2]]
-        value = n_ordered * float(vals.mean())
-        stderr = n_ordered * float(vals.std(ddof=1)) / np.sqrt(vals.size)
-        rel = stderr / value if value > 0.0 else 0.0
-        return CurvatureEstimate(value, int(vals.size), "sampled", rel_stderr=rel)
-    raise ValueError(f"unknown curvature mode {mode!r}")
+    rng = np.random.default_rng(seed)
+    idx, size = np.empty((0, 3), dtype=np.int64), int(sample_count * 1.2) + 16
+    while idx.shape[0] < sample_count:  # one draw with room for rejects, then top-ups
+        draw = rng.integers(0, n_pts, size=(size, 3))
+        distinct = (draw[:, 0] != draw[:, 1]) & (draw[:, 1] != draw[:, 2]) & (draw[:, 0] != draw[:, 2])
+        idx, size = np.vstack([idx, draw[distinct]])[:sample_count], sample_count
+    pi, pj, pk = mu.points[idx.T]
+    kappa2 = _curvature_sq_from_sides(_sq_norm((pi - pj).T), _sq_norm((pi - pk).T), _sq_norm((pj - pk).T))
+    vals = kappa2 * w[idx[:, 0]] * w[idx[:, 1]] * w[idx[:, 2]]
+    value = n_ordered * float(vals.mean())
+    stderr = n_ordered * float(vals.std(ddof=1)) / np.sqrt(vals.size)
+    rel = stderr / value if value > 0.0 else 0.0
+    return CurvatureEstimate(value, int(vals.size), "sampled", rel_stderr=rel)
 
 
 # ---------------------------------------------------------------------------

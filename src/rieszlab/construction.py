@@ -64,6 +64,7 @@ _DOMINATION_QUERIES = 200  # random ball queries of verification's domination ch
 _DOMINATION_CHUNK = 32  # domination queries per batched ball-membership call
 _BACKDROP_EXTENT = 3.0  # half-width of the backdrop sampling, times the support diameter
 _LOWER_FLOOR_FACTOR = 1.0 / 64.0  # lower-regularity floor of verification, times 1/(p s)
+_OVERLAP_BASE = 4  # the cover's pointwise overlap cap in R^d is _OVERLAP_BASE**d
 
 
 class EmptyCoreError(ValueError):
@@ -87,7 +88,7 @@ class UnassignedPointError(ValueError):
 
 
 class CoverOverlapError(ValueError):
-    """The selected balls overlap more often than the configured cap allows."""
+    """The selected balls overlap more often than the cap 4**d allows."""
 
 
 class CoverInvariantError(RuntimeError):
@@ -192,12 +193,7 @@ class CoverReport:
         return self.radii / 2.0
 
 
-def besicovitch_cover(
-    mu: DiscreteMeasure,
-    targets,
-    exclusion,
-    overlap_cap: int | None = None,
-) -> CoverReport:
+def besicovitch_cover(mu: DiscreteMeasure, targets, exclusion) -> CoverReport:
     """Cover the target points by balls B(x, d(x)), d = dist(., exclusion)/10.
 
     Greedy largest-clearance-first selection, skipping any candidate already
@@ -205,8 +201,8 @@ def besicovitch_cover(
     more than the larger of their clearances, every target is covered, and a
     greedy first-fit coloring of the ball intersection graph yields color
     classes with pairwise disjoint balls.  The pointwise overlap of the
-    selected balls over the support is checked against `overlap_cap`
-    (default 4**d); CoverOverlapError reports an excess.
+    selected balls over the support is checked against the cap 4**d;
+    CoverOverlapError reports an excess.
     """
     targets = np.asarray(targets, dtype=int)
     exclusion = np.asarray(exclusion, dtype=int)
@@ -217,8 +213,7 @@ def besicovitch_cover(
         )
     if np.intersect1d(targets, exclusion).size:
         raise ValueError("targets and exclusion must be disjoint")
-    d = mu.ambient_dim
-    cap = _count("overlap_cap", overlap_cap, 0) if overlap_cap is not None else 4**d
+    cap = _OVERLAP_BASE**mu.ambient_dim
     tpts = mu.points[targets]
     expts = mu.points[exclusion]
     clearance = cKDTree(expts).query(tpts)[0] / 10.0

@@ -24,9 +24,9 @@ def gen_plane(n: int, d: int, extent: float, spacing: float) -> DiscreteMeasure:
     Weight spacing**n per point, so the mass is (points per axis)**n times
     spacing**n.  The flat AD-regular baseline.
     """
-    if not 1 <= n < d:
-        raise ValueError("need 1 <= n < d")
     n, d = _count("n", n, 1), _count("d", d, 2)
+    if not n < d:
+        raise ValueError("need 1 <= n < d")
     if not (extent > 0 and spacing > 0):
         raise ValueError("extent and spacing must be positive")
     per_axis = int(np.floor(extent / spacing + 1e-12)) + 1

@@ -584,24 +584,18 @@ def _safe_resolution(points: np.ndarray, h: float) -> float:
 def restrict(mu: DiscreteMeasure, keep) -> DiscreteMeasure:
     """Sub-measure with the selected points and their original weights.
 
-    `keep` may be a boolean mask, an integer index array, or a callable
-    mapping a point index to bool.  An empty selection raises
-    EmptySelectionError.
+    `keep` is a boolean mask or an integer index array.  An empty
+    selection raises EmptySelectionError.
     """
-    n_pts = len(mu)
-    if callable(keep):
-        mask = np.fromiter((bool(keep(i)) for i in range(n_pts)), dtype=bool, count=n_pts)
-        idx = np.flatnonzero(mask)
+    n_pts, arr = len(mu), np.asarray(keep)
+    if arr.dtype == bool:
+        if arr.shape != (n_pts,):
+            raise ValueError("boolean mask must align with the point list")
+        idx = np.flatnonzero(arr)
     else:
-        arr = np.asarray(keep)
-        if arr.dtype == bool:
-            if arr.shape != (n_pts,):
-                raise ValueError("boolean mask must align with the point list")
-            idx = np.flatnonzero(arr)
-        else:
-            idx = np.unique(arr.astype(int))
-            if idx.size and (idx[0] < 0 or idx[-1] >= n_pts):
-                raise IndexError("selection index out of range")
+        idx = np.unique(arr.astype(int))
+        if idx.size and (idx[0] < 0 or idx[-1] >= n_pts):
+            raise IndexError("selection index out of range")
     if idx.size == 0:
         raise EmptySelectionError("restriction selected no points")
     pts = mu.points[idx]

@@ -182,8 +182,8 @@ def test_norm_runs_repeat_bit_for_bit(four_corners_4):
 @pytest.mark.parametrize("mode", [TRUNCATED, REGULARIZED])
 def test_symmetrized_rows_are_component_major(d, mode):
     # row a * N + i of the oracle is component a of target i, entry for
-    # entry the kernel times sqrt(w_i) sqrt(w_j); both backends use the
-    # same row order, so they give the same products
+    # entry the kernel times sqrt(w_i) sqrt(w_j); both backends give and
+    # read row a as component a, so they give the same products
     rng = np.random.default_rng(d)
     n_pts = 40
     mu = DiscreteMeasure(rng.random((n_pts, d)), rng.uniform(0.5, 1.5, n_pts), 1, 1e-3)
@@ -194,10 +194,10 @@ def test_symmetrized_rows_are_component_major(d, mode):
     assert mat.shape == (d * n_pts, n_pts)
     for a in range(d):
         assert np.array_equal(mat[a * n_pts : (a + 1) * n_pts], kern[:, :, a] * sw[:, None] * sw[None, :])
-    dense, _ = _symmetrized_operator(mu, cfg, dense_cache_cap=60_000_000)
-    direct, _ = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
-    u, v = rng.standard_normal(n_pts), rng.standard_normal(d * n_pts)
-    for got, want in ((direct.matvec(u), dense.matvec(u)), (direct.rmatvec(v), dense.rmatvec(v))):
+    dense_forward, dense_adjoint, _ = _symmetrized_operator(mu, cfg, dense_cache_cap=60_000_000)
+    forward, adjoint, _ = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
+    u, v = rng.standard_normal(n_pts), rng.standard_normal((d, n_pts))
+    for got, want in ((forward(u), dense_forward(u)), (adjoint(v), dense_adjoint(v))):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
@@ -243,15 +243,15 @@ def test_matrix_free_products_match_the_oracle(d, mode, chunks, monkeypatch):
     mu = DiscreteMeasure(rng.random((n_pts, d)), rng.uniform(0.5, 1.5, n_pts), 1, 1e-3)
     cfg = KernelConfig(1, 0.2, mode)
     mat = _build_symmetrized_matrix(mu, cfg)
-    op, backend = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
+    forward, adjoint, backend = _symmetrized_operator(mu, cfg, dense_cache_cap=0)
     assert backend == "direct"
-    u, v, field = rng.standard_normal(n_pts), rng.standard_normal(d * n_pts), rng.standard_normal((n_pts, d))
+    u, v, field = rng.standard_normal(n_pts), rng.standard_normal((d, n_pts)), rng.standard_normal((n_pts, d))
     sw = np.sqrt(mu.weights)
-    for got, want in (
-        (op.matvec(u), mat @ u),
-        (op.rmatvec(v), mat.T @ v),
+    for got, want in [
+        *zip(forward(u), (mat @ u).reshape(d, n_pts)),
+        (adjoint(v), mat.T @ v.ravel()),
         (adjoint_apply(mu, cfg, VectorField(field)), mat.T @ (field * sw[:, None]).T.ravel() / sw),
-    ):
+    ]:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
@@ -287,8 +287,8 @@ FLAT_AXES = [(2, (0,)), (2, (1,)), (3, (0,)), (3, (1,)), (3, (2,)), (3, (0, 1)),
 def test_flat_supports_store_and_apply_only_live_blocks(d, flat, mode, chunks, monkeypatch):
     # a support constant along the axes `flat` (the middle one of R^3
     # among them) has B_a = 0 there: the oracle's rows are exactly 0, the
-    # cache holds the live blocks bit for bit, and both backends give exact
-    # zeros in those rows and stay adjoint
+    # cache holds the live blocks bit for bit, and both backends give and
+    # read the live rows alone and stay adjoint
     if chunks is not None:
         monkeypatch.setattr(kernels, "_TARGET_CHUNK", chunks[0])
         monkeypatch.setattr(kernels, "_SOURCE_CHUNK", chunks[1])
@@ -309,15 +309,16 @@ def test_flat_supports_store_and_apply_only_live_blocks(d, flat, mode, chunks, m
     for a, block in enumerate(blocks):
         tri = cache[a // 2].T if a % 2 else cache[a // 2]
         assert np.array_equal(tri[upper], block[upper])
-    u, v = rng.standard_normal(n_pts), rng.standard_normal(d * n_pts)
+    u, v = rng.standard_normal(n_pts), rng.standard_normal((d, n_pts))
     mat = oracle.reshape(d * n_pts, n_pts)
     for cap, backend in ((60_000_000, "dense"), (0, "direct")):
-        op, name = _symmetrized_operator(mu, cfg, dense_cache_cap=cap)
+        forward, adjoint, name = _symmetrized_operator(mu, cfg, dense_cache_cap=cap)
         assert name == backend
-        bu, btv = op.matvec(u), op.rmatvec(v)
-        assert not np.any(bu.reshape(d, n_pts)[~live])
-        assert abs(bu @ v - u @ btv) <= 1e-13 * (np.abs(bu) @ np.abs(v) + np.abs(u) @ np.abs(btv))
-        for got, want in ((bu, mat @ u), (btv, mat.T @ v)):
+        bu, btv = forward(u), adjoint(v[live])
+        assert bu.shape == (len(blocks), n_pts)
+        scale = np.sum(np.abs(bu) * np.abs(v[live])) + np.abs(u) @ np.abs(btv)
+        assert abs(np.sum(bu * v[live]) - u @ btv) <= 1e-13 * scale
+        for got, want in [*zip(bu, blocks @ u), (btv, mat.T @ v.ravel())]:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
@@ -331,7 +332,7 @@ def test_plane_in_r3_caches_one_array():
     cfg = KernelConfig(2, 4 * mu.resolution_h, TRUNCATED)
     tracemalloc.start()
     try:
-        op, backend = _symmetrized_operator(mu, cfg, dense_cache_cap=n_pts * n_pts)
+        forward, adjoint, backend = _symmetrized_operator(mu, cfg, dense_cache_cap=n_pts * n_pts)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -352,12 +353,12 @@ def test_packed_products_copy_no_array():
 
     mu = rl.gen_segment(512)
     cfg = KernelConfig(1, 4 * mu.resolution_h, TRUNCATED)
-    op, backend = _symmetrized_operator(mu, cfg, dense_cache_cap=60_000_000)
+    forward, adjoint, backend = _symmetrized_operator(mu, cfg, dense_cache_cap=60_000_000)
     assert backend == "dense"
     u = np.random.default_rng(0).standard_normal(512)
     tracemalloc.start()
     try:
-        op.rmatvec(op.matvec(u))
+        adjoint(forward(u))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rieszlab as rl
+from rieszlab import construction
 from rieszlab.construction import (
     CoverOverlapError,
     CoverReport,
@@ -167,24 +168,16 @@ def test_cover_skips_a_target_inside_a_selected_ball():
     assert cover.max_overlap == 1
 
 
-def test_cover_overlap_above_cap_is_a_validation_error():
+def test_cover_overlap_above_cap_is_a_validation_error(monkeypatch):
     angles = 2 * np.pi * np.arange(50) / 50
     pts = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]), [[0.0, 0.0]]])
     mu = DiscreteMeasure(pts, np.ones(51), 1, 0.05)
     cover = besicovitch_cover(mu, np.arange(50), np.array([50]))
-    assert cover.max_overlap >= 1
-    with pytest.raises(CoverOverlapError, match="exceeds the configured cap"):
-        besicovitch_cover(mu, np.arange(50), np.array([50]), overlap_cap=cover.max_overlap - 1)
+    assert 1 <= cover.max_overlap <= cover.overlap_cap == 4**2
+    monkeypatch.setattr(construction, "_OVERLAP_BASE", 0)  # a cap of 0**2 = 0
+    with pytest.raises(CoverOverlapError, match="exceeds the configured cap 0"):
+        besicovitch_cover(mu, np.arange(50), np.array([50]))
     assert issubclass(CoverOverlapError, ValueError)
-
-
-@pytest.mark.parametrize("cap", [2.5, True, "3", -1])
-def test_cover_overlap_cap_must_be_a_count(cap):
-    # a fraction or a bool is no count: int() would take 2.5 as 2 and True as 1
-    mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]), np.ones(3), 1, 0.5)
-    with pytest.raises(ValueError, match="overlap_cap must be an integer >= 0"):
-        besicovitch_cover(mu, np.array([0, 1]), np.array([2]), overlap_cap=cap)
-    assert besicovitch_cover(mu, np.array([0, 1]), np.array([2]), overlap_cap=2.0).overlap_cap == 2
 
 
 def test_cover_circle_invariants():

@@ -395,11 +395,6 @@ def test_restrict_additivity(four_corners_4):
     assert a + b == pytest.approx(total_mass(four_corners_4), rel=1e-12)
 
 
-def test_restrict_accepts_callable(four_corners_3):
-    sub = restrict(four_corners_3, lambda i: i < 5)
-    assert len(sub) == 5
-
-
 # ----------------------------------------------------------- support diameter
 
 

@@ -32,6 +32,7 @@ CASES = {
     "dense_norm_one_point": (ValueError, lambda tmp: dense_operator_norm(rl.gen_segment(1), CFG)),
     "adjoint_misaligned_field": (ValueError, lambda tmp: adjoint_apply(SEGMENT, CFG, VectorField(np.zeros((3, 2))))),
     "curvature_unknown_mode": (ValueError, lambda tmp: curvature_c2(SEGMENT, mode="bogus")),
+    "curvature_unknown_mode_two_points": (ValueError, lambda tmp: curvature_c2(rl.gen_segment(2), mode="bogus")),
     "curvature_fractional_samples": (ValueError, lambda tmp: curvature_c2(SEGMENT, "sampled", sample_count=2.5)),
     "curvature_string_samples": (ValueError, lambda tmp: curvature_c2(SEGMENT, "sampled", sample_count="5")),
     "kernel_unknown_mode": (ValueError, lambda tmp: KernelConfig(1, 0.1, "bogus")),
@@ -46,6 +47,7 @@ CASES = {
     "restrict_misaligned_mask": (ValueError, lambda tmp: restrict(SEGMENT, np.ones(3, dtype=bool))),
     "restrict_index_out_of_range": (IndexError, lambda tmp: restrict(SEGMENT, [0, 16])),
     "restrict_negative_index": (IndexError, lambda tmp: restrict(SEGMENT, [-1, 2])),
+    "restrict_callable_selector": (TypeError, lambda tmp: restrict(SEGMENT, lambda i: i < 5)),
     "read_measure_empty_file": (ValueError, lambda tmp: read_measure(write_text(tmp, ""))),
     "read_measure_count_mismatch": (
         ValueError,
@@ -55,6 +57,8 @@ CASES = {
     "plane_zero_spacing": (ValueError, lambda tmp: rl.gen_plane(1, 2, 1.0, 0.0)),
     "plane_negative_extent": (ValueError, lambda tmp: rl.gen_plane(1, 2, -1.0, 0.25)),
     "plane_fractional_n": (ValueError, lambda tmp: rl.gen_plane(1.5, 2, 1.0, 0.25)),
+    "plane_string_n": (ValueError, lambda tmp: rl.gen_plane("1", 2, 1.0, 0.5)),
+    "plane_string_d": (ValueError, lambda tmp: rl.gen_plane(1, "2", 1.0, 0.5)),
     "segment_zero_count": (ValueError, lambda tmp: rl.gen_segment(0)),
     "segment_fractional_count": (ValueError, lambda tmp: rl.gen_segment(2.5)),
     "segment_bool_count": (ValueError, lambda tmp: rl.gen_segment(True)),
