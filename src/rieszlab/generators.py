@@ -175,8 +175,11 @@ def gen_union(measures, separation: float) -> DiscreteMeasure:
     """Concatenate translated copies with pairwise support distance >= separation.
 
     Components are shifted along the first axis so consecutive bounding boxes
-    are exactly `separation` apart; weights are untouched.
+    are exactly `separation` apart; weights are untouched.  The separation
+    must be positive and finite: at 0 or below the copies would overlap.
     """
+    if not (np.isfinite(separation) and separation > 0.0):
+        raise ValueError(f"separation must be positive and finite, not {separation!r}")
     measures = list(measures)
     if not measures:
         raise ValueError("need at least one measure")
@@ -186,16 +189,13 @@ def gen_union(measures, separation: float) -> DiscreteMeasure:
             raise ValueError("all components must share (n, d)")
     if len(measures) == 1:
         return measures[0]
-    parts, weights = [], []
-    cursor = None
+    parts, cursor = [], None
     for m in measures:
         pts = m.points.copy()
         if cursor is not None:
             pts[:, 0] += (cursor + separation) - pts[:, 0].min()
         cursor = pts[:, 0].max()
         parts.append(pts)
-        weights.append(m.weights)
-    pts = np.vstack(parts)
-    w = np.concatenate(weights)
+    pts, w = np.vstack(parts), np.concatenate([m.weights for m in measures])
     h = min(m.resolution_h for m in measures)
     return DiscreteMeasure(pts, w, n, _safe_resolution(pts, h))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -400,13 +400,13 @@ def _sq_thresholds(radii: np.ndarray) -> np.ndarray:
 
 
 def _leaf_pair_r2(ctree: SpatialTree, tree: SpatialTree, a: np.ndarray, b: np.ndarray):
-    """(ia, ib, r2): the tree-order points of center leaves a and source
-    leaves b, each padded to its tree's widest leaf (`_leaf_rows`), and the
+    """(ia, ib, r2): the leaf-table columns of center leaves a and source
+    leaves b, as (pairs, width) rows of tree-order points, and the
     (pairs, wa, wb) _sq_norm of their differences.  A padded point has the
     distance NaN, inside no ball and binned after every threshold."""
     rows = []
     for t, leaves in ((ctree, a), (tree, b)):
-        idx, valid = _leaf_rows(t, leaves, int((t.end - t.start)[t.leaves].max()))
+        idx, valid = (table[:, t.leaf_col[leaves]].T for table in (t.leaf_points, t.leaf_valid))
         rows.append((idx, [np.where(valid, pc[idx], np.nan) for pc in t.points.T]))
     (ia, xa), (ib, xb) = rows
     return ia, ib, _sq_norm(pa[:, :, None] - pb[:, None, :] for pa, pb in zip(xa, xb))
@@ -414,8 +414,7 @@ def _leaf_pair_r2(ctree: SpatialTree, tree: SpatialTree, a: np.ndarray, b: np.nd
 
 def _leaf_block(ctree: SpatialTree, tree: SpatialTree) -> int:
     """Leaf pairs per block of at most _LEAF_BLOCK padded (center, point) entries."""
-    wa, wb = (int((t.end - t.start)[t.leaves].max()) for t in (ctree, tree))
-    return max(1, _LEAF_BLOCK // (wa * wb))
+    return max(1, _LEAF_BLOCK // (ctree.leaf_points.shape[0] * tree.leaf_points.shape[0]))
 
 
 def _inside_sums(ctree, tree, a, b, mirror, first, span, vals, thresholds, inside) -> None:
@@ -472,34 +471,27 @@ def _local_sums(mu: DiscreteMeasure, fw: np.ndarray, eps: float) -> np.ndarray:
 
     That is the exact complement of the truncation cut r2 > eps**2, so the
     pairs where the two kernel modes differ (y = x adds 0).  On `_pair_walk`
-    over the cached `ball_tree` and itself: pairs with dmin2 > eps**2 drop,
-    leaf pairs are summed in padded blocks as in `_leaf_pair_bins`, and a
-    mirrored pair adds -(x - y) * fw[x] at y.
+    over the cached `ball_tree` and itself, pairs with dmin2 > eps**2 drop;
+    each point x of a near leaf pair (a, b) is summed against leaf b by
+    `_leaf_sums`, with the closed eps-ball indicator as its coefficient,
+    and for a mirrored pair each point of b against leaf a.
     """
-    tree, eps2, fw = mu.ball_tree, eps * eps, fw[mu.ball_tree.perm]
-    out = np.zeros((mu.ambient_dim, len(mu) + 1))  # the last column takes the padding
-    width = int((tree.end - tree.start)[tree.leaves].max())
-    per_block = _leaf_block(tree, tree)
+    tree, eps2, out = mu.ball_tree, eps * eps, np.zeros((mu.ambient_dim, len(mu)))
+    planes = _leaf_planes(tree, fw[tree.perm])
 
     def settle(a, b, dmin2, dmax2, mirror, leaves):
         near = dmin2 <= eps2
         pairs = np.flatnonzero(near & leaves)
-        for p0 in range(0, pairs.size, per_block):
-            blk = pairs[p0 : p0 + per_block]
-            (ia, va), (ib, vb) = _leaf_rows(tree, a[blk], width), _leaf_rows(tree, b[blk], width)
-            diff = [pc[ia][:, :, None] - pc[ib][:, None, :] for pc in tree.points.T]
-            inside = _sq_norm(diff) <= eps2
-            forward = np.where(inside & vb[:, None, :], fw[ib][:, None, :], 0.0)
-            m = np.flatnonzero(mirror[blk])
-            back = np.where(inside[m] & va[m][:, :, None], fw[ia[m]][:, :, None], 0.0)
-            rows_a, rows_b = np.where(va, ia, -1).ravel(), np.where(vb[m], ib[m], -1).ravel()
-            for o, plane in zip(out, diff):
-                np.add.at(o, rows_a, np.einsum("pij,pij->pi", plane, forward).ravel())
-                np.add.at(o, rows_b, -np.einsum("pij,pij->pj", plane[m], back).ravel())
+        back = pairs[mirror[pairs]]
+        at, of = (tree.leaf_col[np.concatenate(ab)] for ab in ((a[pairs], b[back]), (b[pairs], a[back])))
+        valid = tree.leaf_valid[:, at]  # each point of leaf `at` against leaf `of`
+        rows, sources = tree.leaf_points[:, at][valid], np.broadcast_to(of, valid.shape)[valid]
+        sums = _leaf_sums(planes, np.take(tree.points, rows, axis=0), sources, lambda r2: r2 <= eps2)
+        _accumulate(out, rows, sums)
         return near & ~leaves
 
     _pair_walk(tree, tree, settle)
-    return out[:, :-1].T[np.argsort(tree.perm)]
+    return out.T[np.argsort(tree.perm)]
 
 
 def _check_grid_floor(mu: DiscreteMeasure, grid: ScaleGrid) -> None:
@@ -584,20 +576,20 @@ def _safe_resolution(points: np.ndarray, h: float) -> float:
 def restrict(mu: DiscreteMeasure, keep) -> DiscreteMeasure:
     """Sub-measure with the selected points and their original weights.
 
-    `keep` is a boolean mask or an integer index array.  An empty
-    selection raises EmptySelectionError.
+    `keep` is a boolean mask or a 1-D integer index array: another dtype
+    raises TypeError (fractions are not truncated), another shape
+    ValueError.  An empty selection raises EmptySelectionError.
     """
     n_pts, arr = len(mu), np.asarray(keep)
-    if arr.dtype == bool:
-        if arr.shape != (n_pts,):
-            raise ValueError("boolean mask must align with the point list")
-        idx = np.flatnonzero(arr)
-    else:
-        idx = np.unique(arr.astype(int))
-        if idx.size and (idx[0] < 0 or idx[-1] >= n_pts):
-            raise IndexError("selection index out of range")
+    if arr.size and not (arr.dtype == bool or np.issubdtype(arr.dtype, np.integer)):
+        raise TypeError(f"selection must be a boolean mask or integer indices, not of dtype {arr.dtype}")
+    if arr.ndim != 1 or (arr.dtype == bool and arr.size != n_pts):
+        raise ValueError(f"selection must be 1-D, a mask as long as the {n_pts} points, not of shape {arr.shape}")
+    idx = np.flatnonzero(arr) if arr.dtype == bool else np.unique(arr)
     if idx.size == 0:
         raise EmptySelectionError("restriction selected no points")
+    if idx[0] < 0 or idx[-1] >= n_pts:
+        raise IndexError("selection index out of range")
     pts = mu.points[idx]
     return DiscreteMeasure(
         pts, mu.weights[idx], mu.hausdorff_dim, _safe_resolution(pts, mu.resolution_h)
@@ -627,6 +619,10 @@ class SpatialTree:
     `levels` holds the inner nodes of each depth, root first, so a pass
     over it in order reaches every parent before its children.  The build
     sets both; the upward and downward passes read them.
+
+    The build also sets the padded leaf table that every leaf-by-leaf sum
+    reads: column leaf_col[k] lists leaf k's points, start to end, padded
+    to the widest leaf with its first point, in the order of `leaves`.
     """
 
     perm: np.ndarray  # (N,) permutation: tree order -> original index
@@ -642,6 +638,9 @@ class SpatialTree:
     node_weight: np.ndarray  # (M,)
     leaves: np.ndarray  # leaf ids in tree order
     levels: tuple[np.ndarray, ...]  # per depth, root first: the ids of its inner nodes (none at the last)
+    leaf_points: np.ndarray  # (width, leaves) padded tree-order point indices, a column per leaf
+    leaf_valid: np.ndarray  # (width, leaves) False on the padding
+    leaf_col: np.ndarray  # (M,) each leaf's column of the table, -1 for inner nodes
 
     @property
     def n_nodes(self) -> int:
@@ -688,7 +687,10 @@ def _build_spatial_tree(pts: np.ndarray, w: np.ndarray, leaf_cap: int) -> Spatia
 
     start, end, left, right, lo, hi, centroid, weight = (np.concatenate(a) for a in zip(*depths))
     reach = np.maximum(centroid - lo, hi - centroid)
-    leaves = np.flatnonzero(left < 0)
+    leaves = np.flatnonzero(left < 0)[np.argsort(start[left < 0])]
+    idx = start[leaves] + np.arange(int((end - start)[leaves].max()))[:, None]
+    leaf_col = np.full(start.size, -1)
+    leaf_col[leaves] = np.arange(leaves.size)
     return SpatialTree(
         perm=perm,
         points=np.ascontiguousarray(pts[perm]),
@@ -701,8 +703,11 @@ def _build_spatial_tree(pts: np.ndarray, w: np.ndarray, leaf_cap: int) -> Spatia
         centroid=centroid,
         radius=np.sqrt(np.einsum("md,md->m", reach, reach)),
         node_weight=weight,
-        leaves=leaves[np.argsort(start[leaves])],
+        leaves=leaves,
         levels=tuple(levels),
+        leaf_points=np.where(idx < end[leaves], idx, start[leaves]),
+        leaf_valid=idx < end[leaves],
+        leaf_col=leaf_col,
     )
 
 
@@ -729,13 +734,42 @@ def _boxes(tree: SpatialTree, nodes: np.ndarray):
     return np.take(tree.box_lo, nodes, axis=0), np.take(tree.box_hi, nodes, axis=0)
 
 
-def _leaf_rows(tree: SpatialTree, leaves: np.ndarray, width: int):
-    """(idx, valid): the (leaves, width) tree-order point indices of the
-    given leaves, padded with each leaf's first point where valid is False."""
-    first = tree.start[leaves, None]
-    idx = first + np.arange(width)
-    valid = idx < tree.end[leaves, None]
-    return np.where(valid, idx, first), valid
+def _leaf_planes(tree: SpatialTree, fw: np.ndarray) -> list:
+    """The leaf table's coordinate planes, then fw's (in tree order) with 0 on the padding."""
+    idx = tree.leaf_points
+    return [pc[idx] for pc in tree.points.T] + [np.where(tree.leaf_valid, fw[idx], 0.0)]
+
+
+def _leaf_sums(planes: list, targets: np.ndarray, cols: np.ndarray, coef) -> np.ndarray:
+    """Direct sums of coef(r2) * fw * (t - y) over each (target, leaf) pair, one row per component.
+
+    Pair p takes targets[p] against column cols[p] of the `_leaf_planes`;
+    coef maps the _sq_norm r2 to the kernel's coefficient, or to a ball
+    indicator.  Blocks gather at most _LEAF_BLOCK entries, and each pair's
+    terms are added one at a time in leaf order, from +0.0, whatever the
+    block layout; the padding adds terms of fw 0.
+    """
+    *coords, fw = planes
+    out = np.empty((len(coords), cols.size))
+    per_block = max(1, _LEAF_BLOCK // fw.shape[0])
+    for p0 in range(0, cols.size, per_block):
+        rows = slice(p0, p0 + per_block)
+        block = cols[rows]
+        diff = [tc[None, rows] - np.take(pc, block, axis=1) for tc, pc in zip(targets.T, coords)]
+        cw = coef(_sq_norm(diff)) * np.take(fw, block, axis=1)
+        for a, plane in enumerate(diff):
+            plane *= cw
+            if plane.shape[1] > 1:  # row by row along axis 0
+                np.add.reduce(plane, axis=0, out=out[a, rows], initial=0.0)
+            else:  # np.add.reduce would sum one column pairwise
+                out[a, rows] = reduce(float.__add__, plane[:, 0].tolist(), 0.0)
+    return out
+
+
+def _accumulate(out: np.ndarray, rows: np.ndarray, values) -> None:
+    """out[a, rows[i]] += values[a][i] for each component a, added in array order."""
+    for acc, vals in zip(out, values):
+        acc += np.bincount(rows, weights=vals, minlength=acc.size)
 
 
 def _node_sums(tree: SpatialTree, vals: np.ndarray, shift=lambda sums, delta: sums) -> np.ndarray:

@@ -26,15 +26,16 @@ distance that the opening test takes anyway: beyond radius + eps of the
 centroid a node lies wholly beyond eps, and beyond eps part of it does.
 Only the pairs these cuts leave open, near the eps sphere, gather their
 boxes, and every decision is the one the box bounds make.  Near leaves
-are summed directly from padded leaf tables, built once per apply from
-measure._leaf_rows, with the squared-distance rule of
-kernels.kernel_sum, measure._sq_norm.  Targets are processed in
-fixed-size chunks, which bounds the size of the pair lists; the caller
-and, on two or more CPUs, one helper thread take chunks from one shared
-queue until it is empty.  Each target's contributions are accumulated in
-an order fixed by its own walk alone, and each chunk writes only its own
-rows, so results are bit-reproducible and independent of which other
-targets share the call and of which thread ran their chunk.
+are summed directly by measure._leaf_sums, the package's one padded leaf
+sum, on planes gathered once per apply from the tree's padded leaf
+table, with the squared-distance rule of kernels.kernel_sum,
+measure._sq_norm.  Targets are processed in fixed-size chunks, which
+bounds the size of the pair lists; the caller and, on two or more CPUs,
+one helper thread take chunks from one shared queue until it is empty.
+Each target's contributions are accumulated in an order fixed by its own
+walk alone, and each chunk writes only its own rows, so results are
+bit-reproducible and independent of which other targets share the call
+and of which thread ran their chunk.
 
 The walk reads only the live columns of the tree and the targets
 (measure._live_axes, the rule of kernels.kernel_sum and the norm operator);
@@ -49,13 +50,13 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from rieszlab.measure import DiscreteMeasure, SpatialTree, _build_spatial_tree, _count, _live_axes
-from rieszlab.measure import _LEAF_BLOCK, _box_dist2, _boxes, _leaf_rows, _node_sums, _sq_norm  # the tree engine
+from rieszlab.measure import _accumulate, _box_dist2, _boxes, _leaf_planes, _leaf_sums, _node_sums  # the tree engine
 from rieszlab.kernels import TRUNCATED, KernelConfig, _check_density, _coef_from_r2, _inv_power, riesz_apply
 
 _TARGET_CHUNK = 2048  # targets per traversal chunk; the caller and one helper thread each hold one
@@ -134,12 +135,6 @@ def _planar_series(planes: np.ndarray, live, rel: np.ndarray, dist2: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(out: np.ndarray, rows: np.ndarray, values) -> None:
-    """out[a, rows[i]] += values[a][i] for each component a, added in array order."""
-    for acc, vals in zip(out, values):
-        acc += np.bincount(rows, weights=vals, minlength=acc.size)
-
-
 class _Walk(NamedTuple):
     """What every target chunk's traversal reads, built once per apply by _walk."""
 
@@ -147,18 +142,17 @@ class _Walk(NamedTuple):
     cfg: KernelConfig
     theta: float
     far: Callable  # far(rel, dist2, nodes): by component, the nodes' far fields at offsets rel from their centroids
-    leaf_col: np.ndarray  # (M,) each leaf's column in planes
-    planes: list  # the live coordinate planes, then the fw plane, each (width, leaves)
+    planes: list  # measure._leaf_planes of fw on the live columns
     beyond2: np.ndarray  # (M,) centroid dist2 above which the node lies wholly beyond eps
     reach2: float  # centroid dist2 above which part of any node lies beyond eps
 
 
 def _walk(mu: DiscreteMeasure, f: np.ndarray, cfg: KernelConfig, tree: SpatialTree, params: TreecodeParams, live) -> _Walk:
-    """Far fields, padded leaf tables and centroid cuts for one apply, on
-    the live axes (a (d,) mask), to which its targets must be cut too.
+    """Far fields, leaf planes and centroid cuts for one apply, on the
+    live axes (a (d,) mask), to which its targets must be cut too.
 
-    The leaf tables hold each leaf's points, padded to the widest leaf
-    with copies of its first point at fw 0, as (width, leaves) planes.
+    The leaf planes gather the live coordinates and fw of the tree's
+    padded leaf table, column by column; the padding has fw 0.
 
     The centroid cuts decide a (target, node) pair's eps tests from
     |t - c| alone where that gives the answer the box bounds of _box_dist2
@@ -183,43 +177,12 @@ def _walk(mu: DiscreteMeasure, f: np.ndarray, cfg: KernelConfig, tree: SpatialTr
         )
     else:
         far = partial(_monopole, _node_sums(tree, fw), cfg.n)
-    is_leaf = tree.left < 0
-    leaves = np.flatnonzero(is_leaf)
-    idx, valid = (a.T for a in _leaf_rows(tree, leaves, int((tree.end - tree.start)[leaves].max())))
-    planes = [np.ascontiguousarray(pc[idx]) for pc in tree.points.T] + [np.where(valid, fw[idx], 0.0)]
     eps = cfg.epsilon
     outside = max(0.0, np.max(tree.box_lo - tree.centroid), np.max(tree.centroid - tree.box_hi))
     reach = (eps + outside * math.sqrt(tree.points.shape[1])) * (1 + 1e-9) + 1e-150
     beyond2 = np.square((tree.radius + eps) * (1 + 1e-9) + 1e-150)
     reach2 = reach * reach if cfg.mode == TRUNCATED else -np.inf
-    return _Walk(tree, cfg, params.opening_angle, far, np.cumsum(is_leaf) - 1, planes, beyond2, reach2)
-
-
-def _near_leaves(walk: _Walk, targets: np.ndarray, leaves: np.ndarray) -> np.ndarray:
-    """Direct sums of fw * K(t - y) over each (target, leaf) pair, one row per component.
-
-    A block gathers its leaves' columns of the padded leaf tables, at most
-    _LEAF_BLOCK entries; r2 and the eps comparison are computed exactly as
-    in kernels.kernel_sum, and the padding adds terms of fw 0.  Each pair's
-    terms are added one at a time in leaf order, from +0.0, whatever the
-    block layout.
-    """
-    *coords, fw = walk.planes
-    cols = walk.leaf_col[leaves]
-    out = np.empty((len(coords), cols.size))
-    per_block = max(1, _LEAF_BLOCK // fw.shape[0])
-    for p0 in range(0, cols.size, per_block):
-        rows = slice(p0, p0 + per_block)
-        block = cols[rows]
-        diff = [tc[None, rows] - np.take(pc, block, axis=1) for tc, pc in zip(targets.T, coords)]
-        cw = _coef_from_r2(_sq_norm(diff), walk.cfg) * np.take(fw, block, axis=1)
-        for a, plane in enumerate(diff):
-            plane *= cw
-            if plane.shape[1] > 1:  # row by row along axis 0
-                np.add.reduce(plane, axis=0, out=out[a, rows], initial=0.0)
-            else:  # np.add.reduce would sum one column pairwise
-                out[a, rows] = reduce(float.__add__, plane[:, 0].tolist(), 0.0)
-    return out
+    return _Walk(tree, cfg, params.opening_angle, far, _leaf_planes(tree, fw), beyond2, reach2)
 
 
 def _traverse(walk: _Walk, targets: np.ndarray) -> np.ndarray:
@@ -260,7 +223,8 @@ def _traverse(walk: _Walk, targets: np.ndarray) -> np.ndarray:
         opened = np.flatnonzero(near & ~is_leaf[node])
         # room for the leaf blocks: this level's classification is done
         del t, rel, dist2, separated, beyond, reaches, check, tc, dmin2, dmax2, far_mask, f, near
-        _accumulate(out, tgt[leaf], _near_leaves(walk, np.take(targets, tgt[leaf], axis=0), node[leaf]))
+        at, cols = np.take(targets, tgt[leaf], axis=0), tree.leaf_col[node[leaf]]
+        _accumulate(out, tgt[leaf], _leaf_sums(walk.planes, at, cols, partial(_coef_from_r2, cfg=walk.cfg)))
         tgt = np.repeat(tgt[opened], 2)
         node = np.column_stack([tree.left[node[opened]], tree.right[node[opened]]]).ravel()
     return out

@@ -35,6 +35,18 @@ def test_gen_segment_and_union(tmp_path):
     assert rl.support_diameter(mu) >= 5.0
 
 
+@pytest.mark.parametrize("separation", [-1.0, 0.0, "nan"])
+def test_gen_union_overlaying_separation_is_validation_failure(tmp_path, separation):
+    # -1 once returned 32 points of which 17 were distinct, and 0 put one
+    # copy's last point on the next copy's first
+    a = tmp_path / "a.measure"
+    u = tmp_path / "u.measure"
+    assert run_cli("gen", "--kind", "segment", "--count", 16, "--output", a) == EXIT_OK
+    assert run_cli("gen", "--kind", "union", "--inputs", a, a,
+                   "--separation", separation, "--output", u) == EXIT_VALIDATION
+    assert not u.exists()
+
+
 def union_hash(path):
     with open(path) as fh:
         return [ln for ln in fh if ln.startswith("# input_sha256=")]

@@ -375,6 +375,9 @@ def test_restrict_identity(four_corners_3):
 def test_restrict_empty_errors(four_corners_3):
     with pytest.raises(EmptySelectionError):
         restrict(four_corners_3, np.zeros(len(four_corners_3), dtype=bool))
+    for empty in ([], np.empty(0, dtype=int)):  # a list of no indices, of any dtype
+        with pytest.raises(EmptySelectionError):
+            restrict(four_corners_3, empty)
 
 
 def test_restrict_weight_threshold():

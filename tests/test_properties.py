@@ -621,6 +621,20 @@ def test_local_sums_match_dense_oracle(case):
 
 @PROPERTY_SETTINGS
 @given(case=local_sum_cases(dyadic=False))
+def test_local_sums_match_dense_oracle_to_rounding(case):
+    # weights and f that round: the leaf sums add each point's terms in
+    # another order than the oracle, so they agree to rounding, measured
+    # against the sums of the terms' magnitudes
+    mu, f, eps = case
+    fw = f * mu.weights
+    diff = mu.points[:, None, :] - mu.points[None, :, :]
+    inside = sq_dist(diff) <= eps * eps
+    scale = max(float(np.einsum("xyd,xy->xd", np.abs(diff), np.where(inside, np.abs(fw), 0.0)).max()), 1e-300)
+    assert np.abs(measure._local_sums(mu, fw, eps) - dense_local_sums(mu, fw, eps)).max() <= 1e-13 * scale
+
+
+@PROPERTY_SETTINGS
+@given(case=local_sum_cases(dyadic=False))
 def test_local_sums_are_the_gap_of_the_two_modes(case):
     # the regularized minus the truncated transform differs from zero
     # exactly on the pairs that the local sum covers
@@ -633,6 +647,26 @@ def test_local_sums_are_the_gap_of_the_two_modes(case):
     terms = kernel_eval(mu.points[:, None, :] - mu.points[None, :, :], KernelConfig(mu.hausdorff_dim, eps, REGULARIZED))
     scale = max(float((np.abs(terms) * np.abs(fw)[None, :, None]).max()), 1e-300)
     assert np.abs(gap - (reg - trunc)).max() <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(mu=clustered_measures(), cap=st.integers(1, 9))
+def test_leaf_table_lists_each_leaf(mu, cap):
+    # the cluster makes zero-extent leaves wider than the cap, so the
+    # narrower leaves are padded: a leaf's column holds start .. end - 1 in
+    # order, then copies of its first point; columns follow the leaves in
+    # tree order, and every inner node has the column -1
+    tree = measure._build_spatial_tree(mu.points, mu.weights, cap)
+    count = tree.end - tree.start
+    width = count[tree.leaves].max()
+    assert tree.leaf_points.shape == tree.leaf_valid.shape == (width, tree.leaves.size)
+    assert np.array_equal(tree.leaf_col[tree.leaves], np.arange(tree.leaves.size))
+    assert np.array_equal(np.flatnonzero(tree.leaf_col < 0), np.flatnonzero(tree.left >= 0))
+    for leaf in tree.leaves:
+        col, valid = tree.leaf_points[:, tree.leaf_col[leaf]], tree.leaf_valid[:, tree.leaf_col[leaf]]
+        assert np.array_equal(valid, np.arange(width) < count[leaf])
+        assert np.array_equal(col[valid], np.arange(tree.start[leaf], tree.end[leaf]))
+        assert np.all(col[~valid] == tree.start[leaf])
 
 
 @PROPERTY_SETTINGS

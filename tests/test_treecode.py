@@ -384,6 +384,13 @@ def test_one_squared_distance_rule_in_3d():
 # -------------------------------------------------- centroid cuts vs box bounds
 
 
+def near_leaves(walk, targets, leaves):
+    """The treecode's direct sums over (target, leaf) pairs, through the
+    module's binding of the shared leaf sum, so that a patch of it sees them."""
+    coef = partial(treecode._coef_from_r2, cfg=walk.cfg)
+    return treecode._leaf_sums(walk.planes, targets, walk.tree.leaf_col[leaves], coef)
+
+
 def box_rule_traverse(walk, targets):
     """The treecode walk with every (target, node) pair classified by its box bounds.
 
@@ -406,7 +413,7 @@ def box_rule_traverse(walk, targets):
         f = np.flatnonzero(far)
         treecode._accumulate(out, tgt[f], walk.far(rel[f], dist2[f], node[f]))
         leaf = np.flatnonzero(near & is_leaf[node])
-        treecode._accumulate(out, tgt[leaf], treecode._near_leaves(walk, targets[tgt[leaf]], node[leaf]))
+        treecode._accumulate(out, tgt[leaf], near_leaves(walk, targets[tgt[leaf]], node[leaf]))
         opened = np.flatnonzero(near & ~is_leaf[node])
         tgt = np.repeat(tgt[opened], 2)
         node = np.column_stack([tree.left[node[opened]], tree.right[node[opened]]]).ravel()
@@ -461,18 +468,18 @@ def test_centroid_cuts_decide_as_the_box_bounds(case, mode, monkeypatch):
         random_targets(mu, 200, seed=4),
         mu.points[:100],
     ])
-    box_dist2, near_leaves, rows, summed = treecode._box_dist2, treecode._near_leaves, [], []
+    box_dist2, leaf_sums, rows, summed = treecode._box_dist2, treecode._leaf_sums, [], []
 
     def counted(*args):
         rows.append(len(args[0]))
         return box_dist2(*args)
 
-    def recorded(walk, at, leaves):  # the (target, leaf) pairs summed directly, in order
-        summed.append((at.tobytes(), leaves.tobytes()))
-        return near_leaves(walk, at, leaves)
+    def recorded(planes, at, cols, coef):  # the (target, leaf) pairs summed directly, in order
+        summed.append((at.tobytes(), cols.tobytes()))
+        return leaf_sums(planes, at, cols, coef)
 
     monkeypatch.setattr(treecode, "_box_dist2", counted)
-    monkeypatch.setattr(treecode, "_near_leaves", recorded)
+    monkeypatch.setattr(treecode, "_leaf_sums", recorded)
     assert targets.shape[0] <= treecode._TARGET_CHUNK  # one chunk, walked as the oracle walks it
     fast = treecode_apply(mu, f, cfg, tree, params, targets)
     assert sum(rows) > 0
@@ -620,16 +627,16 @@ def test_planar_series_in_place_matches_the_out_of_place_steps(axes):
 
 def loop_near_leaves(walk, targets, leaves):
     """Each pair's terms added by a loop over the rows of its block: the
-    oracle of the np.add.reduce sums of treecode._near_leaves."""
+    oracle of the np.add.reduce sums of measure._leaf_sums."""
     *coords, fw = walk.planes
-    cols = walk.leaf_col[leaves]
+    cols = walk.tree.leaf_col[leaves]
     out = np.empty((cols.size, len(coords)))
-    per_block = max(1, treecode._LEAF_BLOCK // fw.shape[0])
+    per_block = max(1, rl.measure._LEAF_BLOCK // fw.shape[0])
     for p0 in range(0, cols.size, per_block):
         rows = slice(p0, p0 + per_block)
         block = cols[rows]
         diff = [tc[None, rows] - np.take(pc, block, axis=1) for tc, pc in zip(targets.T, coords)]
-        cw = treecode._coef_from_r2(treecode._sq_norm(diff), walk.cfg) * np.take(fw, block, axis=1)
+        cw = treecode._coef_from_r2(rl.measure._sq_norm(diff), walk.cfg) * np.take(fw, block, axis=1)
         for a, plane in enumerate(diff):
             plane *= cw
             acc = np.zeros(plane.shape[1])
@@ -663,11 +670,11 @@ def test_near_leaf_sums_match_the_row_loop(case, per_block, monkeypatch):
     width = walk.planes[0].shape[0]
     assert width >= 8
     if per_block is not None:
-        monkeypatch.setattr(treecode, "_LEAF_BLOCK", per_block * width)
+        monkeypatch.setattr(rl.measure, "_LEAF_BLOCK", per_block * width)
     tgt = np.repeat(np.arange(targets.shape[0]), leaf_ids.size)
     keep = tgt.size - (tgt.size - 1) % 3  # a last block of one pair at per_block = 3
     at, leaves = targets[tgt[:keep]][:, live], np.tile(leaf_ids, targets.shape[0])[:keep]
     want = loop_near_leaves(walk, at, leaves)
     if case == "segment_3d":  # sums of -0.0 terms alone
         assert np.signbit(want[want == 0.0]).sum() == 0 < np.sum(want == 0.0)
-    assert treecode._near_leaves(walk, at, leaves).T.tobytes() == want.tobytes()
+    assert near_leaves(walk, at, leaves).T.tobytes() == want.tobytes()

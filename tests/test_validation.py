@@ -48,6 +48,8 @@ CASES = {
     "restrict_index_out_of_range": (IndexError, lambda tmp: restrict(SEGMENT, [0, 16])),
     "restrict_negative_index": (IndexError, lambda tmp: restrict(SEGMENT, [-1, 2])),
     "restrict_callable_selector": (TypeError, lambda tmp: restrict(SEGMENT, lambda i: i < 5)),
+    "restrict_fractional_indices": (TypeError, lambda tmp: restrict(SEGMENT, [0.5, 1.7])),
+    "restrict_2d_indices": (ValueError, lambda tmp: restrict(SEGMENT, [[1, 2], [3, 4]])),
     "read_measure_empty_file": (ValueError, lambda tmp: read_measure(write_text(tmp, ""))),
     "read_measure_count_mismatch": (
         ValueError,
@@ -73,6 +75,9 @@ CASES = {
     "sparse_cantor_nine_levels": (ValueError, lambda tmp: rl.gen_sparse_cantor([0.3] * 9)),
     "sparse_cantor_zero_exponent": (ValueError, lambda tmp: rl.gen_sparse_cantor([0.3], weight_exponent=0.0)),
     "union_of_none": (ValueError, lambda tmp: rl.gen_union([], 1.0)),
+    "union_negative_separation": (ValueError, lambda tmp: rl.gen_union([SEGMENT, SEGMENT], -1.0)),
+    "union_zero_separation": (ValueError, lambda tmp: rl.gen_union([SEGMENT, SEGMENT], 0.0)),
+    "union_nan_separation": (ValueError, lambda tmp: rl.gen_union([SEGMENT, SEGMENT], np.nan)),
 }
 
 
