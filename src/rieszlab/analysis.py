@@ -315,6 +315,8 @@ def adjoint_apply(mu: DiscreteMeasure, cfg: KernelConfig, field) -> np.ndarray:
     vals = np.asarray(field.values if hasattr(field, "values") else field, dtype=float)
     if vals.shape != (len(mu), mu.ambient_dim):
         raise ValueError("field must align with the measure's points")
+    if not np.all(np.isfinite(vals)):  # also on a dead axis, which the sum skips
+        raise ValueError("field must be finite")
     if len(mu) < 2:  # one point has no pair, and no live component
         return np.zeros(len(mu))
     sw = np.sqrt(mu.weights)

@@ -184,7 +184,6 @@ class CoverReport:
     colors: np.ndarray
     max_overlap: int
     n_colors: int
-    overlap_cap: int
 
     def __len__(self) -> int:
         return self.centers.size
@@ -263,7 +262,6 @@ def besicovitch_cover(mu: DiscreteMeasure, targets, exclusion) -> CoverReport:
         colors=colors,
         max_overlap=max_overlap,
         n_colors=int(colors.max(initial=0)),
-        overlap_cap=cap,
     )
 
 
@@ -749,7 +747,7 @@ def verify_construction(
     [16 * patch spacing, diam]; (ii) proxy-vs-patch ball-mass matching,
     recomputed geometrically so tampering is caught; (iii) per-color
     disjointness of the doubled patch balls (the cover balls); (iv) coverage
-    of every target point and pointwise overlap within the cover's cap, from
+    of every target point and pointwise overlap within the cap 4**d, from
     the cover balls recomputed on the source; (v) domination of the source
     by the family of regularized measures on random ball queries (family
     defaults to this result alone).  The lower-regularity floor
@@ -783,8 +781,7 @@ def verify_construction(
     balls = _ball_members(mu, cover.center_points, cover.radii)
     hits = np.bincount(np.concatenate([np.empty(0, np.intp)] + balls), minlength=len(mu))  # balls holding each point
     coverage_ok = bool(hits[result.target_idx].all())
-    max_overlap = int(hits.max())
-    overlap_ok = max_overlap <= cover.overlap_cap
+    max_overlap, overlap_cap = int(hits.max()), _OVERLAP_BASE**mu.ambient_dim
 
     members = list(family) if family is not None else [result]
     rng = np.random.default_rng(seed)
@@ -819,8 +816,8 @@ def verify_construction(
         color_disjoint_pass=color_ok,
         coverage_pass=coverage_ok,
         max_overlap=max_overlap,
-        overlap_cap=cover.overlap_cap,
-        overlap_pass=overlap_ok,
+        overlap_cap=overlap_cap,
+        overlap_pass=max_overlap <= overlap_cap,
         domination_checked=_DOMINATION_QUERIES,
         domination_worst=float(worst_dom),
         domination_pass=dom_pass,
@@ -835,7 +832,6 @@ def save_construction(result: ConstructionResult, outdir, report: VerificationRe
     if result.proxy_measure is not None:
         write_measure(result.proxy_measure, os.path.join(outdir, "proxy.measure"))
     params, cover = result.params, asdict(result.cover)
-    del cover["overlap_cap"]
     manifest = {
         "p": params.p,
         "s": params.s,

@@ -18,6 +18,13 @@ class DecayTrendWarning(UserWarning):
     """Sparse-Cantor ratios do not produce a decaying density trend."""
 
 
+def _positive(name: str, value: float) -> float:
+    """value, if it is positive and finite."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, not {value!r}")
+    return value
+
+
 def gen_plane(n: int, d: int, extent: float, spacing: float) -> DiscreteMeasure:
     """Uniform fencepost grid on an axis n-plane patch [0, extent]^n x {0}.
 
@@ -27,9 +34,8 @@ def gen_plane(n: int, d: int, extent: float, spacing: float) -> DiscreteMeasure:
     n, d = _count("n", n, 1), _count("d", d, 2)
     if not n < d:
         raise ValueError("need 1 <= n < d")
-    if not (extent > 0 and spacing > 0):
-        raise ValueError("extent and spacing must be positive")
-    per_axis = int(np.floor(extent / spacing + 1e-12)) + 1
+    cells = _positive("extent / spacing", _positive("extent", extent) / _positive("spacing", spacing))
+    per_axis = int(np.floor(cells + 1e-12)) + 1
     axes = [np.arange(per_axis) * spacing for _ in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.zeros((per_axis**n, d))
@@ -67,12 +73,12 @@ def gen_lipschitz_graph(
     [extent**n, extent**n * sqrt(1 + slope_bound**2)] exactly.  extent must
     be an integer multiple of spacing.
     """
-    if slope_bound < 0:
-        raise ValueError("slope bound must be nonnegative")
+    if not (np.isfinite(slope_bound) and slope_bound >= 0):
+        raise ValueError(f"slope_bound must be nonnegative and finite, not {slope_bound!r}")
     if n not in (1, 2):
         raise ValueError("graphs are supported for n = 1 and n = 2")
     n = _count("n", n, 1)
-    cells = extent / spacing
+    cells = _positive("extent / spacing", _positive("extent", extent) / _positive("spacing", spacing))
     if abs(cells - round(cells)) > 1e-9:
         raise ValueError("extent must be an integer multiple of spacing")
     cells = int(round(cells))
@@ -178,8 +184,7 @@ def gen_union(measures, separation: float) -> DiscreteMeasure:
     are exactly `separation` apart; weights are untouched.  The separation
     must be positive and finite: at 0 or below the copies would overlap.
     """
-    if not (np.isfinite(separation) and separation > 0.0):
-        raise ValueError(f"separation must be positive and finite, not {separation!r}")
+    _positive("separation", separation)
     measures = list(measures)
     if not measures:
         raise ValueError("need at least one measure")

@@ -107,11 +107,6 @@ class DiscreteMeasure:
         return _build_spatial_tree(self.points, self.weights, _BALL_LEAF_CAP)
 
     @cached_property
-    def ball_tree_weights(self) -> np.ndarray:
-        """Per-node weight sums of `ball_tree` by its upward pass, computed once."""
-        return _node_sums(self.ball_tree, self.weights[self.ball_tree.perm])
-
-    @cached_property
     def diameter(self) -> float:
         """Maximum pairwise distance (0 for N = 1), computed once.
 
@@ -260,16 +255,18 @@ def ball_masses(
     (k, N) array give a (k, len(centers), len(radii)) table, one slice per
     row, each bit-identical to a call with that row alone.  One walk over
     (center node, source node) pairs serves every center, radius and row at
-    once (`_pair_bins`).  When the centers are the support points, the walk
-    pairs the cached `ball_tree` with itself and visits each unordered pair
-    of nodes once, binning it for both ends; other centers get a tree of
-    their own.  A pair of leaves that straddles a few radii is settled by
-    its bracket: its total at the first radius beyond it, and for each
-    straddled radius the sums within it.  Every point pair still meets the
-    closed-ball rule one by one, exactly as it would alone, so dyadic
-    values sum bit for bit as in index order; other values differ from
-    index-order sums by rounding only.  The summation order is fixed by
-    the walk, which makes the output deterministic.  Values must be finite.
+    once (`_pair_bins`), each row's node sums taken by its own upward pass.
+    When the centers are the support points, the walk pairs the cached
+    `ball_tree` with itself and visits each unordered pair of nodes once,
+    binning it for both ends; other centers get a tree of their own, one
+    center per leaf, repeats included.  A pair of leaves that straddles a
+    few radii is settled by its bracket: its total at the first radius
+    beyond it, and for each straddled radius the sums within it.  Every
+    point pair still meets the closed-ball rule one by one, exactly as it
+    would alone, so dyadic values sum bit for bit as in index order; other
+    values differ from index-order sums by rounding only.  The summation
+    order is fixed by the walk, which makes the output deterministic.
+    Values must be finite.
     """
     centers = _as_points(mu, centers, "center")
     radii = np.asarray(radii, dtype=float).ravel()
@@ -285,18 +282,12 @@ def ball_masses(
     stacked = vals.ndim == 2
     order = np.argsort(radii, kind="stable")
     tree = mu.ball_tree
-    vals = np.atleast_2d(vals)
-    # a row equal to the weights takes their node sums cached on the measure
-    sums = [mu.ball_tree_weights if np.array_equal(v, mu.weights) else _node_sums(tree, v[tree.perm]) for v in vals]
-    vals = vals[:, tree.perm]
-    if centers.shape == mu.points.shape and np.array_equal(centers, mu.points):
-        ctree, rows = tree, slice(None)
-    else:  # one leaf per distinct center: no center leaf is wider than a point
-        centers, rows = np.unique(centers, axis=0, return_inverse=True)
-        ctree = _build_spatial_tree(centers, np.ones(len(centers)), 1)
+    vals = np.atleast_2d(vals)[:, tree.perm]
+    sums = [_node_sums(tree, v) for v in vals]
+    at_support = centers.shape == mu.points.shape and np.array_equal(centers, mu.points)
+    ctree = tree if at_support else _build_spatial_tree(centers, np.ones(len(centers)), 1)
     out = np.empty((len(vals), centers.shape[0], radii.size))
     out[:, ctree.perm[:, None], order] = _pair_bins(ctree, tree, vals, sums, radii[order])
-    out = out[:, rows]
     return out if stacked else out[0]
 
 
@@ -623,6 +614,8 @@ class SpatialTree:
     The build also sets the padded leaf table that every leaf-by-leaf sum
     reads: column leaf_col[k] lists leaf k's points, start to end, padded
     to the widest leaf with its first point, in the order of `leaves`.
+    Every leaf holds at most the build's leaf cap, coincident points
+    included, so the table is never wider than the cap.
     """
 
     perm: np.ndarray  # (N,) permutation: tree order -> original index
@@ -650,12 +643,13 @@ class SpatialTree:
 def _build_spatial_tree(pts: np.ndarray, w: np.ndarray, leaf_cap: int) -> SpatialTree:
     """Median-split tree built one depth at a time, deterministic for a fixed input order.
 
-    Every node of a depth with more than leaf_cap points and a positive
-    extent is split at once: one stable lexsort over (node, coordinate on
-    the node's widest axis) orders each node's points as a stable argsort
-    of that node alone would, and the children take the halves
-    [start, mid) and [mid, end), mid = start + count // 2.  w weighs the
-    centroids.
+    Every node of a depth with more than leaf_cap points is split at once:
+    one stable lexsort over (node, coordinate on the node's widest axis)
+    orders each node's points as a stable argsort of that node alone
+    would, and the children take the halves [start, mid) and [mid, end),
+    mid = start + count // 2.  A node of coincident points is split by
+    count alike, into nodes of zero extent, so no leaf holds more than
+    leaf_cap points.  w weighs the centroids.
     """
     perm = np.arange(pts.shape[0])
     start, end = np.zeros(1, dtype=np.int64), np.full(1, pts.shape[0], dtype=np.int64)
@@ -670,10 +664,9 @@ def _build_spatial_tree(pts: np.ndarray, w: np.ndarray, leaf_cap: int) -> Spatia
         lo, hi = np.minimum.reduceat(sub, first), np.maximum.reduceat(sub, first)
         weight = np.add.reduceat(sw, first)
         centroid = np.add.reduceat(sub * sw[:, None], first) / weight[:, None]
-        extent = hi - lo
-        split = (count > leaf_cap) & (extent.max(axis=1) > 0.0)  # zero extent: no spatial split
+        split = count > leaf_cap
         in_split = split[owner]
-        sel, coord = idx[in_split], sub[in_split, extent.argmax(axis=1)[owner[in_split]]]
+        sel, coord = idx[in_split], sub[in_split, (hi - lo).argmax(axis=1)[owner[in_split]]]
         perm[sel] = perm[sel[np.lexsort((coord, owner[in_split]))]]
         # children are numbered after every node of this depth, left before right
         left = np.where(split, first_id + start.size + 2 * np.cumsum(split) - 2, -1)

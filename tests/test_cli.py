@@ -47,6 +47,25 @@ def test_gen_union_overlaying_separation_is_validation_failure(tmp_path, separat
     assert not u.exists()
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (("--kind", "lipschitz-graph", "--spacing", 0), "spacing"),
+        (("--kind", "lipschitz-graph", "--extent", "inf"), "extent"),
+        (("--kind", "lipschitz-graph", "--extent", 1e308, "--spacing", 1e-10), "extent / spacing"),
+        (("--kind", "lipschitz-graph", "--slope", "inf"), "slope_bound"),
+        (("--kind", "lipschitz-graph", "--slope", "nan"), "slope_bound"),
+        (("--kind", "plane", "--extent", "inf"), "extent"),
+    ],
+)
+def test_gen_invalid_numbers_are_validation_failures(tmp_path, capsys, args, name):
+    # each of these once raised ZeroDivisionError or OverflowError, exit 1
+    out = tmp_path / "m.measure"
+    assert run_cli("gen", *args, "--output", out) == EXIT_VALIDATION
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def union_hash(path):
     with open(path) as fh:
         return [ln for ln in fh if ln.startswith("# input_sha256=")]

@@ -173,7 +173,7 @@ def test_cover_overlap_above_cap_is_a_validation_error(monkeypatch):
     pts = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]), [[0.0, 0.0]]])
     mu = DiscreteMeasure(pts, np.ones(51), 1, 0.05)
     cover = besicovitch_cover(mu, np.arange(50), np.array([50]))
-    assert 1 <= cover.max_overlap <= cover.overlap_cap == 4**2
+    assert 1 <= cover.max_overlap <= 4**2
     monkeypatch.setattr(construction, "_OVERLAP_BASE", 0)  # a cap of 0**2 = 0
     with pytest.raises(CoverOverlapError, match="exceeds the configured cap 0"):
         besicovitch_cover(mu, np.arange(50), np.array([50]))
@@ -186,7 +186,7 @@ def test_cover_circle_invariants():
     mu = DiscreteMeasure(pts, np.ones(51), 1, 0.05)
     cover = besicovitch_cover(mu, np.arange(50), np.array([50]))
     assert cover.n_colors >= 2
-    assert cover.max_overlap <= cover.overlap_cap
+    assert cover.max_overlap <= 4**2
     # full coverage
     dist = np.linalg.norm(pts[:50, None, :] - cover.center_points[None, :, :], axis=2)
     assert np.all((dist <= cover.radii[None, :]).any(axis=1))
@@ -218,7 +218,7 @@ def test_cover_of_no_targets_is_the_empty_greedy_record(d):
     ):
         arr = getattr(cover, field)
         assert arr.dtype == dtype and arr.shape == shape, field
-    assert (cover.max_overlap, cover.n_colors, cover.overlap_cap) == (0, 0, 4**d)
+    assert (cover.max_overlap, cover.n_colors) == (0, 0)
     assert type(cover.max_overlap) is int and type(cover.n_colors) is int
 
 
@@ -363,7 +363,8 @@ def test_corrupted_cover_fails_color_and_coverage(mixed_result):
 
 def test_overlap_is_recomputed_from_the_cover_balls(mixed_result):
     # 16 copies of ball 0 put its points in 17 balls, above the cap 4**2,
-    # while the cover still records its own max_overlap
+    # while the cover still records its own max_overlap; the cap is 4**d,
+    # not a number the checked cover could carry
     import dataclasses
 
     res = mixed_result
@@ -377,7 +378,7 @@ def test_overlap_is_recomputed_from_the_cover_balls(mixed_result):
     tampered = dataclasses.replace(res, cover=dataclasses.replace(cover, **copies), patches=patches)
     report = verify_construction(tampered, seed=11)
     assert tampered.cover.max_overlap == cover.max_overlap
-    assert report.max_overlap == 17 and not report.overlap_pass
+    assert (report.max_overlap, report.overlap_cap, report.overlap_pass) == (17, 4**2, False)
 
 
 def test_domination_with_adaptive_family(mixed_measure, mixed_result):
@@ -511,7 +512,6 @@ def test_proxy_zero_mass_ball_error():
         colors=cover.colors,
         max_overlap=cover.max_overlap,
         n_colors=cover.n_colors,
-        overlap_cap=cover.overlap_cap,
     )
     with pytest.raises(ZeroMassBallError):
         build_proxy_measure(mu, tiny, patches)
@@ -532,7 +532,6 @@ def test_local_nonlocal_single_ball(mixed_result):
         colors=res.cover.colors[:1],
         max_overlap=1,
         n_colors=1,
-        overlap_cap=res.cover.overlap_cap,
     )
     cfg = KernelConfig(1, 4 * res.source.resolution_h, REGULARIZED)
     f = np.ones(len(sub))
@@ -622,7 +621,6 @@ def test_interaction_field_two_ball_hand_value():
         colors=np.array([1, 1]),
         max_overlap=1,
         n_colors=1,
-        overlap_cap=16,
     )
     pts = np.array([[0.2, 0.0], [-0.3, 0.0], [5.1, 0.0]])
     w = np.array([0.4, 0.6, 2.0])

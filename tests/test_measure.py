@@ -163,21 +163,16 @@ def test_ball_masses_grid_matches_single(four_corners_3):
             assert ratios[i, j] == pytest.approx(mass / r, rel=1e-12, abs=1e-15)  # n = 1
 
 
-def test_ball_masses_reuse_the_weights_node_sums(monkeypatch):
-    # the weights' upward pass runs once per measure, for every call and
-    # every stacked row equal to the weights; other rows get their own
+def test_stacked_ball_masses_rows_match_single_row_calls():
+    # each stacked row takes its own upward pass, so its table is the one
+    # a call with that row alone gives, bit for bit
     mu = gen_segment(300)
-    calls = []
-    node_sums = measure._node_sums
-    monkeypatch.setattr(measure, "_node_sums", lambda *a: calls.append(None) or node_sums(*a))
     radii = [0.01, 0.1]
-    single = ball_masses(mu, mu.points, radii)
     other = np.linspace(1.0, 2.0, len(mu))
     stacked = ball_masses(mu, mu.points, radii, np.stack([mu.weights.copy(), other, mu.weights]))
-    assert len(calls) == 2
+    single = ball_masses(mu, mu.points, radii)
     assert np.array_equal(stacked[0], single) and np.array_equal(stacked[2], single)
-    ball_masses(mu, mu.points[:5], radii)
-    assert len(calls) == 2
+    assert np.array_equal(stacked[1], ball_masses(mu, mu.points, radii, other))
 
 
 def test_ball_masses_reject_nonfinite_values(segment_1024):

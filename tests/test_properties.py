@@ -390,8 +390,9 @@ def test_sq_thresholds_decide_as_sqrt(kind):
 @pytest.mark.parametrize("far_end", [1.0, -1.0])
 def test_ball_masses_with_a_coincident_cluster(d, copies, far_end):
     # a cluster of coincident points at one end of the split axis makes a
-    # zero-extent leaf beside a sibling that still splits, so leaf ids do
-    # not follow the tree order; every node sum must still be its own
+    # subtree of zero-extent nodes, split by count, beside a sibling of
+    # distinct points, so leaf ids do not follow the tree order; every node
+    # sum must still be its own
     line = np.zeros((9, d))
     line[:, 0] = np.arange(9.0)
     cluster = np.zeros((copies, d))
@@ -477,7 +478,7 @@ def recursive_spatial_tree(mu, leaf_cap):
     while stack:
         node, lo, hi = stack.pop()
         extent = nodes[node][5] - nodes[node][4]
-        if hi - lo <= leaf_cap or float(np.max(extent)) == 0.0:
+        if hi - lo <= leaf_cap:
             continue
         order = np.argsort(pts[perm[lo:hi], int(np.argmax(extent))], kind="stable")
         perm[lo:hi] = perm[lo:hi][order]
@@ -540,7 +541,7 @@ def dyadic_with_radii(draw, mu):
 @given(mu=clustered_measures(), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_self_ball_masses_match_dense_oracle(mu, data, seed):
     # centers at the support points: the walk pairs the ball tree with
-    # itself, and the cluster makes zero-extent leaves wider than the cap
+    # itself, and the cluster makes a subtree of zero-extent nodes
     mu, radii = dyadic_with_radii(data.draw, mu)
     pts = mu.points
     assert np.array_equal(ball_masses(mu, pts, radii), dense_ball_masses(mu, pts, radii))
@@ -550,6 +551,20 @@ def test_self_ball_masses_match_dense_oracle(mu, data, seed):
     )
     stacked = ball_masses(mu, pts, radii, np.stack([mu.weights, values]))
     assert np.array_equal(stacked, [ball_masses(mu, pts, radii), ball_masses(mu, pts, radii, values)])
+
+
+@PROPERTY_SETTINGS
+@given(mu=clustered_measures(), data=st.data())
+def test_repeated_centers_give_equal_rows(mu, data):
+    # lattice centers, each repeated up to 12 times in a shuffled order: a
+    # tree of the centers splits the copies by count, one center per leaf,
+    # and every copy's row is the dense oracle's, bit for bit
+    mu, radii = dyadic_with_radii(data.draw, mu)
+    base = lattice_points(data.draw, mu.ambient_dim, 1, max_size=6)
+    repeats = data.draw(st.lists(st.integers(1, 12), min_size=len(base), max_size=len(base)))
+    which = np.repeat(np.arange(len(base)), repeats)
+    which = which[data.draw(st.permutations(range(which.size)))]
+    assert np.array_equal(ball_masses(mu, base[which], radii), dense_ball_masses(mu, base, radii)[which])
 
 
 @PROPERTY_SETTINGS
@@ -651,11 +666,20 @@ def test_local_sums_are_the_gap_of_the_two_modes(case):
 
 @PROPERTY_SETTINGS
 @given(mu=clustered_measures(), cap=st.integers(1, 9))
+def test_every_leaf_holds_at_most_the_cap(mu, cap):
+    # a cluster of coincident points has no extent to split, but its node
+    # splits by count all the same, so no leaf and no table column is wider
+    tree = measure._build_spatial_tree(mu.points, mu.weights, cap)
+    assert np.all(tree.end[tree.leaves] - tree.start[tree.leaves] <= cap)
+    assert tree.leaf_points.shape[0] <= cap
+
+
+@PROPERTY_SETTINGS
+@given(mu=clustered_measures(), cap=st.integers(1, 9))
 def test_leaf_table_lists_each_leaf(mu, cap):
-    # the cluster makes zero-extent leaves wider than the cap, so the
-    # narrower leaves are padded: a leaf's column holds start .. end - 1 in
-    # order, then copies of its first point; columns follow the leaves in
-    # tree order, and every inner node has the column -1
+    # leaves narrower than the widest are padded: a leaf's column holds
+    # start .. end - 1 in order, then copies of its first point; columns
+    # follow the leaves in tree order, and every inner node has the column -1
     tree = measure._build_spatial_tree(mu.points, mu.weights, cap)
     count = tree.end - tree.start
     width = count[tree.leaves].max()

@@ -448,10 +448,10 @@ def test_centroid_cuts_decide_as_the_box_bounds(case, mode, monkeypatch):
     # the centroid cuts only stand in for the box bounds: on targets where
     # the bounds sit at eps to within rounding, the walk must give the box
     # rule's bits, and the pairs the cuts leave open must reach _box_dist2.
-    # Clusters of coincident points make leaves whose box is one point, and
-    # centroids that round off their boxes; about such a point, |t - c|^2
-    # taken as einsum takes it and the box's dmin2 can fall on either side
-    # of eps2 for the same target
+    # Clusters of coincident points split by count into nodes whose box is
+    # one point, with centroids that round off their boxes; about such a
+    # point, |t - c|^2 taken as einsum takes it and the box's dmin2 can
+    # fall on either side of eps2 for the same target
     d, n, order = CUT_CASES[case]
     rng = np.random.default_rng(17)
     clusters = rng.random((4, d))

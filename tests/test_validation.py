@@ -25,12 +25,21 @@ def write_text(tmp_path, text):
     return path
 
 
+def field_with(row, axis, value):
+    """A raw field of ones on SEGMENT, whose axis 1 is dead, with one entry replaced."""
+    field = np.ones((len(SEGMENT), 2))
+    field[row, axis] = value
+    return field
+
+
 CASES = {
     # analysis
     "operator_norm_tol_high": (ValueError, lambda tmp: operator_norm(SEGMENT, CFG, tol=0.5)),
     "operator_norm_tol_zero": (ValueError, lambda tmp: operator_norm(SEGMENT, CFG, tol=0.0)),
     "dense_norm_one_point": (ValueError, lambda tmp: dense_operator_norm(rl.gen_segment(1), CFG)),
     "adjoint_misaligned_field": (ValueError, lambda tmp: adjoint_apply(SEGMENT, CFG, VectorField(np.zeros((3, 2))))),
+    "adjoint_nan_field": (ValueError, lambda tmp: adjoint_apply(SEGMENT, CFG, field_with(3, 0, np.nan))),
+    "adjoint_inf_on_dead_axis": (ValueError, lambda tmp: adjoint_apply(SEGMENT, CFG, field_with(3, 1, np.inf))),
     "curvature_unknown_mode": (ValueError, lambda tmp: curvature_c2(SEGMENT, mode="bogus")),
     "curvature_unknown_mode_two_points": (ValueError, lambda tmp: curvature_c2(rl.gen_segment(2), mode="bogus")),
     "curvature_fractional_samples": (ValueError, lambda tmp: curvature_c2(SEGMENT, "sampled", sample_count=2.5)),
@@ -61,6 +70,9 @@ CASES = {
     "plane_fractional_n": (ValueError, lambda tmp: rl.gen_plane(1.5, 2, 1.0, 0.25)),
     "plane_string_n": (ValueError, lambda tmp: rl.gen_plane("1", 2, 1.0, 0.5)),
     "plane_string_d": (ValueError, lambda tmp: rl.gen_plane(1, "2", 1.0, 0.5)),
+    "plane_inf_extent": (ValueError, lambda tmp: rl.gen_plane(1, 2, np.inf, 0.25)),
+    "plane_nan_spacing": (ValueError, lambda tmp: rl.gen_plane(1, 2, 1.0, np.nan)),
+    "plane_overflowing_cells": (ValueError, lambda tmp: rl.gen_plane(1, 2, 1e308, 1e-10)),
     "segment_zero_count": (ValueError, lambda tmp: rl.gen_segment(0)),
     "segment_fractional_count": (ValueError, lambda tmp: rl.gen_segment(2.5)),
     "segment_bool_count": (ValueError, lambda tmp: rl.gen_segment(True)),
@@ -70,6 +82,12 @@ CASES = {
     "four_corners_bool_level": (ValueError, lambda tmp: rl.gen_four_corners(True)),
     "four_corners_string_level": (ValueError, lambda tmp: rl.gen_four_corners("2")),
     "graph_negative_slope": (ValueError, lambda tmp: rl.gen_lipschitz_graph(-0.5, 1.0, 0.125, 0)),
+    "graph_zero_spacing": (ValueError, lambda tmp: rl.gen_lipschitz_graph(0.5, 1.0, 0.0, 0)),
+    "graph_inf_extent": (ValueError, lambda tmp: rl.gen_lipschitz_graph(0.5, np.inf, 0.125, 0)),
+    "graph_negative_extent": (ValueError, lambda tmp: rl.gen_lipschitz_graph(0.5, -1.0, 0.125, 0)),
+    "graph_overflowing_cells": (ValueError, lambda tmp: rl.gen_lipschitz_graph(0.5, 1e308, 1e-10, 0)),
+    "graph_inf_slope": (ValueError, lambda tmp: rl.gen_lipschitz_graph(np.inf, 1.0, 0.125, 0)),
+    "graph_nan_slope": (ValueError, lambda tmp: rl.gen_lipschitz_graph(np.nan, 1.0, 0.125, 0)),
     "graph_n3": (ValueError, lambda tmp: rl.gen_lipschitz_graph(0.5, 1.0, 0.125, 0, n=3)),
     "graph_bool_n": (ValueError, lambda tmp: rl.gen_lipschitz_graph(0.5, 1.0, 0.125, 0, n=True)),
     "sparse_cantor_nine_levels": (ValueError, lambda tmp: rl.gen_sparse_cantor([0.3] * 9)),
